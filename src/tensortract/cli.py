@@ -15,7 +15,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, is_dataclass, fields as dc_fields
 from enum import Enum
 from pathlib import Path
@@ -260,19 +259,15 @@ def _count_row(cfg: RunConfig, E: float, d: int) -> dict:
     return row
 
 
-def run_count(cfg: RunConfig, threads: int = 1) -> tuple:
+def run_count(cfg: RunConfig) -> tuple:
     """Rows (E, d, j_eps, d_eps, count, nodes, truncated_dimension, error),
     ordered by (d, E); returns (rows, any_runtime_error)."""
-    cells = sorted(((d, E) for d in cfg.d_list for E in cfg.E_list))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda c: _count_row(cfg, c[1], c[0]), cells))
-    else:
-        rows = [_count_row(cfg, E, d) for d, E in cells]
+    cells = sorted((d, E) for d in cfg.d_list for E in cfg.E_list)
+    rows = [_count_row(cfg, E, d) for d, E in cells]
     return rows, any(r["error"] for r in rows)
 
 
-def run_topk(cfg: RunConfig, threads: int = 1) -> tuple:
+def run_topk(cfg: RunConfig) -> tuple:
     def one(d: int) -> list:
         try:
             costs = top_eigenvalues(cfg.lam, cfg.gam, d, cfg.k)
@@ -282,13 +277,7 @@ def run_topk(cfg: RunConfig, threads: int = 1) -> tuple:
                  "eigenvalue": c.to_linear(), "error": ""}
                 for i, c in enumerate(costs)]
 
-    ds = sorted(cfg.d_list)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one, ds))
-    else:
-        chunks = [one(d) for d in ds]
-    rows = [r for chunk in chunks for r in chunk]
+    rows = [r for d in sorted(cfg.d_list) for r in one(d)]
     return rows, any(r["error"] for r in rows)
 
 
@@ -407,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default=None)
         sp.add_argument("--node-budget", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="ignored; accepted for one more release (rows run in one thread)")
         sp.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -427,11 +417,11 @@ def main(argv=None) -> int:
                 raise ConfigError("count/sweep require an E grid")
             if args.command == "count" and (len(cfg.E_list) != 1 or len(cfg.d_list) != 1):
                 raise ConfigError("count expects exactly one E value and one dimension; use sweep for grids")
-            rows, had_error = run_count(cfg, threads=max(1, args.threads))
+            rows, had_error = run_count(cfg)
             _emit(_write_rows(rows, COUNT_COLUMNS, cfg, args.command), cfg.out_path)
             return EXIT_RUNTIME if had_error else EXIT_OK
         if args.command == "topk":
-            rows, had_error = run_topk(cfg, threads=max(1, args.threads))
+            rows, had_error = run_topk(cfg)
             _emit(_write_rows(rows, TOPK_COLUMNS, cfg, "topk"), cfg.out_path)
             return EXIT_RUNTIME if had_error else EXIT_OK
         if args.command == "classify":

@@ -1,8 +1,11 @@
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
+from tensortract import complexity
 from tensortract import (
     BudgetExceeded,
     ConstantOne,
@@ -15,12 +18,14 @@ from tensortract import (
     Query,
     Tabulated,
     WeightSeq,
+    brute_force_count,
     d_of_eps,
     info_complexity,
     j_of_eps,
     nth_minimal_error,
     top_eigenvalues,
 )
+from tensortract.verify import random_tabulated_instance
 
 LN2 = math.log(2.0)
 DYADIC = EigenSeq(ExpPower(LN2, 1.0))  # lambda_j = 2**-(j-1)
@@ -151,6 +156,94 @@ class TestInfoComplexity:
             Query(1.0, 0)
         with pytest.raises(ValueError):
             Query(1.0, 2.5)
+
+
+DOUBLE_EXP = (EigenSeq(DoubleExpPower(1.0, 1.0)), WeightSeq(DoubleExpPower(1.0, 1.0)))
+
+
+class TestSplitCounter:
+    """The head/tail split: reach, budget, and independence of the split point."""
+
+    def test_double_exp_reach(self):
+        # Out of reach for a tuple-by-tuple search: 2.2e11 tuples.
+        res = info_complexity(*DOUBLE_EXP, Query(1e6, 10))
+        assert res.count == 222_207_101_746
+        assert res.truncated_dimension == 10
+        assert res.nodes_visited < 2 * 10**6
+
+    @pytest.mark.parametrize("tail_step_entries", [0, 16, 256, 10**9])
+    def test_split_point_does_not_change_counts(self, monkeypatch, tail_step_entries):
+        monkeypatch.setattr(complexity, "_TAIL_STEP_ENTRIES", tail_step_entries)
+        monkeypatch.setattr(complexity, "_SPLIT_MIN_COORDS", 1)
+        cells = [(DOUBLE_EXP, 3000.0, 10, 3_054_254), (DOUBLE_EXP, 14000.0, 7, 5_948_295),
+                 ((DYADIC, WeightSeq(ExpPower(1.0, 1.0))), 3.0, 6, None),
+                 ((EigenSeq(PowerLaw(2.0)), WeightSeq(ExpPower(1.0, 1.0))), 8.0, 20, 55_662)]
+        for (lam, gam), E, d, want in cells:
+            q = Query(E, d)
+            got = info_complexity(lam, gam, q).count
+            assert got == (want if want is not None else brute_force_count(lam, gam, q, 10))
+
+    def test_merge_path_is_taken(self, monkeypatch):
+        calls = []
+        real = complexity._extend_tail
+        monkeypatch.setattr(complexity, "_extend_tail",
+                            lambda *args: calls.append(1) or real(*args))
+        assert info_complexity(*DOUBLE_EXP, Query(3000.0, 10)).count == 3_054_254
+        assert calls
+
+    def test_small_draws_make_no_numpy_call(self, monkeypatch):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} called on a small draw")
+
+        rng = random.Random(7)
+        draws = [random_tabulated_instance(rng) for _ in range(300)]
+        want = [brute_pairs(lam, gam, q.E, q.d, 21) if q.d <= 2 else None
+                for lam, gam, q in draws]
+        monkeypatch.setattr(complexity, "np", NoNumpy())
+        for (lam, gam, q), w in zip(draws, want):
+            got = info_complexity(lam, gam, q).count
+            assert w is None or got == w
+
+    def test_budget_caps_enumerated_entries(self):
+        q = Query(3000.0, 10)
+        full = info_complexity(*DOUBLE_EXP, q)
+        again = info_complexity(*DOUBLE_EXP, q, node_budget=full.nodes_visited)
+        assert again == full
+        with pytest.raises(BudgetExceeded) as exc:
+            info_complexity(*DOUBLE_EXP, q, node_budget=full.nodes_visited - 1)
+        needed = int(re.search(r"needs at least (\d+) enumerated entries", str(exc.value))[1])
+        assert full.nodes_visited - 1 < needed <= full.nodes_visited
+
+    def test_budget_fails_before_large_work(self):
+        with pytest.raises(BudgetExceeded, match="needs at least"):
+            info_complexity(*DOUBLE_EXP, Query(1e6, 10), node_budget=1000)
+
+
+class TestThresholds:
+    """_thresholds(w, tau): the smallest double p >= 0 with p + w >= tau."""
+
+    @staticmethod
+    def check(w, tau):
+        got = complexity._thresholds(np.array(w), np.array(tau))
+        for p, wi, ti in zip(got.tolist(), w, tau):
+            assert p >= 0.0 and p + wi >= ti
+            assert p == 0.0 or not (math.nextafter(p, 0.0) + wi >= ti)
+
+    def test_random_and_knife_edge(self):
+        rng = random.Random(3)
+        w, tau = [], []
+        for _ in range(3000):
+            t = rng.choice([1.0, 2.0, 1e-300, 1e300, rng.uniform(0.0, 100.0)])
+            x = rng.choice([0.0, rng.uniform(0.0, t), t * (1 - 2**-52), math.nextafter(t, 0.0),
+                            t / 2, t - 2.0 ** rng.randint(-60, 0)])
+            if 0.0 <= x < t:
+                w.append(x)
+                tau.append(t)
+        self.check(w, tau)
+
+    def test_infinite_threshold(self):
+        self.check([0.0, 1.0, 1e308], [math.inf, math.inf, math.inf])
 
 
 class TestSpectrum:
