@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -296,3 +297,29 @@ class TestLargeScaleThresholds:
         gam = WeightSeq(DoubleExpPower(1.0, 1.0))
         deps = d_of_eps(gam, 1e300)
         assert deps == 691
+
+
+class TestThresholdIndexErrors:
+    """j_of_eps and d_of_eps name their own sequence when they cannot resolve."""
+
+    def test_noncompact_family(self):
+        # No eigenvalue family is non-compact, so a stand-in carries ConstantOne.
+        flat = SimpleNamespace(family=ConstantOne())
+        with pytest.raises(NonCompact, match="^eigenvalues do not decay"):
+            j_of_eps(flat, 1.0)
+        with pytest.raises(NonCompact, match="^weights do not decay"):
+            d_of_eps(ONES, 1.0)
+        assert j_of_eps(flat, 1.0, cap=7) == 7
+        assert d_of_eps(ONES, 1.0, cap=7) == 7
+
+    def test_index_beyond_the_search_cap(self):
+        # 2E / a is past log(float max): no closed-form hint, and the
+        # galloping search passes its cap.
+        fam = PowerLaw(2.0)
+        with pytest.raises(NonCompact, match="could not be resolved") as j_err:
+            j_of_eps(EigenSeq(fam), 1000.0)
+        with pytest.raises(NonCompact, match="^weight threshold could not be resolved") as d_err:
+            d_of_eps(WeightSeq(fam), 1000.0)
+        assert "weight" not in str(j_err.value)
+        assert j_of_eps(EigenSeq(fam), 1000.0, cap=5) == 5
+        assert d_of_eps(WeightSeq(fam), 1000.0, cap=5) == 5

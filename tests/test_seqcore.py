@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -214,3 +215,29 @@ class TestSerialization:
         path.write_text("1 0.5\n2 0.1\n")
         with pytest.raises(SequenceError):
             load_log_table(path)
+
+
+_PREFIXES = st.lists(st.floats(min_value=0.0, max_value=20.0), max_size=10).map(
+    lambda vals: tuple(sorted(vals)))
+
+
+class TestTableFamilies:
+    """A table with a zero tail reads the same as Tabulated or as EventuallyZero."""
+
+    @given(_PREFIXES, st.lists(st.floats(min_value=0.0, max_value=25.0), max_size=5))
+    def test_tabulated_and_eventually_zero_agree(self, prefix, budgets):
+        tab = Tabulated(prefix + (math.inf,))
+        ez = EventuallyZero(len(prefix) + 1, prefix)
+        js = range(1, len(prefix) + 4)  # runs past the end of both tables
+        assert [tab.log_inv(j) for j in js] == [ez.log_inv(j) for j in js]
+        arr = np.arange(1, len(prefix) + 4, dtype=np.int64)
+        assert np.array_equal(tab.log_inv_many(arr), ez.log_inv_many(arr))
+        for budget in [0.0, math.inf, *prefix, *budgets]:
+            assert tab.threshold_exact(budget) == ez.threshold_exact(budget)
+        assert tab.threshold_exact(math.inf) == len(prefix)
+        for c in (0.5, 1.0, 2.0):
+            assert tab.summable(c) is True and ez.summable(c) is True
+            for J in range(1, len(prefix) + 3):
+                # Tabulated sums one more (zero) term, which numpy's pairwise
+                # summation may group differently: equal up to rounding.
+                assert tab.tail_bound(c, J) == pytest.approx(ez.tail_bound(c, J), rel=1e-14)
