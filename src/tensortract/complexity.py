@@ -113,44 +113,37 @@ def _max_index_below(eval_at, family, budget: float, cap: int) -> int | None:
     return lo
 
 
+def _threshold_index(fam, E: float, cap: int | None, noun: str) -> int:
+    """max{j : fam.log_inv(j) < 2E}, or ``cap`` when that is unresolvable.
+
+    Without a cap an unresolvable index raises NonCompact, naming ``noun``.
+    """
+    budget = 2.0 * _check_threshold(E)
+    if not fam.compact:
+        reason = f"{noun}s do not decay to zero; supply a search cap"
+    else:
+        res = _max_index_below(fam.log_inv, fam, budget, cap if cap is not None else _SEARCH_CAP)
+        if res is not None:
+            return res
+        reason = (f"{noun} threshold could not be resolved within the search cap "
+                  "(no closed form, or the index exceeds the representable range)")
+    if cap is None:
+        raise NonCompact(reason)
+    return cap
+
+
 def j_of_eps(seq: EigenSeq, E: float, *, cap: int | None = None) -> int:
     """Largest index whose eigenvalue exceeds eps**2, i.e. max{j : L(j) < 2E}.
 
     With a caller-supplied cap the result is truncated at the cap instead of
     raising NonCompact when the threshold lies beyond it.
     """
-    budget = 2.0 * _check_threshold(E)
-    fam = seq.family
-    if not fam.compact:
-        if cap is not None:
-            return cap
-        raise NonCompact("eigenvalues do not decay to zero; supply a search cap")
-    res = _max_index_below(fam.log_inv, fam, budget, cap if cap is not None else _SEARCH_CAP)
-    if res is None:
-        if cap is not None:
-            return cap
-        raise NonCompact(
-            "threshold index could not be resolved within the search cap "
-            "(no closed form, or the index exceeds the representable range)")
-    return res
+    return _threshold_index(seq.family, E, cap, "eigenvalue")
 
 
 def d_of_eps(seq: WeightSeq, E: float, *, cap: int | None = None) -> int:
     """Largest index whose weight exceeds eps**2; 0 when already gamma_1 <= eps**2."""
-    budget = 2.0 * _check_threshold(E)
-    fam = seq.family
-    if not fam.compact:
-        if cap is not None:
-            return cap
-        raise NonCompact("weights do not decay to zero; supply a search cap")
-    res = _max_index_below(fam.log_inv, fam, budget, cap if cap is not None else _SEARCH_CAP)
-    if res is None:
-        if cap is not None:
-            return cap
-        raise NonCompact(
-            "weight threshold could not be resolved within the search cap "
-            "(no closed form, or the index exceeds the representable range)")
-    return res
+    return _threshold_index(seq.family, E, cap, "weight")
 
 
 def _extend_head(head, g: float, reach_next: float, Ltab: list, B: float, room: int):
@@ -274,15 +267,18 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     fewer than ``_SPLIT_MIN_COORDS`` active coordinates never start a tail.
     When the sides meet, a sorted merge counts the (head, tail) pairs whose
     fold stays below 2E.  Each tuple's cost is the same left fold
-    ``cost + (G_k + L_j)`` in coordinate order as in the oracle, from
-    scalar ``L`` and ``G`` tables, so counts are exact at every knife edge.
+    ``cost + (G_k + L_j)`` in coordinate order as in the oracle, from the
+    families' scalar ``log_inv``, so counts are exact at every knife edge.
 
     ``nodes_visited`` is the number of head and tail entries enumerated, and
     ``node_budget`` caps it before the merge.
     """
     B = 2.0 * q.E
-    L2 = lam.L(2)
-    G = gam.G
+    # Every index below is generated here, so the tables read the families
+    # directly rather than through the validating accessors L and G.
+    L = lam.family.log_inv
+    G = gam.family.log_inv
+    L2 = L(2)
 
     if not (G(1) + L2 < B):
         return CountResult(1, 1, 0)
@@ -302,12 +298,12 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     # Level table shared by all coordinates: levels j >= 2 usable anywhere
     # satisfy G(1) + L(j) < B (coordinate 1 has the most slack).
     g1 = G(1)
-    jmax = _max_index_below(lambda j: g1 + lam.L(j), None, B, node_budget)
+    jmax = _max_index_below(lambda j: g1 + L(j), None, B, node_budget)
     if jmax is None:
         raise BudgetExceeded(
             f"admissible level range exceeds the node budget ({node_budget})")
-    Ltab = [lam.L(j) for j in range(2, jmax + 1)]
-    Gs = [G(k) for k in range(1, m + 1)]
+    Ltab = list(map(L, range(2, jmax + 1)))
+    Gs = list(map(G, range(1, m + 1)))
     # reach[k]: the cheapest cost a level adds on coordinate k (none past m).
     reach = [g + L2 for g in Gs] + [math.inf]
 
@@ -358,12 +354,14 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int,
         raise ValueError(f"K must be a positive integer, got {K!r}")
     cap = frontier_cap if frontier_cap is not None else max(4096, 32 * K * max(d, 2))
 
-    Gs = [gam.G(k) for k in range(1, d + 1)]
+    # Indices are generated here, so the families are read directly.
+    L = lam.family.log_inv
+    Gs = list(map(gam.family.log_inv, range(1, d + 1)))
     lcache = [0.0, 0.0]  # 1-based levels; level 1 unused in costs
 
     def level_cost(lv: int) -> float:
         while len(lcache) <= lv:
-            lcache.append(lam.L(len(lcache)))
+            lcache.append(L(len(lcache)))
         return lcache[lv]
 
     def tuple_cost(t: tuple) -> float:

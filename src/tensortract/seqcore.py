@@ -48,14 +48,6 @@ def _sat_pow(x: float, b: float) -> float:
         return math.inf
 
 
-def _check_index(j) -> int:
-    if isinstance(j, bool) or not isinstance(j, int):
-        raise InvalidIndex(f"index must be a positive integer, got {j!r}")
-    if j < 1:
-        raise InvalidIndex(f"index must be >= 1, got {j}")
-    return j
-
-
 def _positive_param(name: str, value) -> float:
     try:
         v = float(value)
@@ -588,13 +580,44 @@ class IterLog(_FamilyBase):
         return c * math.log(math.log(max(J, 3)))
 
 
-@dataclass(frozen=True)
-class Tabulated(_FamilyBase):
-    """Finite table of log(1/x_j) values; x_j = 0 beyond the table end.
+class _TableFamily(_FamilyBase):
+    """A finite non-decreasing table ``_table`` of log(1/x_j); x_j = 0 past its end.
 
-    The zero tail makes every tabulated sequence compact and gives exact
-    threshold lookups by bisection.
+    The zero tail makes the family compact and summable, and gives exact
+    threshold lookups by bisection.  Subclasses set ``_table`` from their
+    own field in ``__post_init__``.
     """
+
+    _table: tuple
+
+    def log_inv(self, j: int) -> float:
+        if j <= len(self._table):
+            return self._table[j - 1]
+        return math.inf
+
+    def log_inv_many(self, js: np.ndarray) -> np.ndarray:
+        a = np.asarray(js)
+        table = np.asarray(self._table + (math.inf,), dtype=float)
+        return table[np.minimum(a.astype(np.int64), len(table)) - 1]
+
+    def threshold_exact(self, budget: float) -> int:
+        return bisect_left(self._table, budget)
+
+    def ratio_class(self, s: float) -> RatioClass:
+        return DIVERGES
+
+    def summable(self, c: float) -> bool:
+        return True
+
+    def tail_bound(self, c: float, J: int) -> float:
+        if J >= len(self._table):
+            return 0.0
+        return float(np.exp(-c * np.asarray(self._table[J:], dtype=float)).sum())
+
+
+@dataclass(frozen=True)
+class Tabulated(_TableFamily):
+    """Finite table of log(1/x_j) values; x_j = 0 beyond the table end."""
 
     values: tuple
     name: ClassVar[str] = "tabulated"
@@ -605,6 +628,7 @@ class Tabulated(_FamilyBase):
             raise SequenceError("table must be non-empty")
         _validate_table(vals, allow_inf=True)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_table", vals)
 
     @property
     def effective_len(self) -> int:
@@ -614,37 +638,11 @@ class Tabulated(_FamilyBase):
                 return i
         return len(self.values)
 
-    def log_inv(self, j: int) -> float:
-        if j <= len(self.values):
-            return self.values[j - 1]
-        return math.inf
-
-    def log_inv_many(self, js: np.ndarray) -> np.ndarray:
-        a = np.asarray(js)
-        table = np.asarray(self.values, dtype=float)
-        idx = np.minimum(a.astype(np.int64), len(table)) - 1
-        out = table[idx]
-        return np.where(a > len(table), np.inf, out)
-
-    def threshold_exact(self, budget: float) -> int:
-        return bisect_left(self.values, budget)
-
     def threshold_growth(self) -> Growth:
         return Growth(float(max(self.effective_len, 1)))
 
     def log_threshold_growth(self) -> Growth:
         return Growth(math.log(self.effective_len) if self.effective_len >= 2 else 0.0)
-
-    def ratio_class(self, s: float) -> RatioClass:
-        return DIVERGES
-
-    def summable(self, c: float) -> bool:
-        return True
-
-    def tail_bound(self, c: float, J: int) -> float:
-        if J >= len(self.values):
-            return 0.0
-        return float(np.exp(-c * np.asarray(self.values[J:], dtype=float)).sum())
 
 
 @dataclass(frozen=True)
@@ -670,7 +668,7 @@ class ConstantOne(_FamilyBase):
 
 
 @dataclass(frozen=True)
-class EventuallyZero(_FamilyBase):
+class EventuallyZero(_TableFamily):
     """Weights with a hard zero tail: x_k from the prefix for k < j_star, else 0."""
 
     j_star: int
@@ -686,36 +684,12 @@ class EventuallyZero(_FamilyBase):
         if pref:
             _validate_table(pref, allow_inf=False)
         object.__setattr__(self, "prefix", pref)
-
-    def log_inv(self, j: int) -> float:
-        if j < self.j_star:
-            return self.prefix[j - 1]
-        return math.inf
-
-    def log_inv_many(self, js: np.ndarray) -> np.ndarray:
-        a = np.asarray(js)
-        table = np.asarray(self.prefix + (np.inf,), dtype=float)
-        idx = np.minimum(a.astype(np.int64), len(table)) - 1
-        return table[idx]
-
-    def threshold_exact(self, budget: float) -> int:
-        return bisect_left(self.prefix, budget)
+        object.__setattr__(self, "_table", pref)
 
     def threshold_growth(self) -> Growth | None:
         if self.j_star < 2:
             return None
         return Growth(float(self.j_star - 1))
-
-    def ratio_class(self, s: float) -> RatioClass:
-        return DIVERGES
-
-    def summable(self, c: float) -> bool:
-        return True
-
-    def tail_bound(self, c: float, J: int) -> float:
-        if J >= len(self.prefix):
-            return 0.0
-        return float(np.exp(-c * np.asarray(self.prefix[J:], dtype=float)).sum())
 
 
 def _validate_table(values: tuple, *, allow_inf: bool) -> None:
@@ -769,7 +743,11 @@ class _SeqView:
     family: object
 
     def log_inv(self, j: int) -> float:
-        _check_index(j)
+        """log(1/x_j) as a raw float (saturated to +inf), for a validated index j >= 1."""
+        if isinstance(j, bool) or not isinstance(j, int):
+            raise InvalidIndex(f"index must be a positive integer, got {j!r}")
+        if j < 1:
+            raise InvalidIndex(f"index must be >= 1, got {j}")
         return self.family.log_inv(j)
 
     @property
@@ -807,9 +785,7 @@ class EigenSeq(_SeqView):
         if math.isinf(self.family.log_inv(2)):
             raise SequenceError("the second eigenvalue must be positive")
 
-    def L(self, j: int) -> float:
-        """log(1/lambda_j) as a raw float (saturated to +inf)."""
-        return self.log_inv(j)
+    L = _SeqView.log_inv  #: log(1/lambda_j)
 
 
 @dataclass(frozen=True)
@@ -822,9 +798,7 @@ class WeightSeq(_SeqView):
         if not isinstance(self.family, _FamilyBase):
             raise SequenceError(f"not a sequence family: {self.family!r}")
 
-    def G(self, k: int) -> float:
-        """log(1/gamma_k) as a raw float (+inf for zero weights)."""
-        return self.log_inv(k)
+    G = _SeqView.log_inv  #: log(1/gamma_k), +inf for zero weights
 
     @property
     def all_ones(self) -> bool:
