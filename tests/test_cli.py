@@ -62,7 +62,7 @@ class TestSweep:
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out1)]) == EXIT_OK
-        assert main(["sweep", "--config", cfg, "--out", str(out2), "--threads", "4"]) == EXIT_OK
+        assert main(["sweep", "--config", cfg, "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
         lines = out1.read_text().splitlines()
         keys = [(line.split(",")[1], float(line.split(",")[0])) for line in lines[1:]]
@@ -165,6 +165,34 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "b.json", dyadic_config(
             **{"lambda": {"family": "surprise"}}))
         assert main(["count", "--config", cfg]) == EXIT_CONFIG
+
+    def test_zero_k_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "b.json", dyadic_config(k=0))
+        assert main(["topk", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("extra", [
+        {"limits": {"node_budget": "abc"}},
+        {"queries": {"E": [1.0], "d": ["x"]}},
+        {"queries": {"E": ["x"], "d": [1]}},
+        {"k": "many"},
+    ], ids=["node_budget", "d", "E", "k"])
+    def test_unparsable_values_rejected(self, tmp_path, capsys, extra):
+        cfg = write_config(tmp_path, "b.json", dyadic_config(**extra))
+        assert main(["count", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("budget", ["-3", "0"])
+    def test_nonpositive_node_budget_flag_rejected(self, tmp_path, capsys, budget):
+        cfg = write_config(tmp_path, "b.json", dyadic_config())
+        assert main(["count", "--config", cfg, "--node-budget", budget]) == EXIT_CONFIG
+        assert "node_budget must be positive" in capsys.readouterr().err
+
+    def test_threads_flag_removed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "b.json", dyadic_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--config", cfg, "--threads", "2"])
+        assert exc.value.code == 2
 
 
 class TestTabulatedFile:

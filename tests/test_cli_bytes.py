@@ -22,7 +22,9 @@ CASES = [
     ("sweep", "sweep_tables", [], "sweep_tables.csv"),
     ("sweep", "sweep_tables", ["--format", "json"], "sweep_tables.json"),
     ("topk", "topk", [], "topk.csv"),
+    ("topk", "topk", ["--format", "json"], "topk.json"),
     ("audit", "audit_sandwich", ["--format", "csv"], "audit_sandwich.csv"),
+    ("audit", "audit_sandwich", ["--format", "json"], "audit_sandwich.json"),
 ]
 
 
