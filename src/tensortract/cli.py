@@ -133,7 +133,8 @@ def _number(cast, value, what: str):
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{what} must be {kind}, got {value!r}") from None
 
 
 def _load_sequence(desc, base_dir: Path, role: str):

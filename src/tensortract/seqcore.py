@@ -743,7 +743,7 @@ class _SeqView:
     family: object
 
     def log_inv(self, j: int) -> float:
-        """log(1/x_j) as a raw float (saturated to +inf), for a validated index j >= 1."""
+        """log(1/x_j) as a raw float (saturated to +inf); InvalidIndex unless j is an int >= 1."""
         if isinstance(j, bool) or not isinstance(j, int):
             raise InvalidIndex(f"index must be a positive integer, got {j!r}")
         if j < 1:
