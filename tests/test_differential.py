@@ -1,14 +1,16 @@
-"""Differential and knife-edge net for the exact counter.
+"""Differential and knife-edge net for the exact counter and the top-K list.
 
 Every count here is checked against ``verify.brute_force_count``, which
 enumerates the whole level box with the same left-associated float fold.
 The closed-form families reach the oracle through hypothesis strategies.
 Integer and dyadic tables put tuple costs exactly on the budget 2E, so the
-strict ``cost < 2E`` comparison decides them.
+strict ``cost < 2E`` comparison decides them.  Every top-K list is checked
+against ``reference_top``, which sorts the fold costs of the whole box.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,7 @@ from tensortract import (
     WeightSeq,
     brute_force_count,
     info_complexity,
+    top_eigenvalues,
 )
 from tensortract import seqcore
 
@@ -163,3 +166,56 @@ def test_counter_uses_scalar_values_only(monkeypatch):
     ]
     for fam, wfam, B, d in cases:
         check_against_oracle(EigenSeq(fam), WeightSeq(wfam), B, d)
+
+
+def reference_top(lam, gam, d, K):
+    """Brute-force top-K: every fold cost in the level box, sorted.
+
+    The tuples (j, 1, ..., 1) with j <= K bound the K-th cost by
+    G(1) + L(K), so the box holds every tuple that can be among the K
+    cheapest.  Returns all costs up to the K-th, or the finite costs padded
+    with inf to K entries when fewer than K are finite.
+    """
+    box = oracle_box(lam, gam, math.nextafter(gam.G(1) + lam.L(K), math.inf))
+    costs = np.zeros(1)
+    for k in range(1, d + 1):
+        g = gam.G(k)
+        col = np.array([0.0] + [g + lam.L(j) for j in range(2, box + 1)])
+        with np.errstate(over="ignore"):  # sums past the float range saturate to inf
+            costs = (costs[:, None] + col).ravel()
+    costs.sort()
+    finite = costs[np.isfinite(costs)].tolist()
+    if len(finite) < K:
+        return finite + [math.inf] * (K - len(finite))
+    return costs[costs <= costs[K - 1]].tolist()
+
+
+def check_top_against_reference(lam, gam, d, K):
+    got = [float(c) for c in top_eigenvalues(lam, gam, d, K)]
+    assert got == reference_top(lam, gam, d, K), (lam, gam, d, K)
+
+
+def draw_dimension(data, lam, gam, K):
+    box = oracle_box(lam, gam, math.nextafter(gam.G(1) + lam.L(K), math.inf))
+    return data.draw(st.integers(1, max_dimension(box, cap=5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fam=CLOSED_FORMS, wfam=WEIGHT_FAMILIES, K=st.integers(1, 300), data=st.data())
+def test_top_closed_forms_match_reference(fam, wfam, K, data):
+    lam, gam = EigenSeq(fam), WeightSeq(wfam)
+    check_top_against_reference(lam, gam, draw_dimension(data, lam, gam, K), K)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scale=st.sampled_from([1.0, 0.5, 0.125, 2.0 ** -10]),
+       levels=st.lists(st.integers(1, 8), min_size=1, max_size=9),
+       weights=st.lists(st.integers(0, 4), min_size=1, max_size=7),
+       lam_inf=st.booleans(), gam_inf=st.booleans(),
+       K=st.integers(1, 300), data=st.data())
+def test_top_tables_match_reference(scale, levels, weights, lam_inf, gam_inf, K, data):
+    """Integer and dyadic tables give exact ties; tables ending in inf give zero eigenvalues."""
+    lam = EigenSeq(Tabulated((0.0,) + tuple(scale * v for v in sorted(levels))
+                             + (math.inf,) * lam_inf))
+    gam = WeightSeq(Tabulated(tuple(scale * v for v in sorted(weights)) + (math.inf,) * gam_inf))
+    check_top_against_reference(lam, gam, draw_dimension(data, lam, gam, K), K)
