@@ -8,7 +8,6 @@ eigenvalues exceeding eps**2, which is the information complexity.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -111,6 +110,14 @@ def _max_index_below(eval_at, family, budget: float, cap: int) -> int | None:
         else:
             hi = mid
     return lo
+
+
+def _level_table(L, g1: float, B: float, cap: int, too_long: str) -> list:
+    """[L(2), ..., L(J)] for J = max{j : g1 + L(j) < B}; J past ``cap`` raises ``too_long``."""
+    J = _max_index_below(lambda j: g1 + L(j), None, B, cap)
+    if J is None:
+        raise BudgetExceeded(too_long)
+    return list(map(L, range(2, J + 1)))
 
 
 def _threshold_index(fam, E: float, cap: int | None, noun: str) -> int:
@@ -297,12 +304,8 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
 
     # Level table shared by all coordinates: levels j >= 2 usable anywhere
     # satisfy G(1) + L(j) < B (coordinate 1 has the most slack).
-    g1 = G(1)
-    jmax = _max_index_below(lambda j: g1 + L(j), None, B, node_budget)
-    if jmax is None:
-        raise BudgetExceeded(
-            f"admissible level range exceeds the node budget ({node_budget})")
-    Ltab = list(map(L, range(2, jmax + 1)))
+    Ltab = _level_table(L, G(1), B, node_budget,
+                        f"admissible level range exceeds the node budget ({node_budget})")
     Gs = list(map(G, range(1, m + 1)))
     # reach[k]: the cheapest cost a level adds on coordinate k (none past m).
     reach = [g + L2 for g in Gs] + [math.inf]
@@ -340,58 +343,53 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     return CountResult(total, entries, m)
 
 
-def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int,
-                    frontier_cap: int | None = None) -> list:
+def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list:
     """K largest tensor eigenvalues as non-decreasing log(1/value) costs.
 
-    Best-first expansion from the all-ones tuple, one coordinate increment at
-    a time, with a visited set for deduplication.  Cost ties are emitted in
-    full (lexicographic tuple order), so the result may exceed K entries.
+    Folds the coordinates in order, keeping the ascending partial costs no
+    larger than the K-th cheapest: a partial tuple completes at the same cost
+    with level 1 on every later coordinate, so no tuple among the K cheapest
+    is dropped.  Each cost is the counter's left fold ``cost + (G_k + L_j)``.
+    Cost ties are emitted in full, so the result may exceed K entries; with
+    fewer than K positive eigenvalues it is padded with +inf costs to K.
     """
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
     if isinstance(K, bool) or not isinstance(K, int) or K < 1:
         raise ValueError(f"K must be a positive integer, got {K!r}")
-    cap = frontier_cap if frontier_cap is not None else max(4096, 32 * K * max(d, 2))
+    cap = max(4096, 32 * K * max(d, 2))
+    over = f"top-{K} search needs {{}} candidates on coordinate {{}}, over the cap of {cap}"
 
     # Indices are generated here, so the families are read directly.
     L = lam.family.log_inv
     Gs = list(map(gam.family.log_inv, range(1, d + 1)))
-    lcache = [0.0, 0.0]  # 1-based levels; level 1 unused in costs
-
-    def level_cost(lv: int) -> float:
-        while len(lcache) <= lv:
-            lcache.append(L(len(lcache)))
-        return lcache[lv]
-
-    def tuple_cost(t: tuple) -> float:
-        cost = 0.0
-        for k, lv in enumerate(t):
-            if lv >= 2:
-                cost = cost + (Gs[k] + level_cost(lv))
-        return cost
-
-    start = (1,) * d
-    heap = [(0.0, start)]
-    seen = {start}
-    pushes = 1
-    out: list[float] = []
-    while heap:
-        c, t = heapq.heappop(heap)
-        if len(out) >= K and (math.isinf(c) or c != out[K - 1]):
-            break
-        out.append(c)
-        for k in range(d):
-            t2 = t[:k] + (t[k] + 1,) + t[k + 1:]
-            if t2 in seen:
-                continue
-            seen.add(t2)
-            pushes += 1
-            if pushes > cap:
-                raise BudgetExceeded(
-                    f"frontier cap exceeded ({cap} states) while extracting {K} eigenvalues")
-            heapq.heappush(heap, (tuple_cost(t2), t2))
-    return [ExtLogMag(c) for c in out]
+    # The tuples (j, 1, ..., 1) with j <= K cost at most G(1) + L(K), and a
+    # level j costs at least G(1) + L(j) on any coordinate.
+    levels = np.array(_level_table(L, Gs[0], math.nextafter(Gs[0] + L(K), math.inf), cap,
+                                   over.format(f"more than {cap}", 1)))
+    costs = np.zeros(1)
+    with np.errstate(over="ignore"):  # sums past the float range saturate to inf
+        for k, g in enumerate(Gs, 1):
+            w = g + levels
+            w = np.concatenate(([0.0], w[:np.searchsorted(w, math.inf)]))  # finite only
+            # The (i+1) * ceil(K/(i+1)) sums costs[:i+1] + w[:ceil(K/(i+1))]
+            # are all no larger than costs[i] + w[ceil(K/(i+1)) - 1].
+            i = np.arange(len(costs))
+            jw = (K + i) // (i + 1) - 1
+            fit = jw < len(w)
+            u = float(np.min(costs[fit] + w[jw[fit]], initial=math.inf))
+            # Per level, the costs with cost + w <= u form a prefix; a bound
+            # 2 ulp(u) wide finds a superset of it, filtered exactly below.
+            n = np.searchsorted(costs, (u - w) + 2.0 * math.ulp(u), side="right")
+            total = int(n.sum())
+            if total > cap:
+                raise BudgetExceeded(over.format(total, k))
+            cand = costs[np.arange(total) - np.repeat(np.cumsum(n) - n, n)] + np.repeat(w, n)
+            cand = cand[cand <= u]
+            if len(cand) > K:
+                cand = cand[cand <= np.partition(cand, K - 1)[K - 1]]
+            costs = np.sort(cand)
+    return [ExtLogMag(c) for c in costs.tolist() + [math.inf] * (K - len(costs))]
 
 
 def nth_minimal_error(lam: EigenSeq, gam: WeightSeq, d: int, n: int) -> ExtLogMag:

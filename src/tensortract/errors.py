@@ -19,7 +19,7 @@ class NonCompact(TensorTractError):
 
 
 class BudgetExceeded(TensorTractError):
-    """A node or frontier budget was exhausted; any partial result is discarded."""
+    """A node or candidate budget was exhausted; any partial result is discarded."""
 
 
 class BoxTooSmall(TensorTractError):
