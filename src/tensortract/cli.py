@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, is_dataclass, fields as dc_fields
+from dataclasses import dataclass, is_dataclass, fields as dc_fields
 from enum import Enum
 from pathlib import Path
 
@@ -62,9 +62,7 @@ def _fmt_real(x: float) -> str:
 
 def _jsonable(obj):
     """Normalize report objects into plain JSON-ready structures."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Enum):
         return obj.value
@@ -120,7 +118,6 @@ class RunConfig:
     audit: dict
     out_format: str
     out_path: str | None
-    raw: dict = field(default_factory=dict)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -129,8 +126,10 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _number(cast, value, what: str):
-    """cast(value), with a value that does not convert reported as a config error."""
+    """cast(value); a value that does not convert, or a fraction cast to int, is a config error."""
     try:
+        if cast is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         return cast(value)
     except (TypeError, ValueError, OverflowError):
         kind = "an integer" if cast is int else "a number"
@@ -171,15 +170,10 @@ def _parse_E_values(queries: dict) -> list:
 def _parse_notion(desc) -> Notion:
     _require(isinstance(desc, dict) and "kind" in desc, "notion must be an object with a 'kind'")
     kind = str(desc["kind"]).upper().replace("_", "-")
+    plain = {"SPT": Notion.spt, "PT": Notion.pt, "QPT": Notion.qpt, "WT": Notion.wt}
     try:
-        if kind in ("EXP-SPT", "SPT"):
-            return Notion.spt()
-        if kind in ("EXP-PT", "PT"):
-            return Notion.pt()
-        if kind in ("EXP-QPT", "QPT"):
-            return Notion.qpt()
-        if kind in ("EXP-WT", "WT"):
-            return Notion.wt()
+        if kind.removeprefix("EXP-") in plain:
+            return plain[kind.removeprefix("EXP-")]()
         if kind in ("EXP-(S,T)-WT", "ST-WT", "ST-WEAK"):
             _require("s" in desc and "t" in desc, "st_weak notion needs 's' and 't'")
             return Notion.st_weak(_number(float, desc["s"], "s"), _number(float, desc["t"], "t"))
@@ -234,6 +228,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
         j_grid=tuple(_number(int, v, "probe j") for v in probes.get("j_grid", DEFAULT_J_GRID)),
         promote_numeric_trends=bool(probes.get("promote_numeric_trends", False)),
     )
+    _require(all(j >= 2 for j in policy.j_grid), "probe j values must be >= 2")
 
     output = raw.get("output", {})
     out_format = overrides.format or output.get("format", "csv")
@@ -242,9 +237,14 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
 
     audit = raw.get("audit", {})
     _require(isinstance(audit, dict), "audit section must be an object")
+    c_list = audit.get("c_list", [2.0, 1.0, 0.5, 0.1])
+    _require(isinstance(c_list, list), f"audit c_list must be a list, got {c_list!r}")
+    audit = {**audit, "c_list": [_number(float, c, "audit c") for c in c_list]}
+    _require(all(math.isfinite(c) and c > 0.0 for c in audit["c_list"]),
+             "audit c values must be positive and finite")
 
     return RunConfig(lam, gam, E_list, d_list, notion, node_budget, search_cap,
-                     k, policy, audit, out_format, out_path, raw)
+                     k, policy, audit, out_format, out_path)
 
 
 def _count_row(cfg: RunConfig, E: float, d: int) -> dict:
@@ -313,6 +313,7 @@ _AUDIT_SUITES = ("oracle", "sandwich", "summability", "power_sum")
 def run_audit(cfg: RunConfig, seed: int) -> tuple:
     """Audit rows over the requested suites; returns (rows, all_passed)."""
     suites = cfg.audit.get("suites", list(_AUDIT_SUITES))
+    _require(isinstance(suites, list), f"audit suites must be a list, got {suites!r}")
     for s in suites:
         _require(s in _AUDIT_SUITES, f"unknown audit suite {s!r}")
     rows = []
@@ -345,9 +346,8 @@ def run_audit(cfg: RunConfig, seed: int) -> tuple:
         from .seqcore import ExpPower, LogPower, PowerLaw
         families = (EigenSeq(PowerLaw(1.0)), EigenSeq(PowerLaw(2.0)),
                     EigenSeq(LogPower(2.0)), EigenSeq(ExpPower(1.0, 1.0)))
-        c_list = tuple(cfg.audit.get("c_list", (2.0, 1.0, 0.5, 0.1)))
         for seq in families:
-            emit("summability", check_summability_equivalence(seq, c_list))
+            emit("summability", check_summability_equivalence(seq, cfg.audit["c_list"]))
         pair = iterated_log_pair()
         emit("summability", check_summability_equivalence(pair.lam, (2.0, 1.0)))
     if "power_sum" in suites:

@@ -188,6 +188,43 @@ class TestConfigErrors:
         assert main(["count", "--config", cfg, "--node-budget", budget]) == EXIT_CONFIG
         assert "node_budget must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("sweep", {"queries": {"E": [1.0], "d": [2.7]}}),
+        ("sweep", {"limits": {"node_budget": 1000.5}}),
+        ("sweep", {"limits": {"search_cap": 2.5}}),
+        ("topk", {"k": 3.5}),
+        ("sweep", {"probes": {"j_grid": [16, 2.5]}}),
+        ("sweep", {"queries": {"E": {"kind": "double_exponential", "count": 2.5}, "d": [1]}}),
+        ("audit", {"audit": {"suites": ["oracle"], "instances": 1.5}}),
+        ("audit", {"audit": {"suites": ["oracle"], "seed": 0.5}}),
+        ("audit", {"audit": {"suites": ["power_sum"], "power_sum_draws": 2.5}}),
+    ], ids=["d", "node_budget", "search_cap", "k", "j_grid", "count", "instances", "seed",
+            "power_sum_draws"])
+    def test_non_integral_integers_rejected(self, tmp_path, capsys, command, extra):
+        cfg = write_config(tmp_path, "b.json", dyadic_config(**extra))
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "must be an integer" in err
+
+    def test_integral_floats_accepted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "b.json", dyadic_config(
+            queries={"E": [0.5 * math.log(5.0)], "d": [2.0]}, limits={"node_budget": 1e8}))
+        assert main(["count", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].split(",")[1:5] == ["2", "3", "2", "6"]
+
+    @pytest.mark.parametrize("command, extra, needle", [
+        ("audit", {"audit": {"suites": "sandwich"}}, "audit suites must be a list"),
+        ("audit", {"audit": {"suites": ["summability"], "c_list": ["x"]}}, "audit c must be a number"),
+        ("audit", {"audit": {"suites": ["summability"], "c_list": [0]}}, "positive and finite"),
+        ("audit", {"audit": {"suites": ["summability"], "c_list": "2"}}, "c_list must be a list"),
+        ("classify", {"probes": {"j_grid": [1]}, "notion": {"kind": "wt"}}, "probe j values must be >= 2"),
+    ], ids=["suites-string", "c_list-text", "c_list-zero", "c_list-string", "j_grid-one"])
+    def test_audit_and_probe_values_rejected(self, tmp_path, capsys, command, extra, needle):
+        cfg = write_config(tmp_path, "b.json", dyadic_config(**extra))
+        assert main([command, "--config", cfg, "--format", "json"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and needle in err
+
     def test_threads_flag_removed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "b.json", dyadic_config())
         with pytest.raises(SystemExit) as exc:
