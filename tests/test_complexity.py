@@ -285,6 +285,15 @@ class TestSpectrum:
         with pytest.raises(BudgetExceeded):
             top_eigenvalues(EigenSeq(Tabulated((0.0,) * 50)), ONES, 6, 1)
 
+    @pytest.mark.parametrize("n, d, message", [
+        (50, 6, "top-1 search needs 125000 candidates on coordinate 3, over the cap of 4096"),
+        (10000, 1, "top-1 search needs more than 4096 candidates on coordinate 1, "
+                   "over the cap of 4096"),
+    ])
+    def test_budget_names_count_coordinate_and_cap(self, n, d, message):
+        with pytest.raises(BudgetExceeded, match=re.escape(message)):
+            top_eigenvalues(EigenSeq(Tabulated((0.0,) * n)), ONES, d, 1)
+
 
 class TestLargeScaleThresholds:
     def test_huge_threshold_galloping(self):
