@@ -1,37 +1,48 @@
 """Exact output bytes of the CLI on small configs.
 
 Each case runs one subcommand on a config under ``tests/cli_bytes/`` and
-compares the bytes it writes with the pinned output file next to it.  The
-pins were written by the CLI itself; a refactor must leave them unchanged,
-and a deliberate change of the output format must regenerate them with the
-command in the case.
+compares the bytes it writes with the pinned output file next to it, both
+through ``--out`` and on stdout.  The pins were written by the CLI itself; a
+refactor must leave them unchanged, and a deliberate change of the output
+format must regenerate them with the command in the case.
 """
 
 from pathlib import Path
 
 import pytest
 
-from tensortract.cli import EXIT_OK, main
+from tensortract.cli import EXIT_OK, EXIT_RUNTIME, main
 
 PINS = Path(__file__).parent / "cli_bytes"
 
 CASES = [
-    # (subcommand, config stem, extra arguments, pinned output file)
-    ("sweep", "sweep_closed", [], "sweep_closed.csv"),
-    ("sweep", "sweep_closed", ["--format", "json"], "sweep_closed.json"),
-    ("sweep", "sweep_tables", [], "sweep_tables.csv"),
-    ("sweep", "sweep_tables", ["--format", "json"], "sweep_tables.json"),
-    ("topk", "topk", [], "topk.csv"),
-    ("topk", "topk", ["--format", "json"], "topk.json"),
-    ("audit", "audit_sandwich", ["--format", "csv"], "audit_sandwich.csv"),
-    ("audit", "audit_sandwich", ["--format", "json"], "audit_sandwich.json"),
+    # (subcommand, config stem, extra arguments, pinned output file, exit code)
+    ("sweep", "sweep_closed", [], "sweep_closed.csv", EXIT_OK),
+    ("sweep", "sweep_closed", ["--format", "json"], "sweep_closed.json", EXIT_OK),
+    ("sweep", "sweep_tables", [], "sweep_tables.csv", EXIT_OK),
+    ("sweep", "sweep_tables", ["--format", "json"], "sweep_tables.json", EXIT_OK),
+    ("topk", "topk", [], "topk.csv", EXIT_OK),
+    ("topk", "topk", ["--format", "json"], "topk.json", EXIT_OK),
+    # A budget_exceeded row after a full tie class: columns mixing int or
+    # float cells with empty strings.
+    ("topk", "topk_budget", [], "topk_budget.csv", EXIT_RUNTIME),
+    ("topk", "topk_budget", ["--format", "json"], "topk_budget.json", EXIT_RUNTIME),
+    # Two positive eigenvalues padded with inf costs to k = 5.
+    ("topk", "topk_padded", [], "topk_padded.csv", EXIT_OK),
+    ("topk", "topk_padded", ["--format", "json"], "topk_padded.json", EXIT_OK),
+    ("audit", "audit_sandwich", ["--format", "csv"], "audit_sandwich.csv", EXIT_OK),
+    ("audit", "audit_sandwich", ["--format", "json"], "audit_sandwich.json", EXIT_OK),
 ]
 
 
-@pytest.mark.parametrize("command,stem,extra,pinned", CASES,
+@pytest.mark.parametrize("command,stem,extra,pinned,code", CASES,
                          ids=[case[3] for case in CASES])
-def test_output_bytes_are_pinned(tmp_path, command, stem, extra, pinned):
+def test_output_bytes_are_pinned(tmp_path, capsys, command, stem, extra, pinned, code):
     out = tmp_path / pinned
-    config = PINS / f"{stem}.config.json"
-    assert main([command, "--config", str(config), "--out", str(out), *extra]) == EXIT_OK
-    assert out.read_bytes() == (PINS / pinned).read_bytes()
+    argv = [command, "--config", str(PINS / f"{stem}.config.json"), *extra]
+    expected = (PINS / pinned).read_bytes()
+    assert main([*argv, "--out", str(out)]) == code
+    assert out.read_bytes() == expected
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr().out.encode("utf-8") == expected
