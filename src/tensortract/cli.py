@@ -146,10 +146,12 @@ def _load_sequence(desc, base_dir: Path, role: str):
 
 
 def _parse_E_values(queries: dict) -> list:
+    """The E grid; empty when the queries give none (only count and sweep need one)."""
     if "E" in queries and "log10_inv_eps" in queries:
         raise ConfigError("specify either 'E' or 'log10_inv_eps', not both")
+    if "E" not in queries and "log10_inv_eps" not in queries:
+        return []
     spec = queries.get("E", queries.get("log10_inv_eps"))
-    _require(spec is not None, "queries must specify an E grid")
     scale = _LN10 if "log10_inv_eps" in queries else 1.0
     if isinstance(spec, dict):
         kind = spec.get("kind")
@@ -202,7 +204,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
 
     queries = raw.get("queries", {})
     _require(isinstance(queries, dict), "queries must be an object")
-    E_list = _parse_E_values(queries) if queries else []
+    E_list = _parse_E_values(queries)
     d_list = [_number(int, d, "dimension") for d in queries.get("d", [1])] if queries else [1]
     _require(bool(d_list), "d list must be non-empty")
     for d in d_list:

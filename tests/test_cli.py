@@ -225,6 +225,30 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and needle in err
 
+    NO_E_GRID = {"schema": 1, "lambda": {"family": "power_law", "a": 2.0},
+                 "gamma": {"family": "exp_power", "alpha": 1.0, "beta": 1.0},
+                 "queries": {"d": [3]}, "k": 3, "notion": {"kind": "exp_wt"},
+                 "audit": {"suites": ["summability"]}}
+
+    @pytest.mark.parametrize("command", ["topk", "classify", "audit"])
+    def test_commands_without_E_need_no_E_grid(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "b.json", self.NO_E_GRID)
+        fmt = ["--format", "json"] if command == "classify" else []
+        assert main([command, "--config", cfg, *fmt]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_topk_without_E_grid_uses_queries_d(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "b.json", self.NO_E_GRID)
+        assert main(["topk", "--config", cfg]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["3", "1"], ["3", "2"], ["3", "3"]]
+
+    @pytest.mark.parametrize("command", ["count", "sweep"])
+    def test_count_and_sweep_require_E_grid(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "b.json", self.NO_E_GRID)
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: count/sweep require an E grid\n"
+
     def test_threads_flag_removed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "b.json", dyadic_config())
         with pytest.raises(SystemExit) as exc:
