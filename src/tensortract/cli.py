@@ -285,9 +285,8 @@ def run_topk(cfg: RunConfig) -> tuple:
             costs = top_eigenvalues(cfg.lam, cfg.gam, d, cfg.k)
         except BudgetExceeded:
             return [{"d": d, "rank": "", "cost": "", "eigenvalue": "", "error": "budget_exceeded"}]
-        return [{"d": d, "rank": i + 1, "cost": float(c),
-                 "eigenvalue": c.to_linear(), "error": ""}
-                for i, c in enumerate(costs)]
+        return [{"d": d, "rank": i, "cost": c, "eigenvalue": math.exp(-c), "error": ""}
+                for i, c in enumerate(map(float, costs), 1)]
 
     rows = [r for d in sorted(cfg.d_list) for r in one(d)]
     return rows, any(r["error"] for r in rows)
@@ -371,8 +370,7 @@ def _write_rows(rows, columns, cfg: RunConfig, head: dict, **tail) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row[c]) for c in columns])
+        writer.writerows(zip(*(_csv_column([row[c] for row in rows]) for c in columns)))
         return buf.getvalue()
     doc = {**head, "rows": [_jsonable({c: row[c] for c in columns}) for row in rows], **tail}
     return _dump_json(doc) + "\n"
@@ -384,6 +382,22 @@ def _cell(v) -> str:
     if isinstance(v, float):
         return _fmt_real(v)
     return str(v)
+
+
+def _csv_column(values: list) -> list:
+    """``[_cell(v) for v in values]``, or values csv.writer writes the same way.
+
+    A column of plain floats is formatted with "%.17g" in one C-level map,
+    which spells inf and nan as ``_fmt_real`` does; csv.writer writes ints
+    and strs as ``str`` does.  Other columns (bools, mixed types) go through
+    ``_cell``.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map("%.17g".__mod__, values))
+    if kinds <= {int, str}:
+        return values
+    return list(map(_cell, values))
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -350,8 +350,11 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list:
     larger than the K-th cheapest: a partial tuple completes at the same cost
     with level 1 on every later coordinate, so no tuple among the K cheapest
     is dropped.  Each cost is the counter's left fold ``cost + (G_k + L_j)``.
-    Cost ties are emitted in full, so the result may exceed K entries; with
-    fewer than K positive eigenvalues it is padded with +inf costs to K.
+    The fold stops at the first coordinate whose cheapest level, G_k + L(2),
+    is infinite or, once K costs are kept, exceeds the K-th of them; weights
+    only grow, so no later coordinate can add a tuple or a tie.  Cost ties
+    are emitted in full, so the result may exceed K entries; with fewer than
+    K positive eigenvalues it is padded with +inf costs to K.
     """
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
@@ -362,14 +365,19 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list:
 
     # Indices are generated here, so the families are read directly.
     L = lam.family.log_inv
-    Gs = list(map(gam.family.log_inv, range(1, d + 1)))
+    G = gam.family.log_inv
     # The tuples (j, 1, ..., 1) with j <= K cost at most G(1) + L(K), and a
     # level j costs at least G(1) + L(j) on any coordinate.
-    levels = np.array(_level_table(L, Gs[0], math.nextafter(Gs[0] + L(K), math.inf), cap,
+    g1 = G(1)
+    levels = np.array(_level_table(L, g1, math.nextafter(g1 + L(K), math.inf), cap,
                                    over.format(f"more than {cap}", 1)))
+    L2 = float(levels[0]) if len(levels) else math.inf
     costs = np.zeros(1)
     with np.errstate(over="ignore"):  # sums past the float range saturate to inf
-        for k, g in enumerate(Gs, 1):
+        for k in range(1, d + 1):
+            g = G(k)
+            if g + L2 == math.inf or (len(costs) >= K and g + L2 > costs[-1]):
+                break
             w = g + levels
             w = np.concatenate(([0.0], w[:np.searchsorted(w, math.inf)]))  # finite only
             # The (i+1) * ceil(K/(i+1)) sums costs[:i+1] + w[:ceil(K/(i+1))]
@@ -389,7 +397,7 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list:
             if len(cand) > K:
                 cand = cand[cand <= np.partition(cand, K - 1)[K - 1]]
             costs = np.sort(cand)
-    return [ExtLogMag(c) for c in costs.tolist() + [math.inf] * (K - len(costs))]
+    return ExtLogMag.many(np.concatenate((costs, np.full(max(K - len(costs), 0), math.inf))))
 
 
 def nth_minimal_error(lam: EigenSeq, gam: WeightSeq, d: int, n: int) -> ExtLogMag:

@@ -13,6 +13,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import ClassVar
 
 import numpy as np
@@ -73,6 +74,14 @@ class ExtLogMag(float):
         if math.isnan(v) or v < 0.0:
             raise ValueError(f"log-magnitude must be >= 0 (or +inf), got {value!r}")
         return super().__new__(cls, v)
+
+    @classmethod
+    def many(cls, values: np.ndarray) -> list:
+        """[cls(v) for v in values], with the range check made once on the array."""
+        bad = values[~(values >= 0.0)]
+        if len(bad):
+            raise ValueError(f"log-magnitude must be >= 0 (or +inf), got {float(bad[0])!r}")
+        return list(map(float.__new__, repeat(cls), values.tolist()))
 
     @classmethod
     def from_linear(cls, x: float) -> "ExtLogMag":

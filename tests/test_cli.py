@@ -1,9 +1,13 @@
+import csv
+import io
 import json
 import math
+import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
-from tensortract.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from tensortract.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _cell, _csv_column, main
 
 LN2 = math.log(2.0)
 
@@ -254,6 +258,35 @@ class TestConfigErrors:
         with pytest.raises(SystemExit) as exc:
             main(["count", "--config", cfg, "--threads", "2"])
         assert exc.value.code == 2
+
+
+class TestCsvColumns:
+    """The column-at-a-time CSV writer against the cell-at-a-time ``_cell``."""
+
+    @staticmethod
+    def rendered(column):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(zip(column))
+        return buf.getvalue()
+
+    def check(self, column):
+        assert self.rendered(_csv_column(column)) == self.rendered([_cell(v) for v in column])
+
+    @given(st.lists(st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e300, math.inf, -math.inf]),
+                    min_size=1))
+    def test_float_columns(self, column):
+        self.check(column)
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1))
+    def test_floats_from_bit_patterns(self, bits):
+        self.check([struct.unpack("<d", struct.pack("<Q", b))[0] for b in bits])
+
+    @pytest.mark.parametrize("column", [
+        [1, 2, 10**30], ["", "budget_exceeded", "a,b", 'q"t'], [1, "", 3],
+        [True, False], [True, 1, 0.5, ""], [0.5, ""], [math.inf, 1], [],
+    ], ids=["int", "str", "int-str", "bool", "mixed", "float-str", "float-int", "empty"])
+    def test_other_columns(self, column):
+        self.check(column)
 
 
 class TestTabulatedFile:

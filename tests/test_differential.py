@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from tensortract import (
     DoubleExpPower,
     EigenSeq,
+    ExtLogMag,
     EventuallyZero,
     ExpPower,
     IterLog,
@@ -168,19 +169,33 @@ def test_counter_uses_scalar_values_only(monkeypatch):
         check_against_oracle(EigenSeq(fam), WeightSeq(wfam), B, d)
 
 
-def reference_top(lam, gam, d, K):
-    """Brute-force top-K: every fold cost in the level box, sorted.
+def reference_columns(lam, gam, d, K):
+    """Per coordinate, 0.0 for level 1 and every level cost up to T = G(1) + L(K).
 
-    The tuples (j, 1, ..., 1) with j <= K bound the K-th cost by
-    G(1) + L(K), so the box holds every tuple that can be among the K
-    cheapest.  Returns all costs up to the K-th, or the finite costs padded
-    with inf to K entries when fewer than K are finite.
+    The tuples (j, 1, ..., 1) with j <= K bound the K-th cost by T, and a
+    fold of non-negative terms costs at least each of its terms.  So a level
+    that costs more than T on its coordinate is in no tuple among the K
+    cheapest, nor in their tie class.  Past the last coordinate that can hold
+    a level within T, every column is [0.0].
     """
-    box = oracle_box(lam, gam, math.nextafter(gam.G(1) + lam.L(K), math.inf))
-    costs = np.zeros(1)
+    T = gam.G(1) + lam.L(K)
+    box = oracle_box(lam, gam, math.nextafter(T, math.inf))
+    cols = []
     for k in range(1, d + 1):
         g = gam.G(k)
-        col = np.array([0.0] + [g + lam.L(j) for j in range(2, box + 1)])
+        cols.append(np.array([0.0] + [c for c in (g + lam.L(j) for j in range(2, box + 1))
+                                      if c <= T]))
+    return cols
+
+
+def reference_top(lam, gam, d, K):
+    """Brute-force top-K: every fold cost over ``reference_columns``, sorted.
+
+    Returns all costs up to the K-th, or the finite costs padded with inf to
+    K entries when fewer than K are finite.
+    """
+    costs = np.zeros(1)
+    for col in reference_columns(lam, gam, d, K):
         with np.errstate(over="ignore"):  # sums past the float range saturate to inf
             costs = (costs[:, None] + col).ravel()
     costs.sort()
@@ -191,13 +206,23 @@ def reference_top(lam, gam, d, K):
 
 
 def check_top_against_reference(lam, gam, d, K):
-    got = [float(c) for c in top_eigenvalues(lam, gam, d, K)]
-    assert got == reference_top(lam, gam, d, K), (lam, gam, d, K)
+    top = top_eigenvalues(lam, gam, d, K)
+    assert all(type(c) is ExtLogMag for c in top)
+    assert [float(c) for c in top] == reference_top(lam, gam, d, K), (lam, gam, d, K)
 
 
-def draw_dimension(data, lam, gam, K):
-    box = oracle_box(lam, gam, math.nextafter(gam.G(1) + lam.L(K), math.inf))
-    return data.draw(st.integers(1, max_dimension(box, cap=5)))
+def draw_dimension(data, lam, gam, K, cap=12):
+    """d <= cap whose reference box stays within BOX_CELLS.
+
+    Coordinates past the active ones add a one-entry column, so fast-decaying
+    weights reach d = cap: the draws where the fold stops before d.
+    """
+    sizes = [len(col) for col in reference_columns(lam, gam, cap, K)]
+    d, cells = 1, sizes[0]
+    while d < cap and cells * sizes[d] <= BOX_CELLS:
+        cells *= sizes[d]
+        d += 1
+    return data.draw(st.integers(1, d))
 
 
 @settings(max_examples=150, deadline=None)
@@ -219,3 +244,47 @@ def test_top_tables_match_reference(scale, levels, weights, lam_inf, gam_inf, K,
                              + (math.inf,) * lam_inf))
     gam = WeightSeq(Tabulated(tuple(scale * v for v in sorted(weights)) + (math.inf,) * gam_inf))
     check_top_against_reference(lam, gam, draw_dimension(data, lam, gam, K), K)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fam=CLOSED_FORMS, wfam=st.one_of(
+           st.builds(ExpPower, _param(0.5, 3.0), _param(0.8, 2.5)),
+           st.builds(DoubleExpPower, _param(0.5, 1.5), _param(0.5, 2.0)),
+           EVENTUALLY_ZERO),
+       K=st.integers(1, 40), data=st.data())
+def test_top_fast_decaying_weights_match_reference(fam, wfam, K, data):
+    """Small K and fast-decaying weights: most draws fold fewer coordinates than d."""
+    lam, gam = EigenSeq(fam), WeightSeq(wfam)
+    check_top_against_reference(lam, gam, draw_dimension(data, lam, gam, K), K)
+
+
+#: (eigenvalues, weights, K) whose K cheapest tuples use only a few coordinates.
+ACTIVE_CASES = [
+    pytest.param(PowerLaw(2.0), ExpPower(1.0, 1.0), 50, id="power_law-exp_power"),
+    pytest.param(ExpPower(0.7, 1.0), DoubleExpPower(1.0, 1.0), 200, id="exp_power-double_exp"),
+    pytest.param(LogPower(2.0), ExpPower(2.0, 1.5), 7, id="log_power-exp_power"),
+    pytest.param(Tabulated((0.0, 1.0, 1.0, 2.0)), EventuallyZero(4, (0.0, 0.5, 1.0)), 30,
+                 id="table-eventually_zero"),
+]
+
+
+@pytest.mark.parametrize("fam, wfam, K", ACTIVE_CASES)
+def test_top_stops_at_active_dimension(monkeypatch, fam, wfam, K):
+    """Past the active dimension m the list is the list at m, and no weight past m + 1 is read.
+
+    m is the last coordinate that can hold a level within the K-th cost:
+    G(m) + L(2) <= cost_K < G(m + 1) + L(2).
+    """
+    lam, gam = EigenSeq(fam), WeightSeq(wfam)
+    read = []
+    log_inv = type(wfam).log_inv
+    monkeypatch.setattr(type(wfam), "log_inv", lambda self, j: read.append(j) or log_inv(self, j))
+    top = top_eigenvalues(lam, gam, 200, K)
+    monkeypatch.undo()
+    kth = float(top[K - 1])
+    m = max(k for k in range(1, 201) if gam.G(k) + lam.L(2) <= kth)
+    assert m < 200 and max(read) <= m + 1
+    assert all(type(c) is ExtLogMag for c in top)
+    costs = [float(c) for c in top]
+    assert costs == [float(c) for c in top_eigenvalues(lam, gam, m, K)]
+    assert costs == reference_top(lam, gam, m, K)

@@ -70,6 +70,17 @@ class TestExtLogMag:
         with pytest.raises(ValueError):
             ExtLogMag.from_linear(1.5)
 
+    def test_many_matches_one_by_one(self):
+        values = [0.0, -0.0, 5e-324, 0.1, 1e300, math.inf]
+        got = ExtLogMag.many(np.array(values))
+        assert all(type(v) is ExtLogMag for v in got)
+        assert [repr(v) for v in got] == [repr(ExtLogMag(v)) for v in values]
+
+    @pytest.mark.parametrize("bad", [-1e-9, -math.inf, math.nan])
+    def test_many_rejects_negative_and_nan(self, bad):
+        with pytest.raises(ValueError, match="log-magnitude must be >= 0"):
+            ExtLogMag.many(np.array([0.0, 1.0, bad, 2.0]))
+
     @given(st.floats(min_value=1e-300, max_value=1.0),
            st.floats(min_value=1e-300, max_value=1.0))
     def test_add_matches_product(self, x, y):
