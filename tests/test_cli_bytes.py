@@ -32,6 +32,9 @@ CASES = [
     ("topk", "topk_padded", ["--format", "json"], "topk_padded.json", EXIT_OK),
     ("audit", "audit_sandwich", ["--format", "csv"], "audit_sandwich.csv", EXIT_OK),
     ("audit", "audit_sandwich", ["--format", "json"], "audit_sandwich.json", EXIT_OK),
+    # The only output that prints summed tables (partial sums and tail bounds).
+    ("audit", "audit_summability", ["--format", "csv"], "audit_summability.csv", EXIT_OK),
+    ("audit", "audit_summability", ["--format", "json"], "audit_summability.json", EXIT_OK),
 ]
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,3 +254,17 @@ class TestTableFamilies:
                 # Tabulated sums one more (zero) term, which numpy's pairwise
                 # summation may group differently: equal up to rounding.
                 assert tab.tail_bound(c, J) == pytest.approx(ez.tail_bound(c, J), rel=1e-14)
+
+
+_LOG_INV_BITS = json.loads((Path(__file__).parent / "log_inv_bits.json").read_text())
+
+
+@pytest.mark.parametrize("pin", _LOG_INV_BITS["pins"],
+                         ids=[json.dumps(p["family"]) for p in _LOG_INV_BITS["pins"]])
+def test_log_inv_bits_are_pinned(pin):
+    """float.hex of log_inv at small, 2**53-adjacent and float-overflowing
+    indices, with parameters at the overflow edges of each formula.  The
+    pins were written by the formulas themselves; counts and CLI bytes
+    depend on every bit of them."""
+    fam = family_from_descriptor(pin["family"])
+    assert [float.hex(fam.log_inv(j)) for j in _LOG_INV_BITS["j"]] == pin["hex"]
