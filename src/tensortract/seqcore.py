@@ -31,14 +31,6 @@ def _sat_exp(x: float) -> float:
         return math.inf
 
 
-def _sat_float(j) -> float:
-    """float(j) with overflow saturated to +inf (j may be a huge int)."""
-    try:
-        return float(j)
-    except OverflowError:
-        return math.inf
-
-
 def _sat_pow(x: float, b: float) -> float:
     """x**b for x >= 1, b > 0, saturated to +inf."""
     if math.isinf(x):
@@ -195,9 +187,6 @@ class _FamilyBase:
     def log_inv(self, j: int) -> float:
         raise NotImplementedError
 
-    def log_inv_many(self, js: np.ndarray) -> np.ndarray:
-        return np.array([self.log_inv(int(j)) for j in js], dtype=float)
-
     def threshold_exact(self, budget: float) -> int | None:
         """Exact max{j : log_inv(j) < budget} when cheaply available."""
         return None
@@ -284,9 +273,6 @@ class PowerLaw(_FamilyBase):
     def log_inv(self, j: int) -> float:
         return self.a * math.log(j)
 
-    def log_inv_many(self, js: np.ndarray) -> np.ndarray:
-        return self.a * np.log(np.asarray(js, dtype=float))
-
     def threshold_hint(self, budget: float) -> int | None:
         x = budget / self.a
         if x >= _LOG_MAX:
@@ -331,15 +317,10 @@ class ExpPower(_FamilyBase):
     def log_inv(self, j: int) -> float:
         if j == 1:
             return 0.0
-        p = _sat_pow(_sat_float(j), self.beta)
-        if math.isinf(p):
+        try:
+            return self.alpha * (math.pow(j, self.beta) - 1.0)
+        except OverflowError:
             return math.inf
-        return self.alpha * (p - 1.0)
-
-    def log_inv_many(self, js: np.ndarray) -> np.ndarray:
-        a = np.asarray(js, dtype=float)
-        with np.errstate(over="ignore"):
-            return self.alpha * (np.power(a, self.beta) - 1.0)
 
     def threshold_hint(self, budget: float) -> int | None:
         x = budget / self.alpha + 1.0
@@ -389,19 +370,10 @@ class DoubleExpPower(_FamilyBase):
     def log_inv(self, j: int) -> float:
         if j == 1:
             return 0.0
-        t = _sat_exp(self.alpha * _sat_pow(_sat_float(j), self.beta))
-        if math.isinf(t):
+        try:
+            return math.exp(self.alpha * math.pow(j, self.beta)) - math.exp(self.alpha)
+        except OverflowError:
             return math.inf
-        return t - _sat_exp(self.alpha)
-
-    def log_inv_many(self, js: np.ndarray) -> np.ndarray:
-        a = np.asarray(js, dtype=float)
-        with np.errstate(over="ignore"):
-            t = np.exp(self.alpha * np.power(a, self.beta))
-            out = t - math.exp(min(self.alpha, _LOG_MAX))
-            out = np.where(np.isinf(t), np.inf, out)
-        out = np.where(a == 1.0, 0.0, out)
-        return out
 
     def threshold_hint(self, budget: float) -> int | None:
         base = _sat_exp(self.alpha)
@@ -441,19 +413,10 @@ class TripleExp(_FamilyBase):
     def log_inv(self, j: int) -> float:
         if j == 1:
             return 0.0
-        t = _sat_exp(_sat_exp(self.alpha * _sat_float(j)))
-        if math.isinf(t):
+        try:
+            return math.exp(math.exp(self.alpha * j)) - math.exp(math.exp(self.alpha))
+        except OverflowError:
             return math.inf
-        return t - _sat_exp(_sat_exp(self.alpha))
-
-    def log_inv_many(self, js: np.ndarray) -> np.ndarray:
-        a = np.asarray(js, dtype=float)
-        with np.errstate(over="ignore"):
-            t = np.exp(np.exp(self.alpha * a))
-            base = _sat_exp(_sat_exp(self.alpha))
-            out = np.where(np.isinf(t), np.inf, t - min(base, sys.float_info.max))
-        out = np.where(a == 1.0, 0.0, out)
-        return out
 
     def threshold_hint(self, budget: float) -> int | None:
         base = _sat_exp(_sat_exp(self.alpha))
@@ -493,13 +456,10 @@ class LogPower(_FamilyBase):
     def log_inv(self, j: int) -> float:
         if j == 1:
             return 0.0
-        return _sat_pow(math.log(j), self.beta)
-
-    def log_inv_many(self, js: np.ndarray) -> np.ndarray:
-        a = np.asarray(js, dtype=float)
-        with np.errstate(over="ignore", divide="ignore"):
-            out = np.power(np.log(a), self.beta)
-        return np.where(a == 1.0, 0.0, out)
+        try:
+            return math.pow(math.log(j), self.beta)
+        except OverflowError:
+            return math.inf
 
     def threshold_hint(self, budget: float) -> int | None:
         x = _sat_pow(budget, 1.0 / self.beta)
@@ -604,11 +564,6 @@ class _TableFamily(_FamilyBase):
             return self._table[j - 1]
         return math.inf
 
-    def log_inv_many(self, js: np.ndarray) -> np.ndarray:
-        a = np.asarray(js)
-        table = np.asarray(self._table + (math.inf,), dtype=float)
-        return table[np.minimum(a.astype(np.int64), len(table)) - 1]
-
     def threshold_exact(self, budget: float) -> int:
         return bisect_left(self._table, budget)
 
@@ -665,9 +620,6 @@ class ConstantOne(_FamilyBase):
 
     def log_inv(self, j: int) -> float:
         return 0.0
-
-    def log_inv_many(self, js: np.ndarray) -> np.ndarray:
-        return np.zeros(len(js), dtype=float)
 
     def ratio_class(self, s: float) -> RatioClass:
         return RatioClass("bounded", 0.0)

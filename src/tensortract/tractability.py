@@ -290,44 +290,48 @@ def divergence_check(seq, s: float, jgrid=DEFAULT_J_GRID, mode: str = "auto") ->
     return DivergenceResult("inconclusive", None, "numeric", est)
 
 
+def _power_sums(seq, cs, J: int) -> list:
+    """summability(seq, c, J) for each c in cs, None where the family certifies
+    divergence; all exponents sum over one table of the scalar log_inv."""
+    for c in cs:
+        if not (c > 0.0 and math.isfinite(c)):
+            raise ValueError(f"c must be positive and finite, got {c!r}")
+    if isinstance(J, bool) or not isinstance(J, int) or J < 2:
+        raise ValueError(f"J must be an integer >= 2, got {J!r}")
+    fam = seq.family
+    convergent = [fam.summable(c) is not False for c in cs]
+    if not any(convergent):
+        return [None] * len(convergent)
+    ls = np.fromiter(map(fam.log_inv, range(1, J + 1)), float, J)
+    with np.errstate(over="ignore"):
+        return [SummabilityResult(float(np.exp(-c * ls).sum()), fam.tail_bound(c, J), J)
+                if ok else None for c, ok in zip(cs, convergent)]
+
+
 def summability(seq, c: float, J: int) -> SummabilityResult:
     """Truncated power sum sum_{j<=J} x_j**c with a rigorous tail bound when
     the family admits one (None marks an unknown tail).
 
     Raises DivergentTail when the family certifies divergence of the series.
     """
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError(f"c must be positive and finite, got {c!r}")
-    if J < 2:
-        raise ValueError(f"J must be >= 2, got {J!r}")
-    fam = seq.family
-    if fam.summable(c) is False:
+    res, = _power_sums(seq, (c,), J)
+    if res is None:
         raise DivergentTail(f"sum of x_j**{c} diverges for this family")
-    js = np.arange(1, J + 1, dtype=np.int64)
-    with np.errstate(over="ignore"):
-        ls = fam.log_inv_many(js)
-        terms = np.exp(-c * ls)
-    value = float(terms.sum())
-    return SummabilityResult(value, fam.tail_bound(c, J), J)
+    return res
 
 
 def converged_sum_from_two(seq, c: float, rel_tol: float = 1e-9,
                            j_cap: int = 2**22) -> tuple:
     """sum_{j>=2} x_j**c with the truncation grown until the tail bound is
     below rel_tol of the partial sum; returns (value, tail_bound or None)."""
-    fam = seq.family
-    if fam.summable(c) is False:
-        raise DivergentTail(f"sum of x_j**{c} diverges for this family")
     J = 64
     while True:
         res = summability(seq, c, J)
         from_two = res.value - math.exp(-c * seq.log_inv(1))
         bound = res.tail_bound
-        if bound is not None and bound <= rel_tol * max(from_two, 1e-300):
+        if J >= j_cap or (bound is not None and bound <= rel_tol * max(from_two, 1e-300)):
             return from_two, bound
-        if J >= j_cap:
-            return from_two, bound if bound is not None else None
-        J *= 8
+        J = min(8 * J, j_cap)
 
 
 def wt_sup_criterion(lam: EigenSeq, gam: WeightSeq, c: float, t: float,
@@ -338,15 +342,15 @@ def wt_sup_criterion(lam: EigenSeq, gam: WeightSeq, c: float, t: float,
     an expression still increasing at dmax (an unbounded supremum refutes
     the corresponding weak-tractability notion).
     """
-    if dmax < 1:
-        raise ValueError(f"dmax must be >= 1, got {dmax!r}")
+    if isinstance(dmax, bool) or not isinstance(dmax, int) or dmax < 1:
+        raise ValueError(f"dmax must be a positive integer, got {dmax!r}")
     m_star, _ = converged_sum_from_two(lam, c)
-    ks = np.arange(1, dmax + 1, dtype=np.int64)
+    ks = np.arange(1, dmax + 1, dtype=float)
+    gs = np.fromiter(map(gam.family.log_inv, range(1, dmax + 1)), float, dmax)
     with np.errstate(over="ignore"):
-        gs = gam.family.log_inv_many(ks)
         w = np.exp(-c * gs)
         increments = np.log1p(w * m_star)
-        values = np.cumsum(increments) - c * np.power(ks.astype(float), t)
+        values = np.cumsum(increments) - c * np.power(ks, t)
     idx = int(np.argmax(values))
     sup = float(values[idx])
     if dmax == 1:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import DEFAULT_NODE_BUDGET, Query, d_of_eps, info_complexity, j_of_eps
-from .errors import BoxTooSmall, DivergentTail, GuardExceeded
+from .errors import BoxTooSmall, GuardExceeded
 from .seqcore import EigenSeq, Tabulated, WeightSeq
-from .tractability import summability
+from .tractability import _power_sums
 
 _CHUNK_ELEMS = 4_000_000
 
@@ -158,20 +158,20 @@ def check_summability_equivalence(seq, c_list, J: int = 1 << 17) -> AuditReport:
     rc = seq.ratio_class(1.0)
     if rc is None:
         raise ValueError("sequence family carries no analytic ratio class")
+    cs = tuple(c_list)
     checks = []
-    for c in c_list:
+    for c, res in zip(cs, _power_sums(seq, cs, J)):
         expected = seq.family.summable(c)
         if expected is None:
             checks.append(AuditCheck(f"summability[c={c:g}]", True, "n/a", "n/a",
                                      note="no analytic convergence class; skipped"))
             continue
-        try:
-            res = summability(seq, c, J)
-            got_convergent = res.tail_bound is not None
-            detail = f"partial={res.value:.6g} tail_bound={res.tail_bound!r}"
-        except DivergentTail:
+        if res is None:
             got_convergent = False
             detail = "divergent"
+        else:
+            got_convergent = res.tail_bound is not None
+            detail = f"partial={res.value:.6g} tail_bound={res.tail_bound!r}"
         if expected:
             passed = got_convergent
             note = f"class={rc.kind}({rc.limit:g}); expected convergent; {detail}"

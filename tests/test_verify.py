@@ -122,6 +122,20 @@ class TestSummabilityEquivalence:
         report = check_summability_equivalence(EigenSeq(fam), (2.0, 1.0, 0.5, 0.1))
         assert report.passed, report.checks
 
+    def test_one_table_per_family(self, monkeypatch):
+        calls = []
+        scalar = LogPower.log_inv
+
+        def counted(self, j):
+            calls.append(j)
+            return scalar(self, j)
+
+        monkeypatch.setattr(LogPower, "log_inv", counted)
+        J = 1 << 17
+        report = check_summability_equivalence(EigenSeq(LogPower(2.0)), (2.0, 1.0, 0.5, 0.1), J)
+        assert report.passed
+        assert J <= len(calls) < J + 100  # not J per exponent
+
     def test_split_point_matches_exponent(self):
         # a = 2: convergent for c = 1 (> 1/2), divergent for c = 0.4 (< 1/2)
         report = check_summability_equivalence(EigenSeq(PowerLaw(2.0)), (1.0, 0.4))
