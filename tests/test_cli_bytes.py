@@ -21,6 +21,10 @@ CASES = [
     ("sweep", "sweep_closed", ["--format", "json"], "sweep_closed.json", EXIT_OK),
     ("sweep", "sweep_tables", [], "sweep_tables.csv", EXIT_OK),
     ("sweep", "sweep_tables", ["--format", "json"], "sweep_tables.json", EXIT_OK),
+    # d = 20 and d = 30 share the active prefix at both E: one count is
+    # reused, and one budget_exceeded row is repeated.
+    ("sweep", "sweep_memo", [], "sweep_memo.csv", EXIT_RUNTIME),
+    ("sweep", "sweep_memo", ["--format", "json"], "sweep_memo.json", EXIT_RUNTIME),
     ("topk", "topk", [], "topk.csv", EXIT_OK),
     ("topk", "topk", ["--format", "json"], "topk.json", EXIT_OK),
     # A budget_exceeded row after a full tie class: columns mixing int or

@@ -10,6 +10,7 @@ from tensortract import complexity
 from tensortract import (
     BudgetExceeded,
     ConstantOne,
+    CountResult,
     DoubleExpPower,
     EigenSeq,
     EventuallyZero,
@@ -171,6 +172,16 @@ class TestSplitCounter:
         assert res.count == 222_207_101_746
         assert res.truncated_dimension == 10
         assert res.nodes_visited < 2 * 10**6
+
+    @pytest.mark.parametrize("pair,E,d,want", [
+        (DOUBLE_EXP, 1e8, 10, CountResult(4_185_037_489_100, 4_559_912, 10)),
+        ((EigenSeq(PowerLaw(2.0)), WeightSeq(ExpPower(1.0, 1.0))), 12.0, 40,
+         CountResult(8_956_759, 713_037, 23)),
+    ], ids=["double_exp-1e8", "power_law-exp_power-12"])
+    def test_reach_cells_are_pinned(self, pair, E, d, want):
+        # Large heads and tails on both sides of the split; nodes_visited
+        # pins the split decisions as well as the count.
+        assert info_complexity(*pair, Query(E, d), node_budget=3 * 10**7) == want
 
     @pytest.mark.parametrize("tail_step_entries", [0, 16, 256, 10**9])
     def test_split_point_does_not_change_counts(self, monkeypatch, tail_step_entries):
