@@ -19,7 +19,8 @@ from dataclasses import dataclass, is_dataclass, fields as dc_fields
 from enum import Enum
 from pathlib import Path
 
-from .complexity import DEFAULT_NODE_BUDGET, Query, d_of_eps, info_complexity, j_of_eps, top_eigenvalues
+from .complexity import (DEFAULT_NODE_BUDGET, Query, active_prefix, d_of_eps, info_complexity,
+                         j_of_eps, top_eigenvalues)
 from .errors import (
     BoxTooSmall,
     BudgetExceeded,
@@ -249,7 +250,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
                      k, policy, audit, out_format, out_path)
 
 
-def _count_row(cfg: RunConfig, E: float, d: int) -> dict:
+def _count_row(cfg: RunConfig, E: float, d: int, memo: dict) -> dict:
+    """One report row; ``memo`` maps (E, active prefix) to the count or its error."""
     row = {"E": E, "d": d, "j_eps": "", "d_eps": "", "count": "", "nodes": "",
            "truncated_dimension": "", "error": ""}
     try:
@@ -260,12 +262,20 @@ def _count_row(cfg: RunConfig, E: float, d: int) -> dict:
             # effective dimension exceeds the query dimension; d is all that
             # matters for the count
             row["d_eps"] = d_of_eps(cfg.gam, E, cap=d)
-        res = info_complexity(cfg.lam, cfg.gam, Query(E, d), node_budget=cfg.node_budget)
-        row["count"] = res.count
-        row["nodes"] = res.nodes_visited
-        row["truncated_dimension"] = res.truncated_dimension
-    except BudgetExceeded:
-        row["error"] = "budget_exceeded"
+        q = Query(E, d)
+        key = (E, active_prefix(cfg.lam, cfg.gam, q))
+        if key not in memo:
+            try:
+                memo[key] = info_complexity(cfg.lam, cfg.gam, q, node_budget=cfg.node_budget)
+            except BudgetExceeded:
+                memo[key] = "budget_exceeded"
+        res = memo[key]
+        if isinstance(res, str):
+            row["error"] = res
+        else:
+            row["count"] = res.count
+            row["nodes"] = res.nodes_visited
+            row["truncated_dimension"] = res.truncated_dimension
     except NonCompact:
         row["error"] = "non_compact"
     return row
@@ -273,9 +283,14 @@ def _count_row(cfg: RunConfig, E: float, d: int) -> dict:
 
 def run_count(cfg: RunConfig) -> tuple:
     """Rows (E, d, j_eps, d_eps, count, nodes, truncated_dimension, error),
-    ordered by (d, E); returns (rows, any_runtime_error)."""
+    ordered by (d, E); returns (rows, any_runtime_error).
+
+    Every d at or past a cell's active prefix m has the count of d = m, so
+    each (E, m) is counted once per call.
+    """
     cells = sorted((d, E) for d in cfg.d_list for E in cfg.E_list)
-    rows = [_count_row(cfg, E, d) for d, E in cells]
+    memo: dict = {}
+    rows = [_count_row(cfg, E, d, memo) for d, E in cells]
     return rows, any(r["error"] for r in rows)
 
 

@@ -232,6 +232,56 @@ def _thresholds(w: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return hi.view(np.float64)
 
 
+def _fits(costs: np.ndarray, w: np.ndarray, bound: float) -> np.ndarray:
+    """Per cost c, the number of ascending w_j with c + w_j < bound.
+
+    ``searchsorted`` on bound - c estimates the count; the estimate is moved
+    one level at a time until the exact predicate holds on its last level
+    and fails on the next.  Rounding makes it wrong only for levels within a
+    few ulp of bound - c, so the fix-ups rarely run.
+    """
+    n = np.searchsorted(w, bound - costs)
+    wx = np.append(w, math.inf)  # level len(w) never fits
+    todo = np.flatnonzero(costs + wx[n] < bound)
+    while todo.size:
+        n[todo] += 1
+        todo = todo[costs[todo] + wx[n[todo]] < bound]
+    todo = np.flatnonzero((n > 0) & ~(costs + wx[n - 1] < bound))
+    while todo.size:
+        n[todo] -= 1
+        todo = todo[(n[todo] > 0) & ~(costs[todo] + wx[n[todo] - 1] < bound)]
+    return n
+
+
+def _extend_head_array(head: np.ndarray, g: float, reach_next: float, levels: np.ndarray,
+                       B: float, room: int):
+    """``_extend_head`` on a float64 array of open costs, in a few numpy passes.
+
+    A cost q stays open when q + reach_next < B, that is when q < T for the
+    smallest double T with T + reach_next >= B; so both the children that fit
+    and the children that stay open are counted by ``_fits``.  Returns
+    (finished tuples, new open entries, open costs); past ``room`` the head
+    comes back unchanged, before the new one is allocated.
+    """
+    with np.errstate(over="ignore"):  # sums past the float range saturate to inf
+        w = g + levels  # the same float sums as the scalar g + L
+        T = 0.0
+        if reach_next < B:
+            T = float(_thresholds(np.array([reach_next]), np.array([B]))[0])
+        par = head[head < T]
+        n = _fits(par, w, T)
+        kids = int(n.sum())
+        new = len(par) + kids
+        if new > room:
+            return 0, new, head
+        done = len(head) - len(par) + int(_fits(head, w, B).sum()) - kids
+        out = np.empty(new)
+        out[:len(par)] = par
+        lev = np.arange(kids) - np.repeat(np.cumsum(n) - n, n)
+        np.add(np.repeat(par, n), w[lev], out=out[len(par):])
+    return done, new, out
+
+
 def _extend_tail(taus, g: float, levels: np.ndarray, B: float, room: int):
     """Prepend the coordinate of weight g to the tail.
 
@@ -256,6 +306,29 @@ def _extend_tail(taus, g: float, levels: np.ndarray, B: float, room: int):
     return new, np.concatenate((taus, _thresholds(w[lev], np.repeat(src, n))))
 
 
+def active_prefix(lam: EigenSeq, gam: WeightSeq, q: Query) -> int:
+    """Largest m <= d with G(m) + L(2) < 2E; 0 when no coordinate can leave level 1.
+
+    The weights are non-increasing, so the coordinates that can take a level
+    form a prefix, and every d >= m has the count of d = m.
+    """
+    B = 2.0 * q.E
+    L2 = lam.family.log_inv(2)
+    G = gam.family.log_inv
+    if not (G(1) + L2 < B):
+        return 0
+    if G(q.d) + L2 < B:
+        return q.d
+    lo, hi = 1, q.d  # predicate true at lo, false at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if G(mid) + L2 < B:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> CountResult:
     """Exact count of tuples with cost strictly below 2E, in arbitrary precision.
@@ -266,12 +339,16 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     matching the convention that the first tensor factor is unweighted.
 
     The count meets in the middle.  A head of open tuples grows forward one
-    coordinate at a time in pure Python (``_extend_head``); tuples that no
-    later coordinate fits are counted in bulk, never stored.  On larger cells
-    a tail of thresholds grows backward from the last coordinate in numpy
+    coordinate at a time (``_extend_head``); tuples that no later coordinate
+    fits are counted in bulk, never stored.  On larger cells a tail of
+    thresholds grows backward from the last coordinate in numpy
     (``_extend_tail``).  The smaller side grows next, with the tail's fixed
     numpy cost counted as ``_TAIL_STEP_ENTRIES`` head entries, and cells of
     fewer than ``_SPLIT_MIN_COORDS`` active coordinates never start a tail.
+    On the other cells, a head of more than ``_TAIL_STEP_ENTRIES`` entries
+    becomes a float64 array and grows in numpy from then on
+    (``_extend_head_array``); smaller heads stay in pure Python, where a
+    step costs less than numpy's fixed cost.
     When the sides meet, a sorted merge counts the (head, tail) pairs whose
     fold stays below 2E.  Each tuple's cost is the same left fold
     ``cost + (G_k + L_j)`` in coordinate order as in the oracle, from the
@@ -280,27 +357,15 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     ``nodes_visited`` is the number of head and tail entries enumerated, and
     ``node_budget`` caps it before the merge.
     """
+    m = active_prefix(lam, gam, q)
+    if m == 0:
+        return CountResult(1, 1, 0)
     B = 2.0 * q.E
     # Every index below is generated here, so the tables read the families
     # directly rather than through the validating accessors L and G.
     L = lam.family.log_inv
     G = gam.family.log_inv
     L2 = L(2)
-
-    if not (G(1) + L2 < B):
-        return CountResult(1, 1, 0)
-    # Active prefix: largest m <= d with G(m) + L(2) < B (monotone in m).
-    if G(q.d) + L2 < B:
-        m = q.d
-    else:
-        lo, hi = 1, q.d  # predicate true at lo, false at hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if G(mid) + L2 < B:
-                lo = mid
-            else:
-                hi = mid
-        m = lo
 
     # Level table shared by all coordinates: levels j >= 2 usable anywhere
     # satisfy G(1) + L(j) < B (coordinate 1 has the most slack).
@@ -313,22 +378,26 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     total = 0
     head = [0.0]
     taus = ()  # thresholds of the nonempty tails; none until the tail starts
-    levels = None  # Ltab as an array, once the tail starts
+    levels = None  # Ltab as an array, once the head is one
     entries = 1
     k, t = 0, m  # the head covers coordinates [0, k), the tail [t, m)
     while k < t:
         room = node_budget - entries
-        if m < _SPLIT_MIN_COORDS or len(head) <= _TAIL_STEP_ENTRIES + len(taus):
-            done, head = _extend_head(head, Gs[k], reach[k + 1], Ltab, B, room)
+        if levels is None and m >= _SPLIT_MIN_COORDS and len(head) > _TAIL_STEP_ENTRIES:
+            levels = np.array(Ltab)
+            head = np.array(head)
+        if levels is None or len(head) <= _TAIL_STEP_ENTRIES + len(taus):
+            if levels is None:
+                done, head = _extend_head(head, Gs[k], reach[k + 1], Ltab, B, room)
+                new = len(head)
+            else:
+                done, new, head = _extend_head_array(head, Gs[k], reach[k + 1], levels, B, room)
             total += done
-            entries += len(head)
             k += 1
         else:
-            if levels is None:
-                levels = np.array(Ltab)
             new, taus = _extend_tail(taus, Gs[t - 1], levels, B, room)
-            entries += new
             t -= 1
+        entries += new
         if entries > node_budget:
             raise BudgetExceeded(
                 f"node budget exceeded: the count needs at least {entries} enumerated "
@@ -338,8 +407,7 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     total += len(head)
     if len(taus) and len(head):
         taus.sort()
-        costs = np.array(head)
-        total += len(taus) * len(costs) - int(np.searchsorted(taus, costs, side="right").sum())
+        total += len(taus) * len(head) - int(np.searchsorted(taus, head, side="right").sum())
     return CountResult(total, entries, m)
 
 

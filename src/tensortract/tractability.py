@@ -323,15 +323,29 @@ def summability(seq, c: float, J: int) -> SummabilityResult:
 def converged_sum_from_two(seq, c: float, rel_tol: float = 1e-9,
                            j_cap: int = 2**22) -> tuple:
     """sum_{j>=2} x_j**c with the truncation grown until the tail bound is
-    below rel_tol of the partial sum; returns (value, tail_bound or None)."""
+    below rel_tol of the partial sum; returns (value, tail_bound or None).
+
+    Every partial sum lies below the J = 64 sum plus its tail bound, so a J
+    whose closed-form tail bound exceeds rel_tol of twice that (a margin far
+    above the rounding of any float sum) cannot stop the search, and its
+    table is never built.
+    """
     J = 64
+    res = summability(seq, c, J)
+    x1 = math.exp(-c * seq.log_inv(1))
+    top = math.inf if res.tail_bound is None else 2.0 * (res.value + res.tail_bound)
     while True:
-        res = summability(seq, c, J)
-        from_two = res.value - math.exp(-c * seq.log_inv(1))
+        from_two = res.value - x1
         bound = res.tail_bound
         if J >= j_cap or (bound is not None and bound <= rel_tol * max(from_two, 1e-300)):
             return from_two, bound
         J = min(8 * J, j_cap)
+        while J < j_cap:
+            b = seq.family.tail_bound(c, J)
+            if b is not None and b <= rel_tol * max(top, 1e-300):
+                break
+            J = min(8 * J, j_cap)
+        res = summability(seq, c, J)
 
 
 def wt_sup_criterion(lam: EigenSeq, gam: WeightSeq, c: float, t: float,

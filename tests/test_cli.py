@@ -7,6 +7,7 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
+from tensortract import EigenSeq, Query, WeightSeq, cli, family_from_descriptor, info_complexity
 from tensortract.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _cell, _csv_column, main
 
 LN2 = math.log(2.0)
@@ -71,6 +72,31 @@ class TestSweep:
         lines = out1.read_text().splitlines()
         keys = [(line.split(",")[1], float(line.split(",")[0])) for line in lines[1:]]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("lam,gam,Es,ds,calls", [
+        # d = 20 and d = 30 share the active prefix at both E.
+        ({"family": "power_law", "a": 2.0}, {"family": "exp_power", "alpha": 1.0, "beta": 1.0},
+         [8.0, 9.0], [10, 20, 30], 4),
+        # The active prefix is 7 at d = 7 and 8 at d = 10: nothing to reuse.
+        ({"family": "double_exp_power", "alpha": 1.0, "beta": 1.0},
+         {"family": "double_exp_power", "alpha": 1.0, "beta": 1.0}, [3000.0], [7, 10], 2),
+    ], ids=["power_law-exp_power", "double_exp"])
+    def test_count_is_reused_per_active_prefix(self, tmp_path, monkeypatch, lam, gam, Es, ds,
+                                               calls):
+        cfg = write_config(tmp_path, "m.json", {
+            "schema": 1, "lambda": lam, "gamma": gam, "queries": {"E": Es, "d": ds}})
+        seen = []
+        real = cli.info_complexity
+        monkeypatch.setattr(cli, "info_complexity",
+                            lambda *args, **kw: seen.append(args[2]) or real(*args, **kw))
+        out = tmp_path / "m.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len(seen) == calls
+        pair = EigenSeq(family_from_descriptor(lam)), WeightSeq(family_from_descriptor(gam))
+        for row in csv.DictReader(io.StringIO(out.read_text())):
+            res = info_complexity(*pair, Query(float(row["E"]), int(row["d"])))
+            assert (row["count"], row["nodes"], row["truncated_dimension"]) == (
+                str(res.count), str(res.nodes_visited), str(res.truncated_dimension))
 
     def test_generator_grid(self, tmp_path):
         cfg = write_config(tmp_path, "g.json", dyadic_config(

@@ -232,6 +232,53 @@ class TestSplitCounter:
             info_complexity(*DOUBLE_EXP, Query(1e6, 10), node_budget=1000)
 
 
+class TestArrayHead:
+    """_extend_head_array against the pure-Python _extend_head, on knife-edge heads."""
+
+    @staticmethod
+    def check(head, g, reach_next, levels, B):
+        done, out = complexity._extend_head(list(head), g, reach_next, list(levels), B, 10**9)
+        got = complexity._extend_head_array(np.array(head), g, reach_next, np.array(levels), B,
+                                            10**9)
+        assert got[:2] == (done, len(out))
+        assert sorted(got[2].tolist()) == sorted(out)
+
+    def test_exact_ties(self):
+        # Small integers: many folds and reach sums land exactly on B.
+        rng = random.Random(11)
+        for _ in range(400):
+            B = float(rng.randint(2, 16))
+            levels = sorted(float(rng.randint(0, 8)) for _ in range(rng.randint(1, 6)))
+            reach_next = rng.choice([math.inf, float(rng.randint(0, 18))])
+            head = [float(rng.randint(0, int(B) - 1)) for _ in range(rng.randint(1, 30))]
+            self.check(head, float(rng.randint(0, 3)), reach_next, levels, B)
+
+    def test_rounded_sums(self):
+        # Costs a few ulp either side of B - w_j and of B - reach_next, where
+        # B - c can round the other way from c + w_j.
+        rng = random.Random(12)
+        for _ in range(400):
+            B = rng.uniform(0.5, 60.0)
+            g = rng.uniform(0.0, 0.3 * B)
+            levels = sorted(rng.uniform(0.0, 0.6 * B) for _ in range(rng.randint(1, 12)))
+            reach_next = rng.uniform(0.0, 1.2 * B)
+            head = []
+            for edge in [B - reach_next] + [B - (g + lv) for lv in levels]:
+                c = edge
+                for _ in range(rng.randint(0, 3)):
+                    c = math.nextafter(c, rng.choice([0.0, math.inf]))
+                if 0.0 <= c < B:
+                    head.append(c)
+            if head:
+                self.check(head, g, reach_next, levels, B)
+
+    def test_budget_checked_before_allocation(self):
+        head = np.zeros(4)
+        done, new, out = complexity._extend_head_array(head, 0.0, 0.5, np.array([1.0, 2.0]),
+                                                       4.0, 11)
+        assert (done, new, out is head) == (0, 12, True)
+
+
 class TestThresholds:
     """_thresholds(w, tau): the smallest double p >= 0 with p + w >= tau."""
 

@@ -177,6 +177,35 @@ class TestSummability:
         with pytest.raises(ValueError, match="J must be an integer"):
             summability(EigenSeq(PowerLaw(2.0)), 1.0, J)
 
+    def test_converged_sum_skips_hopeless_tables(self, monkeypatch):
+        # The tail bound 1/J of PowerLaw(2) at c = 1 stays above 1e-9 of the
+        # sum up to the cap, so only the J = 64 and J = 2**22 tables are
+        # built, plus the one x_1 term.
+        seq = EigenSeq(PowerLaw(2.0))
+        calls = []
+        scalar = PowerLaw.log_inv
+        monkeypatch.setattr(PowerLaw, "log_inv", lambda self, j: calls.append(j) or scalar(self, j))
+        value, bound = converged_sum_from_two(seq, 1.0)
+        assert len(calls) <= 64 + 2**22 + 1
+        assert bound == 2.0**-22
+        assert value == pytest.approx(math.pi**2 / 6 - 1.0, abs=2 * bound)
+
+    @pytest.mark.parametrize("fam,c", [
+        (PowerLaw(2.0), 1.0), (PowerLaw(3.0), 1.0), (PowerLaw(6.0), 0.5), (ExpPower(0.3, 0.5), 1.0),
+        (ExpPower(1.0, 1.0), 0.1), (LogPower(2.0), 1.0), (LogPower(3.0), 2.0),
+        (Tabulated((0.3, 0.5, 1.0, 3.0)), 1.0)])
+    def test_converged_sum_matches_the_full_search(self, fam, c):
+        """Skipping tables returns the bits of the search that builds every one."""
+        seq, j_cap = EigenSeq(fam), 2**18
+        J = 64
+        while True:
+            res = summability(seq, c, J)
+            want = (res.value - math.exp(-c * seq.log_inv(1)), res.tail_bound)
+            if J >= j_cap or (want[1] is not None and want[1] <= 1e-9 * max(want[0], 1e-300)):
+                break
+            J = min(8 * J, j_cap)
+        assert converged_sum_from_two(seq, c, j_cap=j_cap) == want
+
     def test_converged_sum_stops_at_the_cap(self):
         seq = EigenSeq(PowerLaw(2.0))
         capped = summability(seq, 1.0, 100)
