@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensortract import complexity
 from tensortract import (
     DoubleExpPower,
     EigenSeq,
@@ -106,42 +105,6 @@ def test_exact_ties_match_oracle(scale, levels, weights, budget, data):
     B = scale * budget
     d = data.draw(st.integers(1, max_dimension(oracle_box(lam, gam, B))))
     check_against_oracle(lam, gam, B, d)
-
-
-def check_array_head_against_oracle(lam, gam, B, d):
-    """check_against_oracle with the numpy head and the tail on every cell and step."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexity, "_TAIL_STEP_ENTRIES", 0)
-        mp.setattr(complexity, "_SPLIT_MIN_COORDS", 1)
-        check_against_oracle(lam, gam, B, d)
-
-
-@settings(max_examples=250, deadline=None)
-@given(fam=CLOSED_FORMS, wfam=WEIGHT_FAMILIES, j_top=st.integers(2, 10),
-       frac=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), _param(0.0, 1.0)),
-       data=st.data())
-def test_array_head_closed_forms_match_oracle(fam, wfam, j_top, frac, data):
-    """The draws of test_closed_forms_match_oracle, all through the numpy steps."""
-    lam, gam = EigenSeq(fam), WeightSeq(wfam)
-    g1 = gam.G(1) if math.isfinite(gam.G(1)) else 0.0
-    lo, hi = g1 + lam.L(j_top), g1 + lam.L(j_top + 1)
-    B = lo + frac * (hi - lo)
-    d = data.draw(st.integers(1, max_dimension(oracle_box(lam, gam, B))))
-    check_array_head_against_oracle(lam, gam, B, d)
-
-
-@settings(max_examples=250, deadline=None)
-@given(scale=st.sampled_from([1.0, 0.5, 0.125, 2.0 ** -10]),
-       levels=st.lists(st.integers(1, 8), min_size=1, max_size=9),
-       weights=st.lists(st.integers(0, 4), min_size=1, max_size=7),
-       budget=st.integers(1, 24), data=st.data())
-def test_array_head_exact_ties_match_oracle(scale, levels, weights, budget, data):
-    """The draws of test_exact_ties_match_oracle, all through the numpy steps."""
-    lam = EigenSeq(Tabulated((0.0,) + tuple(scale * v for v in sorted(levels))))
-    gam = WeightSeq(Tabulated(tuple(scale * v for v in sorted(weights))))
-    B = scale * budget
-    d = data.draw(st.integers(1, max_dimension(oracle_box(lam, gam, B))))
-    check_array_head_against_oracle(lam, gam, B, d)
 
 
 def test_knife_edge_is_strict():
