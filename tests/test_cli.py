@@ -255,6 +255,21 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and needle in err
 
+    @pytest.mark.parametrize("command, extra, needle", [
+        ("sweep", {"queries": {"E": [1.0], "d": [3, True]}}, "dimension must be an integer, got True"),
+        ("sweep", {"queries": {"E": [1.0], "d": [False]}}, "dimension must be an integer, got False"),
+        ("sweep", {"queries": {"E": [True], "d": [1]}}, "E value must be a number, got True"),
+        ("topk", {"k": True}, "k must be an integer, got True"),
+        ("sweep", {"limits": {"node_budget": True}}, "node_budget must be an integer, got True"),
+        ("sweep", {"lambda": {"family": "power_law", "a": True}},
+         "a must be a positive finite number, got True"),
+    ], ids=["d-true", "d-false", "E", "k", "node_budget", "a"])
+    def test_booleans_are_not_numbers(self, tmp_path, capsys, command, extra, needle):
+        cfg = write_config(tmp_path, "b.json", dyadic_config(**extra))
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and needle in err
+
     NO_E_GRID = {"schema": 1, "lambda": {"family": "power_law", "a": 2.0},
                  "gamma": {"family": "exp_power", "alpha": 1.0, "beta": 1.0},
                  "queries": {"d": [3]}, "k": 3, "notion": {"kind": "exp_wt"},

@@ -1,10 +1,14 @@
 import math
 import random
 import re
+import struct
+import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensortract import complexity
 from tensortract import (
@@ -32,6 +36,16 @@ from tensortract.verify import random_tabulated_instance
 LN2 = math.log(2.0)
 DYADIC = EigenSeq(ExpPower(LN2, 1.0))  # lambda_j = 2**-(j-1)
 ONES = WeightSeq(ConstantOne())
+MAX = sys.float_info.max
+INF_BITS = 0x7FF0000000000000  # the bit pattern of +inf
+
+
+def to_bits(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def from_bits(b: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", b))[0]
 
 
 def brute_pairs(lam, gam, E, d, box):
@@ -177,11 +191,22 @@ class TestSplitCounter:
         (DOUBLE_EXP, 1e8, 10, CountResult(4_185_037_489_100, 4_559_912, 10)),
         ((EigenSeq(PowerLaw(2.0)), WeightSeq(ExpPower(1.0, 1.0))), 12.0, 40,
          CountResult(8_956_759, 713_037, 23)),
-    ], ids=["double_exp-1e8", "power_law-exp_power-12"])
+        # The cell where the tail thresholds cost the most.
+        ((EigenSeq(ExpPower(1.0, 1.0)), WeightSeq(ExpPower(1.0, 1.0))), 30.0, 40,
+         CountResult(2_299_709_390, 12_635_545, 40)),
+    ], ids=["double_exp-1e8", "power_law-exp_power-12", "exp_power-30"])
     def test_reach_cells_are_pinned(self, pair, E, d, want):
         # Large heads and tails on both sides of the split; nodes_visited
         # pins the split decisions as well as the count.
         assert info_complexity(*pair, Query(E, d), node_budget=3 * 10**7) == want
+
+    @pytest.mark.parametrize("E", [MAX / 2, MAX], ids=["B=MAX", "B=inf"])
+    def test_budget_at_the_top_of_the_float_range(self, E):
+        # Every one of the 10**8 tuples fits; the split still starts a tail,
+        # whose thresholds sit next to MAX or at inf.
+        lam = EigenSeq(Tabulated(tuple(map(float, range(10)))))
+        res = info_complexity(lam, WeightSeq(Tabulated((0.0,) * 8)), Query(E, 8))
+        assert res.count == 10**8
 
     @pytest.mark.parametrize("tail_step_entries", [0, 16, 256, 10**9])
     def test_split_point_does_not_change_counts(self, monkeypatch, tail_step_entries):
@@ -303,6 +328,80 @@ class TestThresholds:
 
     def test_infinite_threshold(self):
         self.check([0.0, 1.0, 1e308], [math.inf, math.inf, math.inf])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, INF_BITS).flatmap(lambda t: st.tuples(
+        st.integers(0, t - 1) | st.integers(max(0, t - 64), t - 1), st.just(t))), min_size=1))
+    def test_random_bit_patterns(self, pairs):
+        # Non-negative doubles order like their bit patterns, so w < tau.
+        self.check([from_bits(w) for w, _ in pairs], [from_bits(t) for _, t in pairs])
+
+    @staticmethod
+    def pairs(pairs):
+        """The w list and the tau list of (w, tau) pairs."""
+        pairs = list(pairs)
+        return [w for w, _ in pairs], [t for _, t in pairs]
+
+    def cases(self, taus, offsets):
+        """(w, tau) with w the k-th double below tau, for each k in offsets."""
+        return self.pairs((from_bits(to_bits(t) - k), t) for t in taus for k in offsets
+                          if to_bits(t) - k >= 0)
+
+    def test_w_within_a_few_ulp_below_tau(self):
+        # The answer is about ulp(tau), itself many of its own ulps wide.
+        rng = random.Random(5)
+        taus = [1.0, 3.0, 1e-300, 1e300, 7.5e200] + [rng.uniform(0.0, 1e6) for _ in range(200)]
+        self.check(*self.cases(taus, range(1, 9)))
+
+    def test_w_far_below_ulp_of_tau(self):
+        # tau - w rounds to tau; the answer is tau or the double below it.
+        self.check(*self.pairs((x, t) for t in (1e20, 2.0 ** 80, 3.0 * 2.0 ** 90, 1e300)
+                               for x in (0.5, 1.0, 2.0 ** -30, 3.0, 1e-300, 1e10)))
+
+    def test_tau_a_power_of_two(self):
+        # The gap below 2**e is half the gap above it.
+        taus = [2.0 ** e for e in range(-1074, 1024, 7)]
+        self.check(*self.cases(taus, [1, 2, 3, 2**20, 2**51, 2**52, 2**52 + 1, 2**60]))
+        self.check(*self.pairs((f * t, t) for t in taus for f in (0.5, 0.75) if f * t < t))
+
+    @pytest.mark.parametrize("odd", [0, 1], ids=["even", "odd"])
+    def test_ties_at_the_rounding_midpoint(self, odd):
+        # For w in [tau/2, tau), m - w is a double p: p + w is exactly the
+        # midpoint m between tau and the double below, a tie that rounds to
+        # tau only when tau's mantissa is even.
+        rng = random.Random(11 + odd)
+        w, tau = [], []
+        for _ in range(500):
+            t = from_bits((to_bits(rng.uniform(1.0, 2.0)) & ~1) | odd) * 2.0 ** rng.randint(-1020, 1020)
+            x = min(rng.uniform(t / 2, t), math.nextafter(t, 0.0))
+            h = (t - math.nextafter(t, 0.0)) / 2
+            p = (t - x) - h
+            assert Fraction(p) + Fraction(x) == Fraction(t) - Fraction(h)
+            w.append(x)
+            tau.append(t)
+        self.check(w, tau)
+        got = complexity._thresholds(np.array(w), np.array(tau)).tolist()
+        ties = [(t - x) - (t - math.nextafter(t, 0.0)) / 2 for x, t in zip(w, tau)]
+        assert got == [math.nextafter(p, math.inf) if odd else p for p in ties]
+
+    def test_answers_in_the_subnormal_range(self):
+        taus = [5e-324, 1e-320, 2.0 ** -1022, math.nextafter(2.0 ** -1022, 1.0), 1e-310, 1e-300]
+        self.check(*self.cases(taus, [1, 2, 5, 1000, 2**40]))
+        got = complexity._thresholds(np.array([2.0 ** -1022 - 5e-324]), np.array([2.0 ** -1022]))
+        assert got.tolist() == [5e-324]
+
+    def test_zero_w_gives_tau(self):
+        taus = [5e-324, 1e-300, 1.0, 2.0 ** 100, 1e300, MAX, math.inf]
+        assert complexity._thresholds(np.zeros(len(taus)), np.array(taus)).tolist() == taus
+
+    def test_largest_finite_and_infinite_tau(self):
+        w = [0.0, 1.0, 1e300, MAX / 2, math.nextafter(MAX / 2, 0.0), 1e308,
+             math.nextafter(MAX, 0.0), math.nextafter(math.nextafter(MAX, 0.0), 0.0)]
+        self.check(w, [MAX] * len(w))
+        self.check(w + [MAX], [math.inf] * (len(w) + 1))
+        # p + w overflows to inf once it passes the midpoint above MAX.
+        got = complexity._thresholds(np.array([math.nextafter(MAX, 0.0)]), np.array([math.inf]))
+        assert got.tolist() == [3.0 * 2.0 ** 970]
 
 
 class TestSpectrum:

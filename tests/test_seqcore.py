@@ -171,6 +171,10 @@ class TestConstruction:
             LogPower(1.0)  # needs beta > 1
         with pytest.raises(SequenceError):
             TripleExp(math.inf)
+        with pytest.raises(SequenceError):
+            PowerLaw(True)
+        with pytest.raises(SequenceError):
+            ExpPower(1.0, False)
 
     def test_eigen_rejects_weight_only_families(self):
         with pytest.raises(SequenceError):
