@@ -9,6 +9,7 @@ eigenvalues exceeding eps**2, which is the information complexity.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from .seqcore import EigenSeq, ExtLogMag, WeightSeq
 
 DEFAULT_NODE_BUDGET = 10**8
 _SEARCH_CAP = 2**62
+_MAX = sys.float_info.max
 #: Head entries whose Python cost matches the fixed numpy cost of one tail
 #: step (about 60 us, against 0.2-0.3 us per head entry).
 _TAIL_STEP_ENTRIES = 256
@@ -206,30 +208,30 @@ def _extend_head(head, g: float, reach_next: float, Ltab: list, B: float, room: 
 def _thresholds(w: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Smallest double p >= 0 with ``p + w >= tau``, elementwise, for 0 <= w < tau.
 
-    ``p + w`` is monotone in p, so the answer is found by bisection over the
-    bit patterns of non-negative doubles, which order like their values.  The
-    bracket tau - w +- 2 ulp(tau) holds the answer; where rounding or an
-    infinite tau breaks it, it falls back to [0, tau].
+    Under round-to-nearest, p + w reaches tau once the exact sum passes the
+    midpoint tau - h between tau and the double below it, h being half their
+    gap; for tau = inf the midpoint is the one above MAX, MAX + 2**970.  So
+    the estimate is (tau - w) - h.  Its error is within a few ulp of the
+    answer: tau - w is at least the gap 2h, so the answer is at least half of
+    it, and each of the two roundings moves the estimate by at most one ulp
+    of the answer.  The estimate then moves one double at a time, up while
+    the predicate fails and down while the double below also satisfies it,
+    so the result is exact.  p + w is monotone in p, and the double below 0
+    is taken as 0, which fails the predicate since w < tau.
     """
-    p = tau - w
-    slack = 2.0 * np.spacing(tau)
-    lo = p - slack
-    hi = np.minimum(p + slack, tau)
-    lo[~((lo >= 0.0) & (lo + w < tau))] = 0.0
-    bad = ~(hi + w >= tau)
-    hi[bad] = tau[bad]
-    lo = lo.view(np.int64)
-    hi = hi.view(np.int64)
-    todo = np.flatnonzero(hi - lo > 1)
-    with np.errstate(over="ignore"):  # p + w may round to inf when tau is inf
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where tau is inf
+        p = (tau - w) - 0.5 * (tau - np.nextafter(tau, 0.0))
+        big = np.flatnonzero(tau == math.inf)
+        p[big] = (_MAX - w[big]) + 2.0**970
+        todo = np.flatnonzero(p + w < tau)
         while todo.size:
-            a, b = lo[todo], hi[todo]
-            mid = a + (b - a) // 2
-            up = mid.view(np.float64) + w[todo] >= tau[todo]
-            hi[todo] = np.where(up, mid, b)
-            lo[todo] = np.where(up, a, mid)
-            todo = todo[hi[todo] - lo[todo] > 1]
-    return hi.view(np.float64)
+            p[todo] = np.nextafter(p[todo], math.inf)
+            todo = todo[p[todo] + w[todo] < tau[todo]]
+        todo = np.flatnonzero(np.nextafter(p, 0.0) + w >= tau)
+        while todo.size:
+            p[todo] = np.nextafter(p[todo], 0.0)
+            todo = todo[np.nextafter(p[todo], 0.0) + w[todo] >= tau[todo]]
+    return p
 
 
 def _fits(costs: np.ndarray, w: np.ndarray, bound: float) -> np.ndarray:

@@ -384,6 +384,22 @@ class TestThresholds:
         ties = [(t - x) - (t - math.nextafter(t, 0.0)) / 2 for x, t in zip(w, tau)]
         assert got == [math.nextafter(p, math.inf) if odd else p for p in ties]
 
+    def test_ties_in_tau_minus_w(self):
+        # tau - w lies halfway between two doubles, so it rounds to the even
+        # one; a second tie at the midpoint can then round one double past
+        # the answer.
+        rng = random.Random(13)
+        w, tau = [], []
+        for _ in range(500):
+            t = from_bits(to_bits(rng.uniform(1.25, 2.0)) & ~1 | rng.randint(0, 1))
+            diff = 1 + Fraction(2 * rng.randrange(2**50) + 1, 2**53)  # odd multiple of ulp/2
+            x = float(Fraction(t) - diff)
+            assert Fraction(x) == Fraction(t) - diff
+            scale = 2.0 ** rng.randint(-1000, 1000)
+            w.append(x * scale)
+            tau.append(t * scale)
+        self.check(w, tau)
+
     def test_answers_in_the_subnormal_range(self):
         taus = [5e-324, 1e-320, 2.0 ** -1022, math.nextafter(2.0 ** -1022, 1.0), 1e-310, 1e-300]
         self.check(*self.cases(taus, [1, 2, 5, 1000, 2**40]))
