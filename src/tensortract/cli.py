@@ -127,9 +127,11 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _number(cast, value, what: str):
-    """cast(value); a value that does not convert, or a fraction cast to int, is a config error."""
+    """cast(value); a boolean, a value that does not convert, or a fraction cast to int,
+    is a config error."""
     try:
-        if cast is int and isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (cast is int and isinstance(value, float)
+                                       and not value.is_integer()):
             raise ValueError(value)
         return cast(value)
     except (TypeError, ValueError, OverflowError):

@@ -43,6 +43,8 @@ def _sat_pow(x: float, b: float) -> float:
 
 def _positive_param(name: str, value) -> float:
     try:
+        if isinstance(value, bool):
+            raise TypeError(value)
         v = float(value)
     except (TypeError, ValueError):
         raise SequenceError(f"{name} must be a positive finite number, got {value!r}") from None
