@@ -20,7 +20,6 @@ from .seqcore import EigenSeq, ExtLogMag, WeightSeq
 
 DEFAULT_NODE_BUDGET = 10**8
 _SEARCH_CAP = 2**62
-_MAX = sys.float_info.max
 #: Head entries whose Python cost matches the fixed numpy cost of one tail
 #: step (about 60 us, against 0.2-0.3 us per head entry).
 _TAIL_STEP_ENTRIES = 256
@@ -211,7 +210,7 @@ def _thresholds(w: np.ndarray, tau: np.ndarray) -> np.ndarray:
     Under round-to-nearest, p + w reaches tau once the exact sum passes the
     midpoint tau - h between tau and the double below it, h being half their
     gap; for tau = inf the midpoint is the one above MAX, MAX + 2**970.  So
-    the estimate is (tau - w) - h.  Its error is within a few ulp of the
+    the estimate is (tau - w) - h, and it lies within a few ulp of the
     answer: tau - w is at least the gap 2h, so the answer is at least half of
     it, and each of the two roundings moves the estimate by at most one ulp
     of the answer.  The estimate then moves one double at a time, up while
@@ -219,10 +218,11 @@ def _thresholds(w: np.ndarray, tau: np.ndarray) -> np.ndarray:
     so the result is exact.  p + w is monotone in p, and the double below 0
     is taken as 0, which fails the predicate since w < tau.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where tau is inf
+    # inf - inf where tau is inf, replaced below; sums past MAX round to inf.
+    with np.errstate(over="ignore", invalid="ignore"):
         p = (tau - w) - 0.5 * (tau - np.nextafter(tau, 0.0))
         big = np.flatnonzero(tau == math.inf)
-        p[big] = (_MAX - w[big]) + 2.0**970
+        p[big] = (sys.float_info.max - w[big]) + 2.0**970
         todo = np.flatnonzero(p + w < tau)
         while todo.size:
             p[todo] = np.nextafter(p[todo], math.inf)

@@ -391,7 +391,7 @@ class TestThresholds:
         rng = random.Random(13)
         w, tau = [], []
         for _ in range(500):
-            t = from_bits(to_bits(rng.uniform(1.25, 2.0)) & ~1 | rng.randint(0, 1))
+            t = from_bits((to_bits(rng.uniform(1.25, 2.0)) & ~1) | rng.randint(0, 1))
             diff = 1 + Fraction(2 * rng.randrange(2**50) + 1, 2**53)  # odd multiple of ulp/2
             x = float(Fraction(t) - diff)
             assert Fraction(x) == Fraction(t) - diff
