@@ -39,6 +39,11 @@ CASES = [
     # The only output that prints summed tables (partial sums and tail bounds).
     ("audit", "audit_summability", ["--format", "csv"], "audit_summability.csv", EXIT_OK),
     ("audit", "audit_summability", ["--format", "json"], "audit_summability.json", EXIT_OK),
+    # Verdict evidence: Growth and LimitEstimate dataclasses, with one skipped
+    # EXP-QPT probe (d(eps) = 1 at E = 2).
+    ("classify", "classify_qpt", ["--format", "json"], "classify_qpt.json", EXIT_OK),
+    # The s < 1, t = 1 boundary: ratio probes, a dict witness and a null exponent.
+    ("classify", "classify_st_weak", ["--format", "json"], "classify_st_weak.json", EXIT_OK),
 ]
 
 

@@ -174,6 +174,39 @@ class TestInfoComplexity:
             Query(1.0, 2.5)
 
 
+class TestActivePrefix:
+    """active_prefix against a linear scan of G(k) + L(2) < 2E over k <= d."""
+
+    @staticmethod
+    def scan(lam, gam, q):
+        m = 0
+        while m < q.d and gam.G(m + 1) + lam.L(2) < 2.0 * q.E:
+            m += 1
+        return m
+
+    def test_matches_linear_scan(self):
+        rng = random.Random(7)
+        for _ in range(400):
+            lam, gam, q = random_tabulated_instance(rng)
+            q = Query(q.E, rng.randint(1, 30))  # d runs past the weight table too
+            assert complexity.active_prefix(lam, gam, q) == self.scan(lam, gam, q)
+
+    @pytest.mark.parametrize("E,d,want", [
+        (0.5, 3, 0),  # G(1) + L(2) = 2E exactly: no coordinate leaves level 1
+        (0.5, 1, 0),
+        (0.6, 1, 1),  # d = 1
+        (1.0, 5, 2),  # G(3) + L(2) = 2E exactly
+        (1.3, 3, 3),  # G(d) + L(2) < 2E: the whole dimension
+        (1.3, 5, 4),
+        (9.0, 8, 5),  # past the table end the weights are zero
+    ])
+    def test_edges(self, E, d, want):
+        lam = EigenSeq(Tabulated((0.0, 1.0)))
+        gam = WeightSeq(Tabulated((0.0, 0.5, 1.0, 1.5, 2.0)))
+        q = Query(E, d)
+        assert complexity.active_prefix(lam, gam, q) == self.scan(lam, gam, q) == want
+
+
 DOUBLE_EXP = (EigenSeq(DoubleExpPower(1.0, 1.0)), WeightSeq(DoubleExpPower(1.0, 1.0)))
 
 

@@ -270,3 +270,38 @@ def test_log_inv_bits_are_pinned(pin):
     depend on every bit of them."""
     fam = family_from_descriptor(pin["family"])
     assert [float.hex(fam.log_inv(j)) for j in _LOG_INV_BITS["j"]] == pin["hex"]
+
+
+class TestFamilyRules:
+    """summable and tail_bound against their closed forms, on a grid where
+    a * c is exactly 1, just above 1, and past the float range."""
+
+    A = (0.5, 1.0, 2.0, 4.0, 1e300)
+    C = (0.25, 0.5, 1.0, math.nextafter(1.0, math.inf), 2.0, 1e10, 1e300)
+    JS = (2, 3, 64, 2**22, 10**15)
+
+    def test_grid_reaches_the_edges(self):
+        products = {a * c for a in self.A for c in self.C}
+        assert 1.0 in products and math.inf in products
+        assert math.nextafter(1.0, math.inf) in products
+
+    def test_power_law(self):
+        for a in self.A:
+            fam = PowerLaw(a)
+            for c in self.C:
+                p = a * c
+                assert fam.summable(c) is (p > 1.0)
+                for J in self.JS:
+                    got = fam.tail_bound(c, J)
+                    if p <= 1.0:
+                        assert got is None
+                    else:
+                        assert float.hex(got) == float.hex(math.pow(J, 1.0 - p) / (p - 1.0))
+
+    def test_constant_one_and_tables(self):
+        tables = (Tabulated((0.0, 0.5, math.inf)), EventuallyZero(3, (0.0, 0.5)),
+                  EventuallyZero(1, ()))
+        for c in self.C:
+            assert ConstantOne().summable(c) is False
+            for fam in tables:
+                assert fam.summable(c) is True
