@@ -61,24 +61,9 @@ def _fmt_real(x: float) -> str:
     return format(xf, ".17g")
 
 
-def _jsonable(obj):
-    """Normalize report objects into plain JSON-ready structures."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, Enum):
-        return obj.value
-    if is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dc_fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return str(obj)
-
-
 def _dump_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with fixed float formatting ('inf' as a string)."""
-    pad = "  " * indent
+    """Deterministic JSON with fixed float formatting ('inf' as a string); dataclasses
+    become objects of their fields, enums their values, other types their ``str``."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -91,6 +76,11 @@ def _dump_json(obj, indent: int = 0) -> str:
         return json.dumps(_fmt_real(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, Enum):
+        return _dump_json(obj.value, indent)
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dc_fields(obj)}
+    pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -102,7 +92,7 @@ def _dump_json(obj, indent: int = 0) -> str:
             return "[]"
         inner = ",\n".join(f"{pad}  {_dump_json(v, indent + 1)}" for v in obj)
         return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return json.dumps(str(obj))
 
 
 @dataclass
@@ -163,7 +153,10 @@ def _parse_E_values(queries: dict) -> list:
         base = _number(float, spec.get("base", 10.0), "generator base")
         count = _number(int, spec.get("count", 5), "generator count")
         _require(base > 1.0 and count >= 1, "generator needs base > 1 and count >= 1")
-        values = [scale * base**(2**i) for i in range(1, count + 1)]
+        try:
+            values = [scale * base**(2**i) for i in range(1, count + 1)]
+        except OverflowError:
+            raise ConfigError(f"E generator overflows the float range at base {base!r}") from None
     else:
         _require(isinstance(spec, list) and spec, "E grid must be a non-empty list")
         values = [scale * _number(float, v, "E value") for v in spec]
@@ -202,7 +195,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     try:
         lam = EigenSeq(_load_sequence(raw.get("lambda"), p.parent, "lambda"))
         gam = WeightSeq(_load_sequence(raw.get("gamma"), p.parent, "gamma"))
-    except SequenceError as exc:
+    except (SequenceError, OSError) as exc:  # OSError: an unreadable table file
         raise ConfigError(f"sequence rejected: {exc}") from None
 
     queries = raw.get("queries", {})
@@ -320,7 +313,7 @@ def run_classify(cfg: RunConfig) -> dict:
             "status": verdict.status.value,
             "mode": verdict.mode.value,
             "exponent": verdict.exponent,
-            "evidence": [_jsonable(d) for d in verdict.evidence],
+            "evidence": verdict.evidence,
         },
     }
 
@@ -389,7 +382,7 @@ def _write_rows(rows, columns, cfg: RunConfig, head: dict, **tail) -> str:
         writer.writerow(columns)
         writer.writerows(zip(*(_csv_column([row[c] for row in rows]) for c in columns)))
         return buf.getvalue()
-    doc = {**head, "rows": [_jsonable({c: row[c] for c in columns}) for row in rows], **tail}
+    doc = {**head, "rows": rows, **tail}
     return _dump_json(doc) + "\n"
 
 
@@ -450,9 +443,11 @@ TOPK_COLUMNS = ("d", "rank", "cost", "eigenvalue", "error")
 AUDIT_COLUMNS = ("suite", "check", "instance", "passed", "lhs", "rhs", "note")
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config, args)
         if args.command in ("count", "sweep"):

@@ -61,6 +61,21 @@ def _check_threshold(E: float) -> float:
     return e
 
 
+def _last_below(f, budget: float, lo: int, hi: int) -> int:
+    """Largest j in [lo, hi) with f(j) < budget, for f non-decreasing on (lo, hi).
+
+    The caller knows f(lo) < budget <= f(hi); neither end is evaluated, so
+    either may be a sentinel outside f's domain.
+    """
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(mid) < budget:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _adjust_candidate(eval_at, budget: float, cand: int) -> int | None:
     """Turn a closed-form candidate into the exact strict threshold index.
 
@@ -72,13 +87,7 @@ def _adjust_candidate(eval_at, budget: float, cand: int) -> int | None:
         lo = max(1, int(cand * (1.0 - slack)) - 2)
         hi = int(cand * (1.0 + slack)) + 2
         if eval_at(lo) < budget and not (eval_at(hi) < budget):
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if eval_at(mid) < budget:
-                    lo = mid
-                else:
-                    hi = mid
-            return lo
+            return _last_below(eval_at, budget, lo, hi)
     return None
 
 
@@ -104,13 +113,7 @@ def _max_index_below(eval_at, family, budget: float, cap: int) -> int | None:
             if hint is None:
                 return None
             return _adjust_candidate(eval_at, budget, hint)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if eval_at(mid) < budget:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _last_below(eval_at, budget, lo, hi)
 
 
 def _level_table(L, g1: float, B: float, cap: int, too_long: str) -> list:
@@ -143,8 +146,9 @@ def _threshold_index(fam, E: float, cap: int | None, noun: str) -> int:
 def j_of_eps(seq: EigenSeq, E: float, *, cap: int | None = None) -> int:
     """Largest index whose eigenvalue exceeds eps**2, i.e. max{j : L(j) < 2E}.
 
-    With a caller-supplied cap the result is truncated at the cap instead of
-    raising NonCompact when the threshold lies beyond it.
+    A caller-supplied cap bounds the galloping search only: a table lookup
+    or a closed-form hint still resolves an index past it.  When neither
+    resolves the index, the result is the cap instead of a NonCompact error.
     """
     return _threshold_index(seq.family, E, cap, "eigenvalue")
 
@@ -178,14 +182,7 @@ def _extend_head(head, g: float, reach_next: float, Ltab: list, B: float, room: 
         else:
             n = bisect_left(Ltab, B_g - c)  # float estimate, checked exactly
             if not (0 < n < nL and c + (g + Ltab[n - 1]) < B and not (c + (g + Ltab[n]) < B)):
-                lo, hi = 0, nL
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if c + (g + Ltab[mid]) < B:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                n = lo
+                n = _last_below(lambda j: c + (g + Ltab[j]), B, -1, nL) + 1
         if c + reach_next < B:
             out.append(c)
         else:
@@ -314,21 +311,9 @@ def active_prefix(lam: EigenSeq, gam: WeightSeq, q: Query) -> int:
     The weights are non-increasing, so the coordinates that can take a level
     form a prefix, and every d >= m has the count of d = m.
     """
-    B = 2.0 * q.E
     L2 = lam.family.log_inv(2)
     G = gam.family.log_inv
-    if not (G(1) + L2 < B):
-        return 0
-    if G(q.d) + L2 < B:
-        return q.d
-    lo, hi = 1, q.d  # predicate true at lo, false at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if G(mid) + L2 < B:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _last_below(lambda k: G(k) + L2, 2.0 * q.E, 0, q.d + 1)
 
 
 def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,

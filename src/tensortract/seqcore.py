@@ -294,14 +294,8 @@ class PowerLaw(_FamilyBase):
             return RatioClass("bounded", self.a)
         return RatioClass("bounded", 0.0)
 
-    def summable(self, c: float) -> bool:
-        return self.a * c > 1.0
-
-    def tail_bound(self, c: float, J: int) -> float | None:
-        p = self.a * c
-        if p <= 1.0:
-            return None
-        return math.pow(J, 1.0 - p) / (p - 1.0)
+    def _tail_exponent(self, c: float, J: int) -> float:
+        return self.a * c
 
 
 @dataclass(frozen=True)
@@ -572,9 +566,6 @@ class _TableFamily(_FamilyBase):
     def ratio_class(self, s: float) -> RatioClass:
         return DIVERGES
 
-    def summable(self, c: float) -> bool:
-        return True
-
     def tail_bound(self, c: float, J: int) -> float:
         if J >= len(self._table):
             return 0.0
@@ -625,9 +616,6 @@ class ConstantOne(_FamilyBase):
 
     def ratio_class(self, s: float) -> RatioClass:
         return RatioClass("bounded", 0.0)
-
-    def summable(self, c: float) -> bool:
-        return False
 
 
 @dataclass(frozen=True)

@@ -229,40 +229,38 @@ def _check_egrid(Egrid) -> list:
     return grid
 
 
-def b_spt_estimate(lam: EigenSeq, gam: WeightSeq, Egrid=DEFAULT_E_GRID) -> LimitEstimate:
-    """Probe d(eps) * log j(eps) / log log(1/eps) along the grid.
+def _probe_estimate(lam, gam, Egrid, floor: int, skip_note: str, den) -> LimitEstimate:
+    """Probe d(eps) * log j(eps) / den(d(eps), E) along the grid.
 
-    Probes with d(eps) = 0 are skipped (and recorded); j(eps) = 1 contributes
-    a zero ratio.
+    Probes with d(eps) < floor are skipped and recorded with
+    ``skip_note.format(d(eps))``; j(eps) <= 1 contributes a zero ratio.
     """
     probes = []
     skipped = []
     for E in _check_egrid(Egrid):
         deps = d_of_eps(gam, E)
-        if deps == 0:
-            skipped.append((E, "d(eps) = 0"))
+        if deps < floor:
+            skipped.append((E, skip_note.format(deps)))
             continue
         jeps = j_of_eps(lam, E)
-        ratio = deps * math.log(jeps) / math.log(E) if jeps >= 1 else 0.0
-        probes.append((E, ratio))
+        probes.append((E, deps * math.log(jeps) / den(deps, E) if jeps >= 1 else 0.0))
     return _limit_estimate(probes, skipped)
+
+
+def b_spt_estimate(lam: EigenSeq, gam: WeightSeq, Egrid=DEFAULT_E_GRID) -> LimitEstimate:
+    """Probe d(eps) * log j(eps) / log log(1/eps) along the grid.
+
+    Probes with d(eps) = 0 are skipped (and recorded).
+    """
+    return _probe_estimate(lam, gam, Egrid, 1, "d(eps) = {}", lambda deps, E: math.log(E))
 
 
 def b_qpt_estimate(lam: EigenSeq, gam: WeightSeq, Egrid=DEFAULT_E_GRID) -> LimitEstimate:
     """Probe d(eps) * log j(eps) / (log d(eps) * log log(1/eps)).
 
     Probes with d(eps) < 2 would divide by log 1 = 0 and are skipped."""
-    probes = []
-    skipped = []
-    for E in _check_egrid(Egrid):
-        deps = d_of_eps(gam, E)
-        if deps < 2:
-            skipped.append((E, f"d(eps) = {deps} < 2"))
-            continue
-        jeps = j_of_eps(lam, E)
-        ratio = deps * math.log(jeps) / (math.log(deps) * math.log(E)) if jeps >= 1 else 0.0
-        probes.append((E, ratio))
-    return _limit_estimate(probes, skipped)
+    return _probe_estimate(lam, gam, Egrid, 2, "d(eps) = {} < 2",
+                           lambda deps, E: math.log(deps) * math.log(E))
 
 
 def divergence_check(seq, s: float, jgrid=DEFAULT_J_GRID, mode: str = "auto") -> DivergenceResult:
@@ -454,15 +452,12 @@ def fit_exponent(samples) -> FitResult:
 
 
 def _attach_probe_estimates(lam, gam, policy, ev, want_qpt: bool) -> None:
-    try:
-        ev.append(Diagnostic("b_spt_probes", b_spt_estimate(lam, gam, policy.E_grid)))
-    except (NonCompact, ValueError) as exc:
-        ev.append(Diagnostic("b_spt_probes", None, note=f"skipped: {exc}"))
-    if want_qpt:
+    estimates = (("b_spt_probes", b_spt_estimate), ("b_qpt_probes", b_qpt_estimate))
+    for name, estimate in estimates[:1 + want_qpt]:
         try:
-            ev.append(Diagnostic("b_qpt_probes", b_qpt_estimate(lam, gam, policy.E_grid)))
+            ev.append(Diagnostic(name, estimate(lam, gam, policy.E_grid)))
         except (NonCompact, ValueError) as exc:
-            ev.append(Diagnostic("b_qpt_probes", None, note=f"skipped: {exc}"))
+            ev.append(Diagnostic(name, None, note=f"skipped: {exc}"))
 
 
 def _polynomial_limit_constant(lam, gam, qpt: bool, ev) -> float | None:

@@ -186,6 +186,20 @@ class TestConfigErrors:
     def test_missing_file(self):
         assert main(["count", "--config", "/nonexistent.json"]) == EXIT_CONFIG
 
+    def test_overflowing_E_generator(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "b.json", dyadic_config(
+            queries={"E": {"kind": "double_exponential", "base": 10, "count": 10}, "d": [1]}))
+        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "overflow" in err
+
+    def test_missing_table_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "b.json", dyadic_config(
+            **{"lambda": {"family": "tabulated", "path": "absent.txt"}}))
+        assert main(["count", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(tmp_path / "absent.txt") in err
+
     def test_bad_E_values(self, tmp_path):
         cfg = write_config(tmp_path, "b.json", dyadic_config(
             queries={"E": [-1.0], "d": [1]}))
