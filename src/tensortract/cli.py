@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, is_dataclass, fields as dc_fields
-from enum import Enum
 from pathlib import Path
 
 from .complexity import (DEFAULT_NODE_BUDGET, Query, active_prefix, d_of_eps, info_complexity,
@@ -63,7 +62,7 @@ def _fmt_real(x: float) -> str:
 
 def _dump_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with fixed float formatting ('inf' as a string); dataclasses
-    become objects of their fields, enums their values, other types their ``str``."""
+    become objects of their fields, other types their ``str``."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -76,8 +75,6 @@ def _dump_json(obj, indent: int = 0) -> str:
         return json.dumps(_fmt_real(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, Enum):
-        return _dump_json(obj.value, indent)
     if is_dataclass(obj):
         obj = {f.name: getattr(obj, f.name) for f in dc_fields(obj)}
     pad = "  " * indent
