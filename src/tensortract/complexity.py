@@ -182,7 +182,8 @@ def _extend_head(head, g: float, reach_next: float, Ltab: list, B: float, room: 
         else:
             n = bisect_left(Ltab, B_g - c)  # float estimate, checked exactly
             if not (0 < n < nL and c + (g + Ltab[n - 1]) < B and not (c + (g + Ltab[n]) < B)):
-                n = _last_below(lambda j: c + (g + Ltab[j]), B, -1, nL) + 1
+                # Default arguments, not a closure: c, g and Ltab stay fast locals.
+                n = _last_below(lambda j, c=c, g=g, L=Ltab: c + (g + L[j]), B, -1, nL) + 1
         if c + reach_next < B:
             out.append(c)
         else:
