@@ -14,32 +14,21 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, is_dataclass, fields as dc_fields
+from itertools import repeat
 from pathlib import Path
 
 from .complexity import (DEFAULT_NODE_BUDGET, Query, active_prefix, d_of_eps, info_complexity,
                          j_of_eps, top_eigenvalues)
-from .errors import (
-    BoxTooSmall,
-    BudgetExceeded,
-    ConfigError,
-    DivergentTail,
-    GuardExceeded,
-    NonCompact,
-    SequenceError,
-    TensorTractError,
-    UnsupportedNotion,
-)
+from .errors import (BoxTooSmall, BudgetExceeded, ConfigError, DivergentTail, GuardExceeded,
+                     NonCompact, SequenceError, TensorTractError, UnsupportedNotion)
 from .goldens import GOLDEN_PAIRS, iterated_log_pair
 from .seqcore import EigenSeq, Tabulated, WeightSeq, family_from_descriptor, load_log_table
 from .tractability import DEFAULT_E_GRID, DEFAULT_J_GRID, Notion, ProbePolicy, classify
-from .verify import (
-    check_count_sandwich,
-    check_summability_equivalence,
-    oracle_equivalence_suite,
-    power_sum_suite,
-)
+from .verify import (check_count_sandwich, check_summability_equivalence,
+                     oracle_equivalence_suite, power_sum_suite)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -48,20 +37,8 @@ EXIT_RUNTIME = 3
 
 SCHEMA_VERSION = 1
 
-_LN10 = math.log(10.0)
-
-
-def _fmt_real(x: float) -> str:
-    xf = float(x)
-    if math.isinf(xf):
-        return "inf" if xf > 0 else "-inf"
-    if math.isnan(xf):
-        return "nan"
-    return format(xf, ".17g")
-
-
 def _dump_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with fixed float formatting ('inf' as a string); dataclasses
+    """Deterministic JSON with floats as "%.17g" ('inf' as a string); dataclasses
     become objects of their fields, other types their ``str``."""
     if obj is None:
         return "null"
@@ -70,9 +47,7 @@ def _dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        if math.isfinite(obj):
-            return _fmt_real(obj)
-        return json.dumps(_fmt_real(obj))
+        return "%.17g" % obj if math.isfinite(obj) else json.dumps("%.17g" % obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if is_dataclass(obj):
@@ -142,7 +117,7 @@ def _parse_E_values(queries: dict) -> list:
     if "E" not in queries and "log10_inv_eps" not in queries:
         return []
     spec = queries.get("E", queries.get("log10_inv_eps"))
-    scale = _LN10 if "log10_inv_eps" in queries else 1.0
+    scale = math.log(10.0) if "log10_inv_eps" in queries else 1.0
     if isinstance(spec, dict):
         kind = spec.get("kind")
         _require(kind == "double_exponential",
@@ -183,6 +158,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8
+        raise ConfigError(f"config file unreadable: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     _require(isinstance(raw, dict), "config must be a JSON object")
@@ -192,7 +169,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     try:
         lam = EigenSeq(_load_sequence(raw.get("lambda"), p.parent, "lambda"))
         gam = WeightSeq(_load_sequence(raw.get("gamma"), p.parent, "gamma"))
-    except (SequenceError, OSError) as exc:  # OSError: an unreadable table file
+    except (SequenceError, OSError, UnicodeDecodeError) as exc:  # an unreadable table file
         raise ConfigError(f"sequence rejected: {exc}") from None
 
     queries = raw.get("queries", {})
@@ -229,6 +206,9 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     out_format = overrides.format or output.get("format", "csv")
     _require(out_format in ("csv", "json"), f"format must be csv or json, got {out_format!r}")
     out_path = overrides.out or output.get("path")
+    if out_path:
+        _require(Path(out_path).parent.is_dir(), f"output directory not found: {out_path}")
+        _require(not Path(out_path).is_dir(), f"output path is a directory: {out_path}")
 
     audit = raw.get("audit", {})
     _require(isinstance(audit, dict), "audit section must be an object")
@@ -242,18 +222,27 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
                      k, policy, audit, out_format, out_path)
 
 
-def _count_row(cfg: RunConfig, E: float, d: int, memo: dict) -> dict:
-    """One report row; ``memo`` maps (E, active prefix) to the count or its error."""
-    row = {"E": E, "d": d, "j_eps": "", "d_eps": "", "count": "", "nodes": "",
-           "truncated_dimension": "", "error": ""}
+COUNT_COLUMNS = ("E", "d", "j_eps", "d_eps", "count", "nodes", "truncated_dimension", "error")
+TOPK_COLUMNS = ("d", "rank", "cost", "eigenvalue", "error")
+AUDIT_COLUMNS = ("suite", "check", "instance", "passed", "lhs", "rhs", "note")
+
+
+def _columns(names: tuple, rows: list) -> dict:
+    return {c: [row[i] for row in rows] for i, c in enumerate(names)}
+
+
+def _count_row(cfg: RunConfig, E: float, d: int, memo: dict) -> list:
+    """One report row in COUNT_COLUMNS order; ``memo`` maps (E, active prefix) to the
+    count or its error."""
+    row = [E, d, "", "", "", "", "", ""]
     try:
-        row["j_eps"] = j_of_eps(cfg.lam, E, cap=cfg.search_cap)
+        row[2] = j_of_eps(cfg.lam, E, cap=cfg.search_cap)
         try:
-            row["d_eps"] = d_of_eps(cfg.gam, E, cap=cfg.search_cap)
+            row[3] = d_of_eps(cfg.gam, E, cap=cfg.search_cap)
         except NonCompact:
             # effective dimension exceeds the query dimension; d is all that
             # matters for the count
-            row["d_eps"] = d_of_eps(cfg.gam, E, cap=d)
+            row[3] = d_of_eps(cfg.gam, E, cap=d)
         q = Query(E, d)
         key = (E, active_prefix(cfg.lam, cfg.gam, q))
         if key not in memo:
@@ -263,45 +252,45 @@ def _count_row(cfg: RunConfig, E: float, d: int, memo: dict) -> dict:
                 memo[key] = "budget_exceeded"
         res = memo[key]
         if isinstance(res, str):
-            row["error"] = res
+            row[7] = res
         else:
-            row["count"] = res.count
-            row["nodes"] = res.nodes_visited
-            row["truncated_dimension"] = res.truncated_dimension
+            row[4:7] = res.count, res.nodes_visited, res.truncated_dimension
     except NonCompact:
-        row["error"] = "non_compact"
+        row[7] = "non_compact"
     return row
 
 
 def run_count(cfg: RunConfig) -> tuple:
-    """Rows (E, d, j_eps, d_eps, count, nodes, truncated_dimension, error),
-    ordered by (d, E); returns (rows, any_runtime_error).
+    """The COUNT_COLUMNS of the report, rows ordered by (d, E); returns (columns,
+    any_runtime_error).
 
     Every d at or past a cell's active prefix m has the count of d = m, so
     each (E, m) is counted once per call.
     """
     cells = sorted((d, E) for d in cfg.d_list for E in cfg.E_list)
     memo: dict = {}
-    rows = [_count_row(cfg, E, d, memo) for d, E in cells]
-    return rows, any(r["error"] for r in rows)
+    cols = _columns(COUNT_COLUMNS, [_count_row(cfg, E, d, memo) for d, E in cells])
+    return cols, any(cols["error"])
 
 
 def run_topk(cfg: RunConfig) -> tuple:
-    def one(d: int) -> list:
+    """The TOPK_COLUMNS of the report: per d in increasing order, the K largest
+    eigenvalues or one budget_exceeded row; returns (columns, any_runtime_error)."""
+    cols = {c: [] for c in TOPK_COLUMNS}
+    for d in sorted(cfg.d_list):
         try:
             costs = top_eigenvalues(cfg.lam, cfg.gam, d, cfg.k)
+            block = ([d] * len(costs), range(1, len(costs) + 1), costs,
+                     map(math.exp, map(float.__neg__, costs)), [""] * len(costs))
         except BudgetExceeded:
-            return [{"d": d, "rank": "", "cost": "", "eigenvalue": "", "error": "budget_exceeded"}]
-        return [{"d": d, "rank": i, "cost": c, "eigenvalue": math.exp(-c), "error": ""}
-                for i, c in enumerate(map(float, costs), 1)]
-
-    rows = [r for d in sorted(cfg.d_list) for r in one(d)]
-    return rows, any(r["error"] for r in rows)
+            block = ([d], [""], [""], [""], ["budget_exceeded"])
+        for col, cells in zip(cols.values(), block):
+            col.extend(cells)
+    return cols, any(cols["error"])
 
 
 def run_classify(cfg: RunConfig) -> dict:
-    if cfg.notion is None:
-        raise ConfigError("classify requires a 'notion' section")
+    _require(cfg.notion is not None, "classify requires a 'notion' section")
     verdict = classify(cfg.lam, cfg.gam, cfg.notion, cfg.policy)
     return {
         **_report_head(cfg, "classify"),
@@ -319,7 +308,8 @@ _AUDIT_SUITES = ("oracle", "sandwich", "summability", "power_sum")
 
 
 def run_audit(cfg: RunConfig, seed: int) -> tuple:
-    """Audit rows over the requested suites; returns (rows, all_passed)."""
+    """The AUDIT_COLUMNS of the report over the requested suites; returns (columns,
+    all_passed)."""
     suites = cfg.audit.get("suites", list(_AUDIT_SUITES))
     _require(isinstance(suites, list), f"audit suites must be a list, got {suites!r}")
     for s in suites:
@@ -327,10 +317,8 @@ def run_audit(cfg: RunConfig, seed: int) -> tuple:
     rows = []
 
     def emit(suite: str, report):
-        for chk in report.checks:
-            rows.append({"suite": suite, "check": chk.name, "instance": report.instance,
-                         "passed": chk.passed, "lhs": chk.lhs, "rhs": chk.rhs,
-                         "note": chk.note})
+        rows.extend((suite, chk.name, report.instance, chk.passed, chk.lhs, chk.rhs, chk.note)
+                    for chk in report.checks)
 
     if "oracle" in suites:
         emit("oracle", oracle_equivalence_suite(
@@ -346,10 +334,9 @@ def run_audit(cfg: RunConfig, seed: int) -> tuple:
                                                       node_budget=cfg.node_budget)
                         emit(f"sandwich[{pair.name}]", report)
                     except (BudgetExceeded, NonCompact) as exc:
-                        rows.append({"suite": f"sandwich[{pair.name}]",
-                                     "check": "count_sandwich", "instance": f"E={E!r} d={d}",
-                                     "passed": False, "lhs": "", "rhs": "",
-                                     "note": f"{type(exc).__name__}: {exc}"})
+                        rows.append((f"sandwich[{pair.name}]", "count_sandwich",
+                                     f"E={E!r} d={d}", False, "", "",
+                                     f"{type(exc).__name__}: {exc}"))
     if "summability" in suites:
         from .seqcore import ExpPower, LogPower, PowerLaw
         families = (EigenSeq(PowerLaw(1.0)), EigenSeq(PowerLaw(2.0)),
@@ -362,7 +349,8 @@ def run_audit(cfg: RunConfig, seed: int) -> tuple:
         emit("power_sum", power_sum_suite(
             draws=_number(int, cfg.audit.get("power_sum_draws", 1000), "power_sum_draws"),
             seed=_number(int, cfg.audit.get("seed", seed), "audit seed")))
-    return rows, all(r["passed"] for r in rows)
+    cols = _columns(AUDIT_COLUMNS, rows)
+    return cols, all(cols["passed"])
 
 
 def _report_head(cfg: RunConfig, command: str) -> dict:
@@ -371,40 +359,62 @@ def _report_head(cfg: RunConfig, command: str) -> dict:
             "lambda": cfg.lam.descriptor(), "gamma": cfg.gam.descriptor()}
 
 
-def _write_rows(rows, columns, cfg: RunConfig, head: dict, **tail) -> str:
-    """The rows as CSV, or as one JSON document: ``head``, the rows, then ``tail``."""
-    if cfg.out_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*(_csv_column([row[c] for row in rows]) for c in columns)))
-        return buf.getvalue()
-    doc = {**head, "rows": rows, **tail}
-    return _dump_json(doc) + "\n"
+def _write_rows(cols: dict, out_format: str, head: dict, **tail) -> str:
+    """``cols`` (column name: list of cells) as CSV, or as one JSON document:
+    ``head``, the rows, then ``tail``.  Each row is one ``%`` of a template of
+    the columns' cell formats (``_column_cells``); with two or more columns the
+    CSV is the one ``csv.writer(lineterminator="\\n")`` writes from ``_cell`` values.
+    """
+    fmts, cells = zip(*(_column_cells(col, out_format) for col in cols.values()))
+    if out_format == "csv":
+        header = ",".join(_column_cells(list(cols), "csv")[1])
+        return "".join([header, "\n", *map((",".join(fmts) + "\n").__mod__, zip(*cells))])
+    keys = [json.dumps(str(c)).replace("%", "%%") for c in cols]
+    row_fmt = "    {\n" + ",\n".join(f"      {k}: {f}" for k, f in zip(keys, fmts)) + "\n    }"
+    rows = ",\n".join(map(row_fmt.__mod__, zip(*cells)))
+    # The rows fill the top-level empty "rows" array of the document without them.
+    lead, trail = _dump_json({**head, "rows": [], **tail}).split('\n  "rows": []')
+    if not rows:
+        return f'{lead}\n  "rows": []{trail}\n'
+    return "".join([lead, '\n  "rows": [\n', rows, "\n  ]", trail, "\n"])
 
 
 def _cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt_real(v)
-    return str(v)
+    return "%.17g" % v if isinstance(v, float) else str(v)
 
 
-def _csv_column(values: list) -> list:
-    """``[_cell(v) for v in values]``, or values csv.writer writes the same way.
+_CSV_SPECIAL = re.compile('[,"\r\n]')
 
-    A column of plain floats is formatted with "%.17g" in one C-level map,
-    which spells inf and nan as ``_fmt_real`` does; csv.writer writes ints
-    and strs as ``str`` does.  Other columns (bools, mixed types) go through
-    ``_cell``.
+
+def _csv_quoted(cell: str) -> str:
+    """``cell`` as csv.writer writes it in a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((cell, ""))
+    return buf.getvalue()[:-2]
+
+
+def _column_cells(col: list, out_format: str) -> tuple:
+    """(cell format, cells) of one report column.
+
+    Floats take "%.17g", which spells inf and nan (in JSON, only a column of
+    finite floats does), and ints that are not bools "%d".  Other columns take
+    "%s": in CSV the ``_cell`` values, quoted by csv where a cell needs it; in
+    JSON ``json.dumps`` of strs and ``_dump_json`` of anything else.
     """
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return list(map("%.17g".__mod__, values))
-    if kinds <= {int, str}:
-        return values
-    return list(map(_cell, values))
+    kinds = set(map(type, col))
+    if kinds == {int}:
+        return "%d", col
+    if (all(map(issubclass, kinds, repeat(float)))
+            and (out_format == "csv" or all(map(math.isfinite, col)))):
+        return "%.17g", col
+    if out_format == "json":
+        return "%s", list(map(json.dumps if kinds == {str} else _dump_json, col))
+    cells = col if kinds == {str} else list(map(_cell, col))
+    if _CSV_SPECIAL.search("".join(cells)):
+        cells = list(map(_csv_quoted, cells))
+    return "%s", cells
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -435,11 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-COUNT_COLUMNS = ("E", "d", "j_eps", "d_eps", "count", "nodes", "truncated_dimension", "error")
-TOPK_COLUMNS = ("d", "rank", "cost", "eigenvalue", "error")
-AUDIT_COLUMNS = ("suite", "check", "instance", "passed", "lhs", "rhs", "note")
-
-
 _PARSER = build_parser()
 
 
@@ -447,31 +452,25 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config, args)
-        if args.command in ("count", "sweep"):
-            if not cfg.E_list:
-                raise ConfigError("count/sweep require an E grid")
-            if args.command == "count" and (len(cfg.E_list) != 1 or len(cfg.d_list) != 1):
-                raise ConfigError("count expects exactly one E value and one dimension; use sweep for grids")
-            rows, had_error = run_count(cfg)
-            _emit(_write_rows(rows, COUNT_COLUMNS, cfg, _report_head(cfg, args.command)),
-                  cfg.out_path)
-            return EXIT_RUNTIME if had_error else EXIT_OK
-        if args.command == "topk":
-            rows, had_error = run_topk(cfg)
-            _emit(_write_rows(rows, TOPK_COLUMNS, cfg, _report_head(cfg, "topk")), cfg.out_path)
-            return EXIT_RUNTIME if had_error else EXIT_OK
-        if args.command == "classify":
-            if cfg.out_format == "csv":
-                raise ConfigError("classify emits JSON verdicts; use --format json")
-            doc = run_classify(cfg)
-            _emit(_dump_json(doc) + "\n", cfg.out_path)
+        command = args.command
+        if command == "classify":
+            _require(cfg.out_format == "json", "classify emits JSON verdicts; use --format json")
+            _emit(_dump_json(run_classify(cfg)) + "\n", cfg.out_path)
             return EXIT_OK
-        if args.command == "audit":
-            rows, ok = run_audit(cfg, seed=args.seed)
+        if command == "audit":
+            cols, ok = run_audit(cfg, seed=args.seed)
             head = {"schema": SCHEMA_VERSION, "command": "audit"}
-            _emit(_write_rows(rows, AUDIT_COLUMNS, cfg, head, passed=ok), cfg.out_path)
+            _emit(_write_rows(cols, cfg.out_format, head, passed=ok), cfg.out_path)
             return EXIT_OK if ok else EXIT_AUDIT
-        raise ConfigError(f"unknown command {args.command!r}")
+        if command == "topk":
+            cols, had_error = run_topk(cfg)
+        else:
+            _require(bool(cfg.E_list), "count/sweep require an E grid")
+            _require(command == "sweep" or (len(cfg.E_list) == 1 and len(cfg.d_list) == 1),
+                     "count expects exactly one E value and one dimension; use sweep for grids")
+            cols, had_error = run_count(cfg)
+        _emit(_write_rows(cols, cfg.out_format, _report_head(cfg, command)), cfg.out_path)
+        return EXIT_RUNTIME if had_error else EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tensortract import EigenSeq, Query, WeightSeq, cli, family_from_descriptor, info_complexity
-from tensortract.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _cell, _csv_column, main
+from tensortract.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _cell, _dump_json, _write_rows, main
 
 LN2 = math.log(2.0)
 
@@ -250,6 +250,41 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "must be an integer" in err
 
+    @pytest.mark.parametrize("case", ["utf16-config", "directory-config", "utf16-table"])
+    def test_unreadable_files(self, tmp_path, capsys, case):
+        utf16 = b"\xff\xfe" + json.dumps(dyadic_config()).encode("utf-16-le")
+        (tmp_path / "utf16.json").write_bytes(utf16)
+        (tmp_path / "utf16.txt").write_bytes(b"\xff\xfe" + "1 0.0\n".encode("utf-16-le"))
+        config, needle = {
+            "utf16-config": (str(tmp_path / "utf16.json"), "config file unreadable"),
+            "directory-config": (str(tmp_path), "config file unreadable"),
+            "utf16-table": (write_config(tmp_path, "t.json", dyadic_config(
+                **{"lambda": {"family": "tabulated", "path": "utf16.txt"}})), "sequence rejected"),
+        }[case]
+        assert main(["count", "--config", config]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and needle in err
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("target, needle", [
+        ("absent/x.csv", "output directory not found"),
+        (".", "output path is a directory"),
+    ], ids=["absent-parent", "directory"])
+    def test_output_path_checked_before_counting(self, tmp_path, capsys, monkeypatch,
+                                                 where, target, needle):
+        def no_counting(*args, **kwargs):
+            raise AssertionError("counted before the output path was checked")
+
+        monkeypatch.setattr(cli, "info_complexity", no_counting)
+        out = str(tmp_path / target)
+        if where == "flag":
+            cfg, argv = write_config(tmp_path, "b.json", dyadic_config()), ["--out", out]
+        else:
+            cfg, argv = write_config(tmp_path, "b.json", dyadic_config(output={"path": out})), []
+        assert main(["count", "--config", cfg, *argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and needle in err
+
     def test_integral_floats_accepted(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "b.json", dyadic_config(
             queries={"E": [0.5 * math.log(5.0)], "d": [2.0]}, limits={"node_budget": 1e8}))
@@ -315,17 +350,39 @@ class TestConfigErrors:
         assert exc.value.code == 2
 
 
-class TestCsvColumns:
-    """The column-at-a-time CSV writer against the cell-at-a-time ``_cell``."""
+def _float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
-    @staticmethod
-    def rendered(column):
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(zip(column))
-        return buf.getvalue()
+
+_CELLS = {
+    "int": st.integers(-2**70, 2**70),
+    "float": st.integers(0, 2**64 - 1).map(_float_from_bits)
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    "bool": st.booleans(),
+    "str": st.text(st.sampled_from('ab ,"\n\r%'), max_size=5),
+}
+_CELLS["mixed"] = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def reports(draw):
+    """Columns of equal length, each of one kind of cell (or of mixed cells)."""
+    names = draw(st.lists(st.text(st.sampled_from('ab ,"\n%d'), min_size=1, max_size=3),
+                          min_size=2, max_size=5, unique=True))
+    n = draw(st.integers(0, 8))
+    return {name: draw(st.lists(_CELLS[draw(st.sampled_from(sorted(_CELLS)))],
+                                min_size=n, max_size=n)) for name in names}
+
+
+class TestCsvColumns:
+    """One column, twice over, through the report writer against csv.writer
+    over ``_cell`` values."""
 
     def check(self, column):
-        assert self.rendered(_csv_column(column)) == self.rendered([_cell(v) for v in column])
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [("a", "b")] + [(_cell(v), _cell(v)) for v in column])
+        assert _write_rows({"a": column, "b": column}, "csv", {}) == buf.getvalue()
 
     @given(st.lists(st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e300, math.inf, -math.inf]),
                     min_size=1))
@@ -334,7 +391,7 @@ class TestCsvColumns:
 
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1))
     def test_floats_from_bit_patterns(self, bits):
-        self.check([struct.unpack("<d", struct.pack("<Q", b))[0] for b in bits])
+        self.check(list(map(_float_from_bits, bits)))
 
     @pytest.mark.parametrize("column", [
         [1, 2, 10**30], ["", "budget_exceeded", "a,b", 'q"t'], [1, "", 3],
@@ -342,6 +399,43 @@ class TestCsvColumns:
     ], ids=["int", "str", "int-str", "bool", "mixed", "float-str", "float-int", "empty"])
     def test_other_columns(self, column):
         self.check(column)
+
+
+class TestReportWriter:
+    """The one-template writer against a row-at-a-time rendering of the same cells."""
+
+    @given(reports())
+    def test_csv_matches_csv_writer(self, cols):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows(zip(*([_cell(v) for v in col] for col in cols.values())))
+        assert _write_rows(cols, "csv", {}) == buf.getvalue()
+
+    @given(reports())
+    def test_json_matches_dump_json(self, cols):
+        rows = [dict(zip(cols, row)) for row in zip(*cols.values())]
+        head = {"schema": 1, "command": "x"}
+        expected = _dump_json({**head, "rows": rows, "passed": True}) + "\n"
+        assert _write_rows(cols, "json", head, passed=True) == expected
+
+    def test_topk_csv_and_json_carry_the_same_cells(self, tmp_path, capsys):
+        # 50 zero costs, then distinct ones: d = 1 has 2000 rows, d = 2 a full
+        # tie class of 2500 zeros, and d = 4 overruns the candidate budget.
+        values = [0.0] * 50 + [math.log(j) for j in range(51, 3000)]
+        cfg = write_config(tmp_path, "t.json", dyadic_config(
+            **{"lambda": {"family": "tabulated", "values": values},
+               "gamma": {"family": "constant_one"},
+               "queries": {"d": [4, 1, 2]}, "k": 2000}))
+        assert main(["topk", "--config", cfg]) == EXIT_RUNTIME
+        csv_rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert main(["topk", "--config", cfg, "--format", "json"]) == EXIT_RUNTIME
+        doc = json.loads(capsys.readouterr().out, parse_int=str, parse_float=str)
+        assert doc["rows"] == csv_rows
+        assert [r["d"] for r in csv_rows].count("1") == 2000
+        assert [r["d"] for r in csv_rows].count("2") == 2500
+        assert csv_rows[-1] == {"d": "4", "rank": "", "cost": "", "eigenvalue": "",
+                                "error": "budget_exceeded"}
 
 
 class TestTabulatedFile:
