@@ -387,6 +387,37 @@ class TestClassifier:
     def test_wt_alias(self):
         assert Notion.st_weak(1.0, 1.0) == Notion.wt()
 
+    def test_super_polynomial_effective_dimension_fails(self):
+        v = classify(EigenSeq(ExpPower(1.0, 1.0)), WeightSeq(LogPower(2.0)), Notion.spt())
+        assert v.status is VerdictStatus.FAILS and v.mode is VerdictMode.ANALYTIC
+        assert v.exponent is None
+        assert [d.name for d in v.evidence] == [
+            "limit_lambda_zero", "limit_gamma_zero", "threshold_growth", "b_spt_probes",
+            "b_spt_limit"]
+        assert v.evidence[2].value == "super-polynomial effective dimension"
+        assert v.evidence[-1].value == math.inf
+
+    def test_bounded_effective_dimension_qpt_delegates(self):
+        v = classify(EigenSeq(ExpPower(1.0, 1.0)), WeightSeq(Tabulated((0.2,))), Notion.qpt())
+        assert v.status is VerdictStatus.HOLDS and v.mode is VerdictMode.ANALYTIC
+        assert v.exponent == 1.0
+        assert [d.name for d in v.evidence] == [
+            "limit_lambda_zero", "limit_gamma_zero", "b_qpt_growth", "b_spt_probes",
+            "b_qpt_probes", "b_qpt_limit"]
+        assert v.evidence[2].note == "bounded effective dimension; delegated to the plain limit"
+
+    def test_unit_s_small_t_needs_both_ratios_divergent(self):
+        names = ["gamma_log_ratio[s=1]", "lambda_log_ratio[s=1]"]
+        gam = WeightSeq(ExpPower(1.0, 1.0))
+        v = classify(EigenSeq(LogPower(2.0)), gam, Notion.st_weak(1.0, 0.5))
+        assert v.status is VerdictStatus.HOLDS and v.mode is VerdictMode.ANALYTIC
+        assert v.exponent is None and [d.name for d in v.evidence] == names
+        assert [d.value.kind for d in v.evidence] == ["diverges", "diverges"]
+        v = classify(EigenSeq(PowerLaw(2.0)), gam, Notion.st_weak(1.0, 0.5))
+        assert v.status is VerdictStatus.FAILS and v.mode is VerdictMode.ANALYTIC
+        assert v.exponent is None and [d.name for d in v.evidence] == names
+        assert [d.value.kind for d in v.evidence] == ["diverges", "bounded"]
+
     def test_numeric_promotion_flag(self):
         lam = EigenSeq(Tabulated(tuple(0.3 * j**1.2 for j in range(0, 40))))
         gam = WeightSeq(ExpPower(1.0, 1.0))
