@@ -198,7 +198,6 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     policy = ProbePolicy(
         E_grid=tuple(_number(float, v, "probe E") for v in probes.get("E_grid", DEFAULT_E_GRID)),
         j_grid=tuple(_number(int, v, "probe j") for v in probes.get("j_grid", DEFAULT_J_GRID)),
-        promote_numeric_trends=bool(probes.get("promote_numeric_trends", False)),
     )
     _require(all(j >= 2 for j in policy.j_grid), "probe j values must be >= 2")
 

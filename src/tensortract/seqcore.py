@@ -179,7 +179,14 @@ SUPER_POLYNOMIAL = SuperPolynomial()
 
 
 class _FamilyBase:
-    """Shared defaults for sequence families; subclasses override as needed."""
+    """Shared defaults for sequence families.
+
+    Every family defines ``log_inv`` and ``ratio_class``, which decides the
+    weak notions and summability.  A family that can serve as eigenvalues
+    also defines ``log_threshold_growth``, and one that tends to zero
+    (``limit_zero``) defines ``threshold_growth``; the classifier asks for
+    nothing else.
+    """
 
     name: ClassVar[str]
     limit_zero: ClassVar[bool] = True      # x_j -> 0
@@ -197,22 +204,9 @@ class _FamilyBase:
         """Closed-form candidate for the threshold index (to be adjusted)."""
         return None
 
-    def threshold_growth(self):
-        """Growth of the threshold index in the budget, or SUPER_POLYNOMIAL, or None."""
-        return None
-
-    def log_threshold_growth(self) -> Growth | None:
-        """Growth of log(threshold index) in the budget."""
-        return None
-
-    def ratio_class(self, s: float) -> RatioClass | None:
-        return None
-
-    def summable(self, c: float) -> bool | None:
+    def summable(self, c: float) -> bool:
         """Whether sum_j x_j**c converges."""
         rc = self.ratio_class(1.0)
-        if rc is None:
-            return None
         if rc.kind == "diverges":
             return True
         if rc.limit == 0.0:
@@ -637,9 +631,9 @@ class EventuallyZero(_TableFamily):
         object.__setattr__(self, "prefix", pref)
         object.__setattr__(self, "_table", pref)
 
-    def threshold_growth(self) -> Growth | None:
-        if self.j_star < 2:
-            return None
+    def threshold_growth(self) -> Growth:
+        # j_star = 1 means gamma_1 = 0, which the classifier answers as the
+        # trivial problem before it asks for any growth.
         return Growth(float(self.j_star - 1))
 
 
@@ -709,7 +703,7 @@ class _SeqView:
     def compact(self) -> bool:
         return self.family.compact
 
-    def ratio_class(self, s: float) -> RatioClass | None:
+    def ratio_class(self, s: float) -> RatioClass:
         return self.family.ratio_class(s)
 
     def descriptor(self) -> dict:

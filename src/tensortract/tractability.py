@@ -1,11 +1,10 @@
 """Exponential-tractability estimators, condition checkers, and the classifier.
 
-The limit constants characterizing EXP-SPT and EXP-QPT are estimated on
-finite threshold grids (a true limsup is not computable from finitely many
-probes) and decided exactly when the sequence families carry analytic
-growth metadata.  Verdicts are Holds/Fails only when the analytic route
-resolves them or a concrete refutation witness exists; otherwise they are
-Inconclusive with full evidence attached.
+Every verdict is analytic: the limit constants characterizing EXP-SPT and
+EXP-QPT, and the log-ratio classes of the weak notions, are decided from the
+growth metadata every sequence family carries.  The estimates on finite
+threshold and index grids (a true limsup is not computable from finitely
+many probes) are attached as evidence and never decide a verdict.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ DEFAULT_E_GRID = (1e3, 1e6, 1e12, 1e100, 1e300)
 #: Default index grid for divergence probes.
 DEFAULT_J_GRID = (4, 16, 256, 65536, 2**24, 2**48)
 
-#: Default dimension net for the s < 1, t = 1 ratio probes.
+#: Dimension net for the s < 1, t = 1 ratio probes.
 DEFAULT_NET_D = (4, 16, 64, 256, 1024)
 
 
@@ -105,12 +104,10 @@ class Notion:
 class VerdictStatus(str, Enum):
     HOLDS = "holds"
     FAILS = "fails"
-    INCONCLUSIVE = "inconclusive"
 
 
 class VerdictMode(str, Enum):
     ANALYTIC = "analytic"
-    NUMERIC = "numeric"
 
 
 @dataclass(frozen=True)
@@ -134,9 +131,9 @@ class LimitEstimate:
 
 @dataclass(frozen=True)
 class DivergenceResult:
-    kind: str  # "diverges" | "bounded" | "inconclusive"
-    limit: float | None
-    mode: str  # "analytic" | "numeric"
+    kind: str  # "diverges" | "bounded"
+    limit: float
+    mode: str  # always "analytic"
     evidence: LimitEstimate | None = None
 
 
@@ -169,8 +166,6 @@ class ProbePolicy:
 
     E_grid: tuple = DEFAULT_E_GRID
     j_grid: tuple = DEFAULT_J_GRID
-    net_d: tuple = DEFAULT_NET_D
-    promote_numeric_trends: bool = False
 
 
 DEFAULT_POLICY = ProbePolicy()
@@ -263,11 +258,11 @@ def b_qpt_estimate(lam: EigenSeq, gam: WeightSeq, Egrid=DEFAULT_E_GRID) -> Limit
                            lambda deps, E: math.log(deps) * math.log(E))
 
 
-def divergence_check(seq, s: float, jgrid=DEFAULT_J_GRID, mode: str = "auto") -> DivergenceResult:
+def divergence_check(seq, s: float, jgrid=DEFAULT_J_GRID) -> DivergenceResult:
     """Classify (log(1/x_j))**s / log j as j -> inf.
 
-    Analytic mode answers from family metadata; numeric mode only reports
-    probe ratios and a trend (never a Diverges/Bounded claim).
+    The answer comes from the family's ratio class; the probe ratios along
+    ``jgrid`` and their trend are attached as evidence.
     """
     if not (s > 0.0 and math.isfinite(s)):
         raise ValueError(f"s must be positive and finite, got {s!r}")
@@ -278,14 +273,8 @@ def divergence_check(seq, s: float, jgrid=DEFAULT_J_GRID, mode: str = "auto") ->
         lv = seq.log_inv(int(j))
         ratio = math.inf if math.isinf(lv) else lv**s / math.log(j)
         probes.append((float(j), ratio))
-    est = _limit_estimate(probes)
-    if mode == "auto":
-        rc = seq.ratio_class(s)
-        if rc is not None:
-            return DivergenceResult(rc.kind, rc.limit, "analytic", est)
-    elif mode != "numeric":
-        raise ValueError(f"mode must be 'auto' or 'numeric', got {mode!r}")
-    return DivergenceResult("inconclusive", None, "numeric", est)
+    rc = seq.ratio_class(s)
+    return DivergenceResult(rc.kind, rc.limit, "analytic", _limit_estimate(probes))
 
 
 def _power_sums(seq, cs, J: int) -> list:
@@ -297,7 +286,7 @@ def _power_sums(seq, cs, J: int) -> list:
     if isinstance(J, bool) or not isinstance(J, int) or J < 2:
         raise ValueError(f"J must be an integer >= 2, got {J!r}")
     fam = seq.family
-    convergent = [fam.summable(c) is not False for c in cs]
+    convergent = [fam.summable(c) for c in cs]
     if not any(convergent):
         return [None] * len(convergent)
     ls = np.fromiter(map(fam.log_inv, range(1, J + 1)), float, J)
@@ -460,12 +449,9 @@ def _attach_probe_estimates(lam, gam, policy, ev, want_qpt: bool) -> None:
             ev.append(Diagnostic(name, None, note=f"skipped: {exc}"))
 
 
-def _polynomial_limit_constant(lam, gam, qpt: bool, ev) -> float | None:
-    """Analytic limit constant for the SPT (or QPT) characterization.
-
-    Returns +inf/0/finite value, or None when the growth metadata cannot
-    resolve the limit.
-    """
+def _polynomial_limit_constant(lam, gam, qpt: bool, ev) -> float:
+    """Analytic limit constant for the SPT (or QPT) characterization:
+    +inf, 0 or a finite value."""
     d_growth = gam.family.threshold_growth()
     lnj_growth = lam.family.log_threshold_growth()
     if isinstance(d_growth, SuperPolynomial):
@@ -473,8 +459,6 @@ def _polynomial_limit_constant(lam, gam, qpt: bool, ev) -> float | None:
         # log j(eps) eventually stays >= log 2, so the limit is infinite.
         ev.append(Diagnostic("threshold_growth", "super-polynomial effective dimension"))
         return math.inf
-    if d_growth is None or lnj_growth is None:
-        return None
     if not qpt:
         mon = d_growth.mul(lnj_growth).div(LOG_BUDGET)
         ev.append(Diagnostic("b_spt_growth", mon))
@@ -504,8 +488,6 @@ def _classify_polynomial(lam, gam, notion, policy) -> Verdict:
         return Verdict(notion, VerdictStatus.FAILS, None, tuple(ev), VerdictMode.ANALYTIC)
     limit = _polynomial_limit_constant(lam, gam, qpt, ev)
     _attach_probe_estimates(lam, gam, policy, ev, qpt)
-    if limit is None:
-        return Verdict(notion, VerdictStatus.INCONCLUSIVE, None, tuple(ev), VerdictMode.NUMERIC)
     name = "b_qpt_limit" if qpt else "b_spt_limit"
     ev.append(Diagnostic(name, limit))
     if math.isinf(limit):
@@ -550,37 +532,28 @@ def _classify_weak(lam, gam, notion, policy) -> Verdict:
         ev.append(Diagnostic("eta", eta, note="effective divergence exponent s(t-1)/(t-s)"))
         add_div(lam, eta, f"lambda_log_ratio[s={eta:.12g}]")
     else:  # s < 1, t == 1
-        return _classify_weak_boundary(lam, gam, notion, policy, ev)
+        return _classify_weak_boundary(lam, gam, notion, ev)
 
-    if analytic_fail:
-        return Verdict(notion, VerdictStatus.FAILS, None, tuple(ev), VerdictMode.ANALYTIC)
-    kinds = {r.kind for r in required}
-    if "bounded" in kinds:
-        return Verdict(notion, VerdictStatus.FAILS, None, tuple(ev), VerdictMode.ANALYTIC)
-    if kinds <= {"diverges"}:
-        return Verdict(notion, VerdictStatus.HOLDS, None, tuple(ev), VerdictMode.ANALYTIC)
-    if policy.promote_numeric_trends and all(
-            r.kind == "diverges" or (r.evidence and r.evidence.trend == "increasing")
-            for r in required):
-        return Verdict(notion, VerdictStatus.HOLDS, None, tuple(ev), VerdictMode.NUMERIC)
-    return Verdict(notion, VerdictStatus.INCONCLUSIVE, None, tuple(ev), VerdictMode.NUMERIC)
+    fails = analytic_fail or any(r.kind == "bounded" for r in required)
+    status = VerdictStatus.FAILS if fails else VerdictStatus.HOLDS
+    return Verdict(notion, status, None, tuple(ev), VerdictMode.ANALYTIC)
 
 
-def _classify_weak_boundary(lam, gam, notion, policy, ev) -> Verdict:
-    """s < 1, t = 1: the ratio must diverge along every admissible (d, k, j) net."""
+def _classify_weak_boundary(lam, gam, notion, ev) -> Verdict:
+    """s < 1, t = 1: the ratio must diverge along every admissible (d, k, j) net.
+
+    ``classify`` has already answered gamma_1 = 0 as the trivial problem, so
+    G(1) is finite here.
+    """
     s = notion.s
     g1 = gam.G(1)
     triples = []
-    for d in policy.net_d:
+    for d in DEFAULT_NET_D:
         triples.append((d, 1, 2))            # d grows, k and j fixed
         triples.append((d, 1, d + 1))        # diagonal in d and j
-        triples.append((4 * max(policy.net_d), 1, d + 1))  # j grows, d fixed
+        triples.append((4 * max(DEFAULT_NET_D), 1, d + 1))  # j grows, d fixed
     est = wt_s_below_one_check(lam, gam, s, triples)
     ev.append(Diagnostic("boundary_ratio_probes", est))
-    if math.isinf(g1):
-        # gamma_1 = 0 makes the problem trivial (count is always 1).
-        ev.append(Diagnostic("trivial_problem", True, note="gamma_1 = 0"))
-        return Verdict(notion, VerdictStatus.HOLDS, None, tuple(ev), VerdictMode.ANALYTIC)
     # Along the net with k = 1 and j = 2 fixed and d -> inf the numerator is
     # the constant G(1)**s + L(2)**s while the denominator d**(1-s) log 2
     # grows, so the required divergence fails.

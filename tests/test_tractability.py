@@ -32,7 +32,7 @@ from tensortract import (
     wt_sup_criterion,
 )
 from tensortract.goldens import GOLDEN_PAIRS, iterated_log_pair
-from tensortract.tractability import ProbePolicy, converged_sum_from_two
+from tensortract.tractability import converged_sum_from_two
 
 LN2 = math.log(2.0)
 GRID = (1e3, 1e6, 1e12, 1e100, 1e300)
@@ -109,17 +109,13 @@ class TestDivergence:
         res = divergence_check(EigenSeq(PowerLaw(3.0)), 1.0)
         assert res.kind == "bounded" and res.limit == 3.0 and res.mode == "analytic"
         assert all(r == 3.0 for _, r in res.evidence.probes)
+        assert res.evidence.trend == "flat"
 
     def test_log_power_diverges(self):
         assert divergence_check(EigenSeq(LogPower(2.0)), 1.0).kind == "diverges"
 
     def test_iterated_log_diverges(self):
         assert divergence_check(EigenSeq(IterLog()), 1.0).kind == "diverges"
-
-    def test_numeric_mode_never_concludes(self):
-        res = divergence_check(EigenSeq(PowerLaw(3.0)), 1.0, mode="numeric")
-        assert res.kind == "inconclusive" and res.mode == "numeric"
-        assert res.evidence.trend == "flat"
 
     def test_exponent_scaling(self):
         assert divergence_check(EigenSeq(PowerLaw(2.0)), 2.0).kind == "diverges"
@@ -421,11 +417,9 @@ class TestClassifier:
     def test_numeric_promotion_flag(self):
         lam = EigenSeq(Tabulated(tuple(0.3 * j**1.2 for j in range(0, 40))))
         gam = WeightSeq(ExpPower(1.0, 1.0))
-        # tabulated data is analytically divergent via the zero tail, so use
-        # numeric-only evidence through a policy with promotion enabled
-        v = classify(lam, gam, Notion.wt(),
-                     ProbePolicy(promote_numeric_trends=True))
-        assert v.status is VerdictStatus.HOLDS
+        # tabulated data is analytically divergent via the zero tail
+        v = classify(lam, gam, Notion.wt())
+        assert v.status is VerdictStatus.HOLDS and v.mode is VerdictMode.ANALYTIC
 
 
 class TestFitExponent:
