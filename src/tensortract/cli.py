@@ -101,6 +101,19 @@ def _number(cast, value, what: str):
         raise ConfigError(f"{what} must be {kind}, got {value!r}") from None
 
 
+def _numbers(cast, value, what: str, item: str) -> list:
+    """[cast(v) for v in value]; a value that is not a list is a config error."""
+    _require(isinstance(value, (list, tuple)), f"{what} must be a list, got {value!r}")
+    return [_number(cast, v, item) for v in value]
+
+
+def _section(raw: dict, name: str) -> dict:
+    """The object ``raw[name]``, empty when absent; any other value is a config error."""
+    section = raw.get(name, {})
+    _require(isinstance(section, dict), f"{name} section must be an object")
+    return section
+
+
 def _load_sequence(desc, base_dir: Path, role: str):
     _require(isinstance(desc, dict), f"{role} must be a family descriptor object")
     desc = dict(desc)
@@ -172,17 +185,16 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     except (SequenceError, OSError, UnicodeDecodeError) as exc:  # an unreadable table file
         raise ConfigError(f"sequence rejected: {exc}") from None
 
-    queries = raw.get("queries", {})
-    _require(isinstance(queries, dict), "queries must be an object")
+    queries = _section(raw, "queries")
     E_list = _parse_E_values(queries)
-    d_list = [_number(int, d, "dimension") for d in queries.get("d", [1])] if queries else [1]
+    d_list = _numbers(int, queries.get("d", [1]), "d list", "dimension")
     _require(bool(d_list), "d list must be non-empty")
     for d in d_list:
         _require(d >= 1, f"dimensions must be >= 1, got {d}")
 
     notion = _parse_notion(raw["notion"]) if "notion" in raw else None
 
-    limits = raw.get("limits", {})
+    limits = _section(raw, "limits")
     node_budget = overrides.node_budget
     if node_budget is None:
         node_budget = _number(int, limits.get("node_budget", DEFAULT_NODE_BUDGET), "node_budget")
@@ -194,26 +206,25 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     k = _number(int, raw.get("k", 8), "k")
     _require(k >= 1, "k must be positive")
 
-    probes = raw.get("probes", {})
+    probes = _section(raw, "probes")
     policy = ProbePolicy(
-        E_grid=tuple(_number(float, v, "probe E") for v in probes.get("E_grid", DEFAULT_E_GRID)),
-        j_grid=tuple(_number(int, v, "probe j") for v in probes.get("j_grid", DEFAULT_J_GRID)),
+        E_grid=tuple(_numbers(float, probes.get("E_grid", DEFAULT_E_GRID), "E_grid", "probe E")),
+        j_grid=tuple(_numbers(int, probes.get("j_grid", DEFAULT_J_GRID), "j_grid", "probe j")),
     )
     _require(all(j >= 2 for j in policy.j_grid), "probe j values must be >= 2")
 
-    output = raw.get("output", {})
+    output = _section(raw, "output")
     out_format = overrides.format or output.get("format", "csv")
     _require(out_format in ("csv", "json"), f"format must be csv or json, got {out_format!r}")
     out_path = overrides.out or output.get("path")
     if out_path:
+        _require(isinstance(out_path, str), f"output path must be a string, got {out_path!r}")
         _require(Path(out_path).parent.is_dir(), f"output directory not found: {out_path}")
         _require(not Path(out_path).is_dir(), f"output path is a directory: {out_path}")
 
-    audit = raw.get("audit", {})
-    _require(isinstance(audit, dict), "audit section must be an object")
+    audit = _section(raw, "audit")
     c_list = audit.get("c_list", [2.0, 1.0, 0.5, 0.1])
-    _require(isinstance(c_list, list), f"audit c_list must be a list, got {c_list!r}")
-    audit = {**audit, "c_list": [_number(float, c, "audit c") for c in c_list]}
+    audit = {**audit, "c_list": _numbers(float, c_list, "audit c_list", "audit c")}
     _require(all(math.isfinite(c) and c > 0.0 for c in audit["c_list"]),
              "audit c values must be positive and finite")
 

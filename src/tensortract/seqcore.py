@@ -53,6 +53,20 @@ def _positive_param(name: str, value) -> float:
     return v
 
 
+def _table_entries(name: str, values) -> tuple:
+    """The entries of a table as floats; a boolean, or an entry that float rejects,
+    is a SequenceError."""
+    out = []
+    for v in values:
+        try:
+            if isinstance(v, bool):
+                raise TypeError(v)
+            out.append(float(v))
+        except (TypeError, ValueError):
+            raise SequenceError(f"{name} entries must be numbers, got {v!r}") from None
+    return tuple(out)
+
+
 class ExtLogMag(float):
     """Nonnegative extended real T = log(1/x) for x in [0, 1].
 
@@ -490,7 +504,7 @@ class IterLog(_FamilyBase):
     name: ClassVar[str] = "iter_log"
 
     def __post_init__(self):
-        pref = tuple(float(v) for v in self.prefix)
+        pref = _table_entries("prefix", self.prefix)
         if len(pref) < 2:
             raise SequenceError("prefix must cover at least indices 1 and 2")
         _validate_table(pref, allow_inf=False)
@@ -574,7 +588,7 @@ class Tabulated(_TableFamily):
     name: ClassVar[str] = "tabulated"
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = _table_entries("table", self.values)
         if not vals:
             raise SequenceError("table must be non-empty")
         _validate_table(vals, allow_inf=True)
@@ -623,7 +637,7 @@ class EventuallyZero(_TableFamily):
     def __post_init__(self):
         if isinstance(self.j_star, bool) or not isinstance(self.j_star, int) or self.j_star < 1:
             raise SequenceError(f"j_star must be a positive integer, got {self.j_star!r}")
-        pref = tuple(float(v) for v in self.prefix)
+        pref = _table_entries("prefix", self.prefix)
         if len(pref) != self.j_star - 1:
             raise SequenceError("prefix length must be j_star - 1")
         if pref:

@@ -30,6 +30,27 @@ def dyadic_config(**extra):
     return cfg
 
 
+# (id, entries replaced in dyadic_config()): each config makes `count` exit with
+# one "config error: " line on stderr.  The CI step "CLI config errors" runs
+# these through `python -m tensortract` as well.
+CONFIG_ERRORS = [
+    ("node_budget", {"limits": {"node_budget": "abc"}}),
+    ("d", {"queries": {"E": [1.0], "d": ["x"]}}),
+    ("E", {"queries": {"E": ["x"], "d": [1]}}),
+    ("k", {"k": "many"}),
+    ("d-not-list", {"queries": {"E": [1.0], "d": 5}}),
+    ("E_grid-not-list", {"probes": {"E_grid": 5}}),
+    ("j_grid-not-list", {"probes": {"j_grid": 7}}),
+    ("probes-not-object", {"probes": []}),
+    ("limits-not-object", {"limits": []}),
+    ("output-not-object", {"output": []}),
+    ("output-path-not-str", {"output": {"path": 5}}),
+    ("table-entry-str", {"lambda": {"family": "tabulated", "values": ["a"]}}),
+    ("table-entry-bool", {"lambda": {"family": "tabulated", "values": [True, 2]}}),
+    ("prefix-entry-bool", {"gamma": {"family": "eventually_zero", "j_star": 2, "prefix": [True]}}),
+]
+
+
 class TestCount:
     def test_dyadic_row(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", dyadic_config())
@@ -215,12 +236,8 @@ class TestConfigErrors:
         assert main(["topk", "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
 
-    @pytest.mark.parametrize("extra", [
-        {"limits": {"node_budget": "abc"}},
-        {"queries": {"E": [1.0], "d": ["x"]}},
-        {"queries": {"E": ["x"], "d": [1]}},
-        {"k": "many"},
-    ], ids=["node_budget", "d", "E", "k"])
+    @pytest.mark.parametrize("extra", [extra for _, extra in CONFIG_ERRORS],
+                             ids=[name for name, _ in CONFIG_ERRORS])
     def test_unparsable_values_rejected(self, tmp_path, capsys, extra):
         cfg = write_config(tmp_path, "b.json", dyadic_config(**extra))
         assert main(["count", "--config", cfg]) == EXIT_CONFIG
