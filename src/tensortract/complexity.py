@@ -94,13 +94,9 @@ def _adjust_candidate(eval_at, budget: float, cand: int) -> int | None:
 def _max_index_below(eval_at, family, budget: float, cap: int) -> int | None:
     """max{j >= 1 : eval_at(j) < budget}; 0 when none; None when unresolvable.
 
-    Uses an exact table lookup when the family provides one, then a galloping
-    search with bisection, then a closed-form hint refined to exactness.
+    Uses a galloping search with bisection, then past ``cap`` the family's
+    closed-form hint refined to exactness.
     """
-    if family is not None:
-        exact = family.threshold_exact(budget)
-        if exact is not None:
-            return exact
     if not (eval_at(1) < budget):
         return 0
     lo, hi = 1, 2
@@ -146,8 +142,9 @@ def _threshold_index(fam, E: float, cap: int | None, noun: str) -> int:
 def j_of_eps(seq: EigenSeq, E: float, *, cap: int | None = None) -> int:
     """Largest index whose eigenvalue exceeds eps**2, i.e. max{j : L(j) < 2E}.
 
-    A caller-supplied cap bounds the galloping search only: a table lookup
-    or a closed-form hint still resolves an index past it.  When neither
+    A caller-supplied cap bounds the galloping search only: the family's
+    threshold hint (a closed form, or a table bisection) still resolves an
+    index past it.  When neither
     resolves the index, the result is the cap instead of a NonCompact error.
     """
     return _threshold_index(seq.family, E, cap, "eigenvalue")

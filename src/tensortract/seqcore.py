@@ -210,10 +210,6 @@ class _FamilyBase:
     def log_inv(self, j: int) -> float:
         raise NotImplementedError
 
-    def threshold_exact(self, budget: float) -> int | None:
-        """Exact max{j : log_inv(j) < budget} when cheaply available."""
-        return None
-
     def threshold_hint(self, budget: float) -> int | None:
         """Closed-form candidate for the threshold index (to be adjusted)."""
         return None
@@ -556,8 +552,8 @@ class IterLog(_FamilyBase):
 class _TableFamily(_FamilyBase):
     """A finite non-decreasing table ``_table`` of log(1/x_j); x_j = 0 past its end.
 
-    The zero tail makes the family compact and summable, and gives exact
-    threshold lookups by bisection.  Subclasses set ``_table`` from their
+    The zero tail makes the family compact and summable, and its threshold
+    hint is the exact index, found by bisection.  Subclasses set ``_table`` from their
     own field in ``__post_init__``.
     """
 
@@ -568,7 +564,7 @@ class _TableFamily(_FamilyBase):
             return self._table[j - 1]
         return math.inf
 
-    def threshold_exact(self, budget: float) -> int:
+    def threshold_hint(self, budget: float) -> int:
         return bisect_left(self._table, budget)
 
     def ratio_class(self, s: float) -> RatioClass:
@@ -712,10 +708,6 @@ class _SeqView:
     @property
     def limit_zero(self) -> bool:
         return self.family.limit_zero
-
-    @property
-    def compact(self) -> bool:
-        return self.family.compact
 
     def ratio_class(self, s: float) -> RatioClass:
         return self.family.ratio_class(s)

@@ -19,10 +19,13 @@ from tensortract import (
     EigenSeq,
     EventuallyZero,
     ExpPower,
+    IterLog,
+    LogPower,
     NonCompact,
     PowerLaw,
     Query,
     Tabulated,
+    TripleExp,
     WeightSeq,
     brute_force_count,
     d_of_eps,
@@ -513,6 +516,24 @@ class TestLargeScaleThresholds:
         gam = WeightSeq(DoubleExpPower(1.0, 1.0))
         deps = d_of_eps(gam, 1e300)
         assert deps == 691
+
+    @pytest.mark.parametrize("fam, E", [
+        (LogPower(2.0), 1e5), (IterLog(), 1e3), (DoubleExpPower(1.0, 0.1), 1e50),
+        (TripleExp(1e-18), 1e50),
+    ], ids=["log_power", "iter_log", "double_exp_power", "triple_exp"])
+    def test_closed_form_hints_past_the_search_cap(self, fam, E):
+        lam = EigenSeq(fam)
+        j = j_of_eps(lam, E)
+        assert j > 2**62
+        assert lam.L(j) < 2.0 * E <= lam.L(j + 1)
+
+    def test_table_past_the_search_cap(self):
+        # Past the cap the table's hint, a bisection, gives the same index.
+        lam = EigenSeq(Tabulated(tuple(0.5 * j for j in range(100))))
+        for E in (2.6, 10.0, 24.75, 30.0):  # 2E = 20 and 49.5 are entries; 60 is past the end
+            j = j_of_eps(lam, E, cap=5)
+            assert j == j_of_eps(lam, E) and j > 5
+            assert lam.L(j) < 2.0 * E <= lam.L(j + 1)
 
 
 class TestThresholdIndexErrors:

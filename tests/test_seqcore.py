@@ -248,8 +248,8 @@ class TestTableFamilies:
         js = range(1, len(prefix) + 4)  # runs past the end of both tables
         assert [tab.log_inv(j) for j in js] == [ez.log_inv(j) for j in js]
         for budget in [0.0, math.inf, *prefix, *budgets]:
-            assert tab.threshold_exact(budget) == ez.threshold_exact(budget)
-        assert tab.threshold_exact(math.inf) == len(prefix)
+            assert tab.threshold_hint(budget) == ez.threshold_hint(budget)
+        assert tab.threshold_hint(math.inf) == len(prefix)
         for c in (0.5, 1.0, 2.0):
             assert tab.summable(c) is True and ez.summable(c) is True
             for J in range(1, len(prefix) + 3):
