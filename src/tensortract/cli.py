@@ -107,13 +107,6 @@ def _numbers(cast, value, what: str, item: str) -> list:
     return [_number(cast, v, item) for v in value]
 
 
-def _section(raw: dict, name: str) -> dict:
-    """The object ``raw[name]``, empty when absent; any other value is a config error."""
-    section = raw.get(name, {})
-    _require(isinstance(section, dict), f"{name} section must be an object")
-    return section
-
-
 def _load_sequence(desc, base_dir: Path, role: str):
     _require(isinstance(desc, dict), f"{role} must be a family descriptor object")
     desc = dict(desc)
@@ -185,7 +178,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     except (SequenceError, OSError, UnicodeDecodeError) as exc:  # an unreadable table file
         raise ConfigError(f"sequence rejected: {exc}") from None
 
-    queries = _section(raw, "queries")
+    queries = raw.get("queries", {})
+    _require(isinstance(queries, dict), "queries must be an object")
     E_list = _parse_E_values(queries)
     d_list = _numbers(int, queries.get("d", [1]), "d list", "dimension")
     _require(bool(d_list), "d list must be non-empty")
@@ -194,7 +188,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
 
     notion = _parse_notion(raw["notion"]) if "notion" in raw else None
 
-    limits = _section(raw, "limits")
+    limits = raw.get("limits", {})
+    _require(isinstance(limits, dict), "limits must be an object")
     node_budget = overrides.node_budget
     if node_budget is None:
         node_budget = _number(int, limits.get("node_budget", DEFAULT_NODE_BUDGET), "node_budget")
@@ -206,14 +201,16 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     k = _number(int, raw.get("k", 8), "k")
     _require(k >= 1, "k must be positive")
 
-    probes = _section(raw, "probes")
+    probes = raw.get("probes", {})
+    _require(isinstance(probes, dict), "probes must be an object")
     policy = ProbePolicy(
         E_grid=tuple(_numbers(float, probes.get("E_grid", DEFAULT_E_GRID), "E_grid", "probe E")),
         j_grid=tuple(_numbers(int, probes.get("j_grid", DEFAULT_J_GRID), "j_grid", "probe j")),
     )
     _require(all(j >= 2 for j in policy.j_grid), "probe j values must be >= 2")
 
-    output = _section(raw, "output")
+    output = raw.get("output", {})
+    _require(isinstance(output, dict), "output must be an object")
     out_format = overrides.format or output.get("format", "csv")
     _require(out_format in ("csv", "json"), f"format must be csv or json, got {out_format!r}")
     out_path = overrides.out or output.get("path")
@@ -222,7 +219,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
         _require(Path(out_path).parent.is_dir(), f"output directory not found: {out_path}")
         _require(not Path(out_path).is_dir(), f"output path is a directory: {out_path}")
 
-    audit = _section(raw, "audit")
+    audit = raw.get("audit", {})
+    _require(isinstance(audit, dict), "audit section must be an object")
     c_list = audit.get("c_list", [2.0, 1.0, 0.5, 0.1])
     audit = {**audit, "c_list": _numbers(float, c_list, "audit c_list", "audit c")}
     _require(all(math.isfinite(c) and c > 0.0 for c in audit["c_list"]),

@@ -41,30 +41,26 @@ def _sat_pow(x: float, b: float) -> float:
         return math.inf
 
 
-def _positive_param(name: str, value) -> float:
+def _as_float(name: str, value, kind: str = "a number") -> float:
+    """float(value); a boolean, or a value that float rejects, is a SequenceError."""
     try:
         if isinstance(value, bool):
             raise TypeError(value)
-        v = float(value)
+        return float(value)
     except (TypeError, ValueError):
-        raise SequenceError(f"{name} must be a positive finite number, got {value!r}") from None
+        raise SequenceError(f"{name} must be {kind}, got {value!r}") from None
+
+
+def _positive_param(name: str, value) -> float:
+    v = _as_float(name, value, "a positive finite number")
     if not math.isfinite(v) or v <= 0.0:
         raise SequenceError(f"{name} must be a positive finite number, got {value!r}")
     return v
 
 
 def _table_entries(name: str, values) -> tuple:
-    """The entries of a table as floats; a boolean, or an entry that float rejects,
-    is a SequenceError."""
-    out = []
-    for v in values:
-        try:
-            if isinstance(v, bool):
-                raise TypeError(v)
-            out.append(float(v))
-        except (TypeError, ValueError):
-            raise SequenceError(f"{name} entries must be numbers, got {v!r}") from None
-    return tuple(out)
+    """The entries of a table or prefix as floats, each through ``_as_float``."""
+    return tuple(_as_float(f"{name} entry", v) for v in values)
 
 
 class ExtLogMag(float):
@@ -195,11 +191,9 @@ SUPER_POLYNOMIAL = SuperPolynomial()
 class _FamilyBase:
     """Shared defaults for sequence families.
 
-    Every family defines ``log_inv`` and ``ratio_class``, which decides the
-    weak notions and summability.  A family that can serve as eigenvalues
-    also defines ``log_threshold_growth``, and one that tends to zero
-    (``limit_zero``) defines ``threshold_growth``; the classifier asks for
-    nothing else.
+    Every family defines ``log_inv`` and ``ratio_class``; a ``compact`` one
+    defines ``threshold_hint``, one that can serve as eigenvalues
+    ``log_threshold_growth``, and one with ``limit_zero`` ``threshold_growth``.
     """
 
     name: ClassVar[str]
@@ -209,10 +203,6 @@ class _FamilyBase:
 
     def log_inv(self, j: int) -> float:
         raise NotImplementedError
-
-    def threshold_hint(self, budget: float) -> int | None:
-        """Closed-form candidate for the threshold index (to be adjusted)."""
-        return None
 
     def summable(self, c: float) -> bool:
         """Whether sum_j x_j**c converges."""
@@ -567,6 +557,17 @@ class _TableFamily(_FamilyBase):
     def threshold_hint(self, budget: float) -> int:
         return bisect_left(self._table, budget)
 
+    @property
+    def effective_len(self) -> int:
+        """Number of leading finite entries (positive underlying values)."""
+        for i, v in enumerate(self._table):
+            if math.isinf(v):
+                return i
+        return len(self._table)
+
+    def threshold_growth(self) -> Growth:
+        return Growth(float(max(self.effective_len, 1)))
+
     def ratio_class(self, s: float) -> RatioClass:
         return DIVERGES
 
@@ -590,17 +591,6 @@ class Tabulated(_TableFamily):
         _validate_table(vals, allow_inf=True)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_table", vals)
-
-    @property
-    def effective_len(self) -> int:
-        """Number of leading finite entries (positive underlying values)."""
-        for i, v in enumerate(self.values):
-            if math.isinf(v):
-                return i
-        return len(self.values)
-
-    def threshold_growth(self) -> Growth:
-        return Growth(float(max(self.effective_len, 1)))
 
     def log_threshold_growth(self) -> Growth:
         return Growth(math.log(self.effective_len) if self.effective_len >= 2 else 0.0)
@@ -640,11 +630,6 @@ class EventuallyZero(_TableFamily):
             _validate_table(pref, allow_inf=False)
         object.__setattr__(self, "prefix", pref)
         object.__setattr__(self, "_table", pref)
-
-    def threshold_growth(self) -> Growth:
-        # j_star = 1 means gamma_1 = 0, which the classifier answers as the
-        # trivial problem before it asks for any growth.
-        return Growth(float(self.j_star - 1))
 
 
 def _validate_table(values: tuple, *, allow_inf: bool) -> None:
@@ -708,9 +693,6 @@ class _SeqView:
     @property
     def limit_zero(self) -> bool:
         return self.family.limit_zero
-
-    def ratio_class(self, s: float) -> RatioClass:
-        return self.family.ratio_class(s)
 
     def descriptor(self) -> dict:
         return self.family.descriptor()

@@ -273,7 +273,7 @@ def divergence_check(seq, s: float, jgrid=DEFAULT_J_GRID) -> DivergenceResult:
         lv = seq.log_inv(int(j))
         ratio = math.inf if math.isinf(lv) else lv**s / math.log(j)
         probes.append((float(j), ratio))
-    rc = seq.ratio_class(s)
+    rc = seq.family.ratio_class(s)
     return DivergenceResult(rc.kind, rc.limit, "analytic", _limit_estimate(probes))
 
 
@@ -505,7 +505,6 @@ def _classify_weak(lam, gam, notion, policy) -> Verdict:
         res = divergence_check(seq, expo, policy.j_grid)
         ev.append(Diagnostic(name, res))
         required.append(res)
-        return res
 
     if s == 1.0 and t == 1.0:
         ev.append(Diagnostic("limit_gamma_zero", gam.limit_zero))
@@ -540,13 +539,9 @@ def _classify_weak(lam, gam, notion, policy) -> Verdict:
 
 
 def _classify_weak_boundary(lam, gam, notion, ev) -> Verdict:
-    """s < 1, t = 1: the ratio must diverge along every admissible (d, k, j) net.
-
-    ``classify`` has already answered gamma_1 = 0 as the trivial problem, so
-    G(1) is finite here.
-    """
+    """s < 1, t = 1: the ratio must diverge along every admissible (d, k, j) net."""
     s = notion.s
-    g1 = gam.G(1)
+    g1 = gam.G(1)  # finite: classify answers gamma_1 = 0 as the trivial problem
     triples = []
     for d in DEFAULT_NET_D:
         triples.append((d, 1, 2))            # d grows, k and j fixed

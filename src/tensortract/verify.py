@@ -155,7 +155,7 @@ def check_summability_equivalence(seq, c_list, J: int = 1 << 17) -> AuditReport:
     A divergent log-ratio class means the sum converges for every exponent; a
     bounded class with limit ell splits convergence at c = 1/ell.
     """
-    rc = seq.ratio_class(1.0)
+    rc = seq.family.ratio_class(1.0)
     cs = tuple(c_list)
     checks = []
     for c, res in zip(cs, _power_sums(seq, cs, J)):
