@@ -95,7 +95,7 @@ def _max_index_below(eval_at, family, budget: float, cap: int) -> int | None:
     """max{j >= 1 : eval_at(j) < budget}; 0 when none; None when unresolvable.
 
     Uses a galloping search with bisection, then past ``cap`` the family's
-    closed-form hint refined to exactness.
+    threshold hint refined to exactness.
     """
     if not (eval_at(1) < budget):
         return 0
@@ -143,9 +143,8 @@ def j_of_eps(seq: EigenSeq, E: float, *, cap: int | None = None) -> int:
     """Largest index whose eigenvalue exceeds eps**2, i.e. max{j : L(j) < 2E}.
 
     A caller-supplied cap bounds the galloping search only: the family's
-    threshold hint (a closed form, or a table bisection) still resolves an
-    index past it.  When neither
-    resolves the index, the result is the cap instead of a NonCompact error.
+    threshold hint still resolves an index past it.  When the hint does not,
+    the result is the cap instead of a NonCompact error.
     """
     return _threshold_index(seq.family, E, cap, "eigenvalue")
 

@@ -59,7 +59,13 @@ def _positive_param(name: str, value) -> float:
 
 
 def _table_entries(name: str, values) -> tuple:
-    """The entries of a table or prefix as floats, each through ``_as_float``."""
+    """Entries as floats under ``_as_float``'s checks, in one map when all are numbers."""
+    values = tuple(values)
+    if bool not in map(type, values):
+        try:
+            return tuple(map(float, values))
+        except (TypeError, ValueError):
+            pass
     return tuple(_as_float(f"{name} entry", v) for v in values)
 
 
@@ -200,9 +206,6 @@ class _FamilyBase:
     limit_zero: ClassVar[bool] = True      # x_j -> 0
     all_ones: ClassVar[bool] = False       # x_j == 1 for every j
     compact: ClassVar[bool] = True         # threshold searches terminate
-
-    def log_inv(self, j: int) -> float:
-        raise NotImplementedError
 
     def summable(self, c: float) -> bool:
         """Whether sum_j x_j**c converges."""
@@ -543,8 +546,8 @@ class _TableFamily(_FamilyBase):
     """A finite non-decreasing table ``_table`` of log(1/x_j); x_j = 0 past its end.
 
     The zero tail makes the family compact and summable, and its threshold
-    hint is the exact index, found by bisection.  Subclasses set ``_table`` from their
-    own field in ``__post_init__``.
+    hint, a bisection, is the exact index.  Subclasses set ``_table`` from
+    their own field in ``__post_init__``.
     """
 
     _table: tuple
