@@ -103,7 +103,8 @@ def _number(cast, value, what: str):
 
 def _numbers(cast, value, what: str, item: str) -> list:
     """[cast(v) for v in value]; a value that is not a list is a config error."""
-    _require(isinstance(value, (list, tuple)), f"{what} must be a list, got {value!r}")
+    if not isinstance(value, (list, tuple)):  # the message reprs value: build it only here
+        raise ConfigError(f"{what} must be a list, got {value!r}")
     return [_number(cast, v, item) for v in value]
 
 

@@ -18,9 +18,7 @@ import numpy as np
 from .complexity import d_of_eps, j_of_eps
 from .errors import DivergentTail, NonCompact, UnsupportedNotion
 from .seqcore import (
-    SUPER_POLYNOMIAL,
     EigenSeq,
-    Growth,
     LOG_BUDGET,
     SuperPolynomial,
     WeightSeq,
