@@ -89,11 +89,11 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _number(cast, value, what: str):
-    """cast(value); a boolean, a value that does not convert, or a fraction cast to int,
-    is a config error."""
+    """cast(value); a boolean, a string, a value that does not convert, or a fraction
+    cast to int, is a config error."""
     try:
-        if isinstance(value, bool) or (cast is int and isinstance(value, float)
-                                       and not value.is_integer()):
+        if isinstance(value, (bool, str)) or (cast is int and isinstance(value, float)
+                                              and not value.is_integer()):
             raise ValueError(value)
         return cast(value)
     except (TypeError, ValueError, OverflowError):
@@ -159,6 +159,9 @@ def _parse_notion(desc) -> Notion:
     raise ConfigError(f"unknown notion kind {desc['kind']!r}")
 
 
+_AUDIT_SUITES = ("oracle", "sandwich", "summability", "power_sum")
+
+
 def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
     p = Path(path)
     try:
@@ -222,8 +225,18 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
 
     audit = raw.get("audit", {})
     _require(isinstance(audit, dict), "audit section must be an object")
-    c_list = audit.get("c_list", [2.0, 1.0, 0.5, 0.1])
-    audit = {**audit, "c_list": _numbers(float, c_list, "audit c_list", "audit c")}
+    suites = audit.get("suites", list(_AUDIT_SUITES))
+    _require(isinstance(suites, list), f"audit suites must be a list, got {suites!r}")
+    for s in suites:
+        _require(s in _AUDIT_SUITES, f"unknown audit suite {s!r}")
+    audit = {
+        "suites": suites,
+        "instances": _number(int, audit.get("instances", 200), "audit instances"),
+        "seed": _number(int, audit.get("seed", overrides.seed), "audit seed"),
+        "power_sum_draws": _number(int, audit.get("power_sum_draws", 1000), "power_sum_draws"),
+        "c_list": _numbers(float, audit.get("c_list", [2.0, 1.0, 0.5, 0.1]),
+                           "audit c_list", "audit c"),
+    }
     _require(all(math.isfinite(c) and c > 0.0 for c in audit["c_list"]),
              "audit c values must be positive and finite")
 
@@ -313,16 +326,11 @@ def run_classify(cfg: RunConfig) -> dict:
     }
 
 
-_AUDIT_SUITES = ("oracle", "sandwich", "summability", "power_sum")
-
-
-def run_audit(cfg: RunConfig, seed: int) -> tuple:
+def run_audit(cfg: RunConfig) -> tuple:
     """The AUDIT_COLUMNS of the report over the requested suites; returns (columns,
     all_passed)."""
-    suites = cfg.audit.get("suites", list(_AUDIT_SUITES))
-    _require(isinstance(suites, list), f"audit suites must be a list, got {suites!r}")
-    for s in suites:
-        _require(s in _AUDIT_SUITES, f"unknown audit suite {s!r}")
+    audit = cfg.audit
+    suites = audit["suites"]
     rows = []
 
     def emit(suite: str, report):
@@ -331,9 +339,7 @@ def run_audit(cfg: RunConfig, seed: int) -> tuple:
 
     if "oracle" in suites:
         emit("oracle", oracle_equivalence_suite(
-            instances=_number(int, cfg.audit.get("instances", 200), "audit instances"),
-            seed=_number(int, cfg.audit.get("seed", seed), "audit seed"),
-            node_budget=cfg.node_budget))
+            instances=audit["instances"], seed=audit["seed"], node_budget=cfg.node_budget))
     if "sandwich" in suites:
         for pair in GOLDEN_PAIRS:
             for E in pair.audit_E:
@@ -351,13 +357,11 @@ def run_audit(cfg: RunConfig, seed: int) -> tuple:
         families = (EigenSeq(PowerLaw(1.0)), EigenSeq(PowerLaw(2.0)),
                     EigenSeq(LogPower(2.0)), EigenSeq(ExpPower(1.0, 1.0)))
         for seq in families:
-            emit("summability", check_summability_equivalence(seq, cfg.audit["c_list"]))
+            emit("summability", check_summability_equivalence(seq, audit["c_list"]))
         pair = iterated_log_pair()
         emit("summability", check_summability_equivalence(pair.lam, (2.0, 1.0)))
     if "power_sum" in suites:
-        emit("power_sum", power_sum_suite(
-            draws=_number(int, cfg.audit.get("power_sum_draws", 1000), "power_sum_draws"),
-            seed=_number(int, cfg.audit.get("seed", seed), "audit seed")))
+        emit("power_sum", power_sum_suite(draws=audit["power_sum_draws"], seed=audit["seed"]))
     cols = _columns(AUDIT_COLUMNS, rows)
     return cols, all(cols["passed"])
 
@@ -467,7 +471,7 @@ def main(argv=None) -> int:
             _emit(_dump_json(run_classify(cfg)) + "\n", cfg.out_path)
             return EXIT_OK
         if command == "audit":
-            cols, ok = run_audit(cfg, seed=args.seed)
+            cols, ok = run_audit(cfg)
             head = {"schema": SCHEMA_VERSION, "command": "audit"}
             _emit(_write_rows(cols, cfg.out_format, head, passed=ok), cfg.out_path)
             return EXIT_OK if ok else EXIT_AUDIT

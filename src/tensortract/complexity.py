@@ -229,24 +229,15 @@ def _thresholds(w: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 
 def _fits(costs: np.ndarray, w: np.ndarray, bound: float) -> np.ndarray:
-    """Per cost c, the number of ascending w_j with c + w_j < bound.
+    """Per cost c >= 0, the number of ascending w_j with c + w_j < bound.
 
-    ``searchsorted`` on bound - c estimates the count; the estimate is moved
-    one level at a time until the exact predicate holds on its last level
-    and fails on the next.  Rounding makes it wrong only for levels within a
-    few ulp of bound - c, so the fix-ups rarely run.
+    c + w_j < bound exactly when c lies below the threshold t_j of w_j
+    (``_thresholds``), and the thresholds do not increase as w_j grows; so
+    the count is the number of thresholds above c.
     """
-    n = np.searchsorted(w, bound - costs)
-    wx = np.append(w, math.inf)  # level len(w) never fits
-    todo = np.flatnonzero(costs + wx[n] < bound)
-    while todo.size:
-        n[todo] += 1
-        todo = todo[costs[todo] + wx[n[todo]] < bound]
-    todo = np.flatnonzero((n > 0) & ~(costs + wx[n - 1] < bound))
-    while todo.size:
-        n[todo] -= 1
-        todo = todo[(n[todo] > 0) & ~(costs[todo] + wx[n[todo] - 1] < bound)]
-    return n
+    w = w[:np.searchsorted(w, bound)]
+    t = _thresholds(w, np.full(len(w), bound))[::-1]
+    return len(t) - np.searchsorted(t, costs, side="right")
 
 
 def _extend_head_array(head: np.ndarray, g: float, reach_next: float, levels: np.ndarray,
@@ -406,7 +397,8 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list:
     is infinite or, once K costs are kept, exceeds the K-th of them; weights
     only grow, so no later coordinate can add a tuple or a tie.  Cost ties
     are emitted in full, so the result may exceed K entries; with fewer than
-    K positive eigenvalues it is padded with +inf costs to K.
+    K positive eigenvalues it is padded with +inf costs to K.  A fold that
+    overflows to +inf is a zero eigenvalue, so it pads and is never a tie.
     """
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
@@ -438,14 +430,16 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list:
             jw = (K + i) // (i + 1) - 1
             fit = jw < len(w)
             u = float(np.min(costs[fit] + w[jw[fit]], initial=math.inf))
-            # Per level, the costs with cost + w <= u form a prefix; a bound
-            # 2 ulp(u) wide finds a superset of it, filtered exactly below.
-            n = np.searchsorted(costs, (u - w) + 2.0 * math.ulp(u), side="right")
+            # cost + w <= u means cost + w is below the double after u, so
+            # per level the costs kept are those below w's threshold against
+            # that double; for u = inf, those whose sum stays finite.
+            w = w[w <= u]
+            next_u = math.nextafter(u, math.inf)
+            n = np.searchsorted(costs, _thresholds(w, np.full(len(w), next_u)))
             total = int(n.sum())
             if total > cap:
                 raise BudgetExceeded(over.format(total, k))
             cand = costs[np.arange(total) - np.repeat(np.cumsum(n) - n, n)] + np.repeat(w, n)
-            cand = cand[cand <= u]
             if len(cand) > K:
                 cand = cand[cand <= np.partition(cand, K - 1)[K - 1]]
             costs = np.sort(cand)

@@ -42,9 +42,10 @@ def _sat_pow(x: float, b: float) -> float:
 
 
 def _as_float(name: str, value, kind: str = "a number") -> float:
-    """float(value); a boolean, or a value that float rejects, is a SequenceError."""
+    """float(value); a boolean, a string other than "inf" (the reports' spelling
+    of an infinite entry), or a value that float rejects, is a SequenceError."""
     try:
-        if isinstance(value, bool):
+        if isinstance(value, bool) or (isinstance(value, str) and value != "inf"):
             raise TypeError(value)
         return float(value)
     except (TypeError, ValueError):
@@ -59,9 +60,12 @@ def _positive_param(name: str, value) -> float:
 
 
 def _table_entries(name: str, values) -> tuple:
-    """Entries as floats under ``_as_float``'s checks, in one map when all are numbers."""
-    values = tuple(values)
-    if bool not in map(type, values):
+    """Entries of a list or tuple as floats under ``_as_float``'s checks, in one
+    map when none is a boolean or a string."""
+    if not isinstance(values, (list, tuple)):
+        raise SequenceError(f"{name} must be a list of numbers, got {values!r}")
+    kinds = set(map(type, values))
+    if bool not in kinds and str not in kinds:
         try:
             return tuple(map(float, values))
         except (TypeError, ValueError):

@@ -275,33 +275,36 @@ def divergence_check(seq, s: float, jgrid=DEFAULT_J_GRID) -> DivergenceResult:
     return DivergenceResult(rc.kind, rc.limit, "analytic", _limit_estimate(probes))
 
 
-def _power_sums(seq, cs, J: int) -> list:
-    """summability(seq, c, J) for each c in cs, None where the family certifies
-    divergence; all exponents sum over one table of the scalar log_inv."""
+def _check_power_sum(cs, J) -> None:
     for c in cs:
         if not (c > 0.0 and math.isfinite(c)):
             raise ValueError(f"c must be positive and finite, got {c!r}")
     if isinstance(J, bool) or not isinstance(J, int) or J < 2:
         raise ValueError(f"J must be an integer >= 2, got {J!r}")
+
+
+def _power_sums(seq, cs, J: int) -> list:
+    """summability(seq, c, J) for each c in cs, divergent exponents included;
+    all exponents sum over one table of the scalar log_inv."""
+    _check_power_sum(cs, J)
     fam = seq.family
-    convergent = [fam.summable(c) for c in cs]
-    if not any(convergent):
-        return [None] * len(convergent)
     ls = np.fromiter(map(fam.log_inv, range(1, J + 1)), float, J)
     with np.errstate(over="ignore"):
         return [SummabilityResult(float(np.exp(-c * ls).sum()), fam.tail_bound(c, J), J)
-                if ok else None for c, ok in zip(cs, convergent)]
+                for c in cs]
 
 
 def summability(seq, c: float, J: int) -> SummabilityResult:
     """Truncated power sum sum_{j<=J} x_j**c with a rigorous tail bound when
     the family admits one (None marks an unknown tail).
 
-    Raises DivergentTail when the family certifies divergence of the series.
+    Raises DivergentTail when the family certifies divergence of the series,
+    before any table is built.
     """
-    res, = _power_sums(seq, (c,), J)
-    if res is None:
+    _check_power_sum((c,), J)
+    if not seq.family.summable(c):
         raise DivergentTail(f"sum of x_j**{c} diverges for this family")
+    res, = _power_sums(seq, (c,), J)
     return res
 
 

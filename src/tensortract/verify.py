@@ -153,28 +153,18 @@ def check_summability_equivalence(seq, c_list, J: int = 1 << 17) -> AuditReport:
     """Cross-check power-sum convergence against the analytic log-ratio class.
 
     A divergent log-ratio class means the sum converges for every exponent; a
-    bounded class with limit ell splits convergence at c = 1/ell.
+    bounded class with limit ell splits convergence at c = 1/ell.  Every
+    exponent is summed, and a tail bound on the computed sum reads convergent.
     """
     rc = seq.family.ratio_class(1.0)
     cs = tuple(c_list)
     checks = []
     for c, res in zip(cs, _power_sums(seq, cs, J)):
-        expected = seq.family.summable(c)
-        if res is None:
-            got_convergent = False
-            detail = "divergent"
-        else:
-            got_convergent = res.tail_bound is not None
-            detail = f"partial={res.value:.6g} tail_bound={res.tail_bound!r}"
-        if expected:
-            passed = got_convergent
-            note = f"class={rc.kind}({rc.limit:g}); expected convergent; {detail}"
-        else:
-            passed = not got_convergent
-            note = f"class={rc.kind}({rc.limit:g}); expected divergent; {detail}"
-        checks.append(AuditCheck(f"summability[c={c:g}]", passed,
-                                 "convergent" if got_convergent else "divergent",
-                                 "convergent" if expected else "divergent", note))
+        got = "convergent" if res.tail_bound is not None else "divergent"
+        expected = "convergent" if seq.family.summable(c) else "divergent"
+        note = (f"class={rc.kind}({rc.limit:g}); expected {expected}; "
+                f"partial={res.value:.6g} tail_bound={res.tail_bound!r}")
+        checks.append(AuditCheck(f"summability[c={c:g}]", got == expected, got, expected, note))
     return AuditReport(f"family={seq.descriptor()!r}", tuple(checks))
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from tensortract import EigenSeq, Query, WeightSeq, cli, family_from_descriptor, info_complexity
 from tensortract.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _cell, _dump_json, _write_rows, main
+from tensortract.verify import AuditReport
 
 LN2 = math.log(2.0)
 
@@ -48,6 +49,15 @@ CONFIG_ERRORS = [
     ("table-entry-str", {"lambda": {"family": "tabulated", "values": ["a"]}}),
     ("table-entry-bool", {"lambda": {"family": "tabulated", "values": [True, 2]}}),
     ("prefix-entry-bool", {"gamma": {"family": "eventually_zero", "j_star": 2, "prefix": [True]}}),
+    # Strings are not numbers, even when float parses them; a table entry
+    # "inf", the reports' spelling of an infinite cost, is the one exception.
+    ("E-str", {"queries": {"E": ["1.0"], "d": [1]}}),
+    ("d-str", {"queries": {"E": [1.0], "d": ["2"]}}),
+    ("param-str", {"lambda": {"family": "power_law", "a": "2"}}),
+    ("table-entries-str", {"lambda": {"family": "tabulated", "values": ["0", "1.5"]}}),
+    ("table-str", {"lambda": {"family": "tabulated", "values": "123"}}),
+    # Audit settings are parsed with the rest of the config, before any suite runs.
+    ("audit-draws", {"audit": {"suites": ["sandwich", "power_sum"], "power_sum_draws": 2.5}}),
 ]
 
 
@@ -242,6 +252,29 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "b.json", dyadic_config(**extra))
         assert main(["count", "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_audit_settings_checked_before_any_suite(self, tmp_path, capsys, monkeypatch):
+        def no_auditing(*args, **kwargs):
+            raise AssertionError("audited before the audit settings were checked")
+
+        monkeypatch.setattr(cli, "check_count_sandwich", no_auditing)
+        cfg = write_config(tmp_path, "b.json", dyadic_config(
+            audit={"suites": ["sandwich", "power_sum"], "power_sum_draws": 2.5}))
+        assert main(["audit", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "power_sum_draws must be an integer" in err
+
+    @pytest.mark.parametrize("audit, argv, seed", [
+        ({}, [], 0), ({}, ["--seed", "7"], 7), ({"seed": 5}, ["--seed", "7"], 5)],
+        ids=["default", "flag", "config-over-flag"])
+    def test_audit_seed_precedence(self, tmp_path, monkeypatch, audit, argv, seed):
+        seen = []
+        monkeypatch.setattr(cli, "power_sum_suite",
+                            lambda draws, seed: seen.append(seed) or AuditReport("x", ()))
+        cfg = write_config(tmp_path, "b.json", dyadic_config(
+            audit={"suites": ["power_sum"], **audit}))
+        assert main(["audit", "--config", cfg, "--out", str(tmp_path / "a.csv"), *argv]) == EXIT_OK
+        assert seen == [seed]
 
     @pytest.mark.parametrize("budget", ["-3", "0"])
     def test_nonpositive_node_budget_flag_rejected(self, tmp_path, capsys, budget):

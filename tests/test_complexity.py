@@ -484,6 +484,14 @@ class TestSpectrum:
         costs = top_eigenvalues(lam, gam, 1, 4)
         assert [math.isinf(c) for c in costs] == [False, False, True, True]
 
+    def test_saturated_costs_pad_to_k(self):
+        # Two levels of 1e308 sum to inf: a zero eigenvalue, so it pads the
+        # list to K entries instead of forming a tie class of inf costs.
+        lam = EigenSeq(Tabulated((0.0, 1e308)))
+        gam = WeightSeq(Tabulated((0.0, 0.0, 0.0)))
+        costs = [float(c) for c in top_eigenvalues(lam, gam, 3, 5)]
+        assert costs == [0.0, 1e308, 1e308, 1e308, math.inf]
+
     def test_nth_minimal_error_examples(self):
         assert float(nth_minimal_error(DYADIC, ONES, 2, 0)) == 0.0
         assert float(nth_minimal_error(DYADIC, ONES, 2, 1)) == 0.5 * LN2

@@ -221,13 +221,15 @@ def test_top_closed_forms_match_reference(fam, wfam, K, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(scale=st.sampled_from([1.0, 0.5, 0.125, 2.0 ** -10]),
+@given(scale=st.sampled_from([1.0, 0.5, 0.125, 2.0 ** -10, 0.1]),
        levels=st.lists(st.integers(1, 8), min_size=1, max_size=9),
        weights=st.lists(st.integers(0, 4), min_size=1, max_size=7),
        lam_inf=st.booleans(), gam_inf=st.booleans(),
        K=st.integers(1, 300), data=st.data())
 def test_top_tables_match_reference(scale, levels, weights, lam_inf, gam_inf, K, data):
-    """Integer and dyadic tables give exact ties; tables ending in inf give zero eigenvalues."""
+    """Integer and dyadic tables give exact ties; decimal tables (multiples of 0.1)
+    give sums that round (0.1 + 0.2 > 0.3), so fold costs land a few ulp from
+    the K-th; tables ending in inf give zero eigenvalues."""
     lam = EigenSeq(Tabulated((0.0,) + tuple(scale * v for v in sorted(levels))
                              + (math.inf,) * lam_inf))
     gam = WeightSeq(Tabulated(tuple(scale * v for v in sorted(weights)) + (math.inf,) * gam_inf))

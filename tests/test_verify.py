@@ -24,6 +24,7 @@ from tensortract import (
     power_sum_suite,
 )
 from tensortract.goldens import GOLDEN_PAIRS
+from tensortract.seqcore import RatioClass
 from tensortract.verify import power_sum_bounds_ok
 
 LN2 = math.log(2.0)
@@ -135,6 +136,19 @@ class TestSummabilityEquivalence:
         report = check_summability_equivalence(EigenSeq(LogPower(2.0)), (2.0, 1.0, 0.5, 0.1), J)
         assert report.passed
         assert J <= len(calls) < J + 100  # not J per exponent
+
+    def test_divergent_claim_checked_against_the_sum(self):
+        # A class that wrongly claims divergence for every exponent: the
+        # c = 2 sum has a tail bound, so the audit must fail there.
+        class ClaimsDivergent(PowerLaw):
+            def ratio_class(self, s):
+                return RatioClass("bounded", 0.0)
+
+        report = check_summability_equivalence(EigenSeq(ClaimsDivergent(1.0)), (2.0, 0.5))
+        rows = {c.name: c for c in report.checks}
+        assert rows["summability[c=2]"].lhs == "convergent" and not rows["summability[c=2]"].passed
+        assert rows["summability[c=0.5]"].passed
+        assert not report.passed
 
     def test_split_point_matches_exponent(self):
         # a = 2: convergent for c = 1 (> 1/2), divergent for c = 0.4 (< 1/2)
