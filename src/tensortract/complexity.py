@@ -19,7 +19,9 @@ from .errors import BudgetExceeded, NonCompact
 from .seqcore import EigenSeq, ExtLogMag, WeightSeq
 
 DEFAULT_NODE_BUDGET = 10**8
-_SEARCH_CAP = 2**62
+#: The largest integer that converts to a float: a threshold index past it
+#: cannot be resolved.
+_INDEX_LIMIT = int(sys.float_info.max)
 #: Head entries whose Python cost matches the fixed numpy cost of one tail
 #: step (about 60 us, against 0.2-0.3 us per head entry).
 _TAIL_STEP_ENTRIES = 256
@@ -76,26 +78,11 @@ def _last_below(f, budget: float, lo: int, hi: int) -> int:
     return lo
 
 
-def _adjust_candidate(eval_at, budget: float, cand: int) -> int | None:
-    """Turn a closed-form candidate into the exact strict threshold index.
+def _max_index_below(eval_at, budget: float, cap: int) -> int | None:
+    """max{j >= 1 : eval_at(j) < budget}, for eval_at non-decreasing; 0 when none.
 
-    Brackets the candidate multiplicatively (float hints can be off by many
-    integers at astronomical scales) and bisects with the exact predicate.
-    """
-    cand = max(1, cand)
-    for slack in (1e-12, 1e-9, 1e-6, 1e-3, 0.5):
-        lo = max(1, int(cand * (1.0 - slack)) - 2)
-        hi = int(cand * (1.0 + slack)) + 2
-        if eval_at(lo) < budget and not (eval_at(hi) < budget):
-            return _last_below(eval_at, budget, lo, hi)
-    return None
-
-
-def _max_index_below(eval_at, family, budget: float, cap: int) -> int | None:
-    """max{j >= 1 : eval_at(j) < budget}; 0 when none; None when unresolvable.
-
-    Uses a galloping search with bisection, then past ``cap`` the family's
-    threshold hint refined to exactness.
+    Gallops by doubling j until eval_at reaches the budget, then bisects;
+    None once the gallop passes ``cap``.
     """
     if not (eval_at(1) < budget):
         return 0
@@ -103,18 +90,13 @@ def _max_index_below(eval_at, family, budget: float, cap: int) -> int | None:
     while eval_at(hi) < budget:
         lo, hi = hi, hi * 2
         if lo > cap:
-            if family is None:
-                return None
-            hint = family.threshold_hint(budget)
-            if hint is None:
-                return None
-            return _adjust_candidate(eval_at, budget, hint)
+            return None
     return _last_below(eval_at, budget, lo, hi)
 
 
 def _level_table(L, g1: float, B: float, cap: int, too_long: str) -> list:
     """[L(2), ..., L(J)] for J = max{j : g1 + L(j) < B}; J past ``cap`` raises ``too_long``."""
-    J = _max_index_below(lambda j: g1 + L(j), None, B, cap)
+    J = _max_index_below(lambda j: g1 + L(j), B, cap)
     if J is None:
         raise BudgetExceeded(too_long)
     return list(map(L, range(2, J + 1)))
@@ -123,17 +105,19 @@ def _level_table(L, g1: float, B: float, cap: int, too_long: str) -> list:
 def _threshold_index(fam, E: float, cap: int | None, noun: str) -> int:
     """max{j : fam.log_inv(j) < 2E}, or ``cap`` when that is unresolvable.
 
+    The index is resolved, by ``_max_index_below`` on ``log_inv`` alone, when
+    the family decays and log_inv(_INDEX_LIMIT) reaches 2E.  The check comes
+    first because log_inv saturates to inf once j itself overflows a float
+    (ExpPower with beta < 1), which would stop the search at the float range.
     Without a cap an unresolvable index raises NonCompact, naming ``noun``.
     """
     budget = 2.0 * _check_threshold(E)
     if not fam.compact:
         reason = f"{noun}s do not decay to zero; supply a search cap"
+    elif fam.log_inv(_INDEX_LIMIT) >= budget:
+        return _max_index_below(fam.log_inv, budget, _INDEX_LIMIT)
     else:
-        res = _max_index_below(fam.log_inv, fam, budget, cap if cap is not None else _SEARCH_CAP)
-        if res is not None:
-            return res
-        reason = (f"{noun} threshold could not be resolved within the search cap "
-                  "(no closed form, or the index exceeds the representable range)")
+        reason = f"{noun} threshold could not be resolved: the index exceeds the float range"
     if cap is None:
         raise NonCompact(reason)
     return cap
@@ -142,15 +126,21 @@ def _threshold_index(fam, E: float, cap: int | None, noun: str) -> int:
 def j_of_eps(seq: EigenSeq, E: float, *, cap: int | None = None) -> int:
     """Largest index whose eigenvalue exceeds eps**2, i.e. max{j : L(j) < 2E}.
 
-    A caller-supplied cap bounds the galloping search only: the family's
-    threshold hint still resolves an index past it.  When the hint does not,
-    the result is the cap instead of a NonCompact error.
+    The index comes from the family's ``log_inv`` alone, by a galloping
+    search and bisection, so a resolved index never depends on ``cap``.
+    ``cap`` is the value returned, instead of a NonCompact error, when the
+    index cannot be resolved: the eigenvalues do not decay, or the index
+    exceeds the float range.
     """
     return _threshold_index(seq.family, E, cap, "eigenvalue")
 
 
 def d_of_eps(seq: WeightSeq, E: float, *, cap: int | None = None) -> int:
-    """Largest index whose weight exceeds eps**2; 0 when already gamma_1 <= eps**2."""
+    """Largest index whose weight exceeds eps**2; 0 when already gamma_1 <= eps**2.
+
+    Resolved as in ``j_of_eps``; ``cap`` is returned instead of NonCompact
+    when the weights do not decay or the index exceeds the float range.
+    """
     return _threshold_index(seq.family, E, cap, "weight")
 
 
@@ -199,32 +189,33 @@ def _extend_head(head, g: float, reach_next: float, Ltab: list, B: float, room: 
 
 
 def _thresholds(w: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Smallest double p >= 0 with ``p + w >= tau``, elementwise, for 0 <= w < tau.
+    """Smallest double p >= 0 with ``p + w >= tau``, elementwise, for w >= 0.
 
     Under round-to-nearest, p + w reaches tau once the exact sum passes the
     midpoint tau - h between tau and the double below it, h being half their
     gap; for tau = inf the midpoint is the one above MAX, MAX + 2**970.  So
-    the estimate is (tau - w) - h, and it lies within a few ulp of the
-    answer: tau - w is at least the gap 2h, so the answer is at least half of
-    it, and each of the two roundings moves the estimate by at most one ulp
-    of the answer.  The estimate then moves one double at a time, up while
-    the predicate fails and down while the double below also satisfies it,
-    so the result is exact.  p + w is monotone in p, and the double below 0
-    is taken as 0, which fails the predicate since w < tau.
+    the estimate is (tau - w) - h, clamped at 0.  Where w < tau it lies
+    within a few ulp of the answer: tau - w is at least the gap 2h, so the
+    answer is at least half of it, and each of the two roundings moves the
+    estimate by at most one ulp of the answer.  The estimate then moves one
+    double at a time, up while the predicate fails and down, never below 0,
+    while the double below also satisfies it, so the result is exact.  p + w
+    is monotone in p.  Where w >= tau the answer is 0.
     """
     # inf - inf where tau is inf, replaced below; sums past MAX round to inf.
     with np.errstate(over="ignore", invalid="ignore"):
         p = (tau - w) - 0.5 * (tau - np.nextafter(tau, 0.0))
         big = np.flatnonzero(tau == math.inf)
         p[big] = (sys.float_info.max - w[big]) + 2.0**970
+        np.maximum(p, 0.0, out=p)
         todo = np.flatnonzero(p + w < tau)
         while todo.size:
             p[todo] = np.nextafter(p[todo], math.inf)
             todo = todo[p[todo] + w[todo] < tau[todo]]
-        todo = np.flatnonzero(np.nextafter(p, 0.0) + w >= tau)
+        todo = np.flatnonzero((p > 0.0) & (np.nextafter(p, 0.0) + w >= tau))
         while todo.size:
             p[todo] = np.nextafter(p[todo], 0.0)
-            todo = todo[np.nextafter(p[todo], 0.0) + w[todo] >= tau[todo]]
+            todo = todo[(p[todo] > 0.0) & (np.nextafter(p[todo], 0.0) + w[todo] >= tau[todo])]
     return p
 
 

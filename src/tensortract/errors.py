@@ -15,7 +15,7 @@ class SequenceError(TensorTractError, ValueError):
 
 class NonCompact(TensorTractError):
     """A threshold search could not be resolved: the sequence does not decay
-    to zero, or the threshold index lies beyond the representable range."""
+    to zero, or the threshold index exceeds the float range."""
 
 
 class BudgetExceeded(TensorTractError):

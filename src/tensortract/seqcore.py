@@ -10,8 +10,6 @@ the counting and classification layers.
 from __future__ import annotations
 
 import math
-import sys
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import ClassVar
@@ -20,23 +18,10 @@ import numpy as np
 
 from .errors import InvalidIndex, SequenceError
 
-_LOG_MAX = math.log(sys.float_info.max)  # ~709.78; exp beyond this saturates
-
-
 def _sat_exp(x: float) -> float:
     """exp with overflow saturated to +inf."""
     try:
         return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _sat_pow(x: float, b: float) -> float:
-    """x**b for x >= 1, b > 0, saturated to +inf."""
-    if math.isinf(x):
-        return math.inf
-    try:
-        return math.pow(x, b)
     except OverflowError:
         return math.inf
 
@@ -201,9 +186,10 @@ SUPER_POLYNOMIAL = SuperPolynomial()
 class _FamilyBase:
     """Shared defaults for sequence families.
 
-    Every family defines ``log_inv`` and ``ratio_class``; a ``compact`` one
-    defines ``threshold_hint``, one that can serve as eigenvalues
-    ``log_threshold_growth``, and one with ``limit_zero`` ``threshold_growth``.
+    Every family defines ``log_inv`` and ``ratio_class``; one that can serve
+    as eigenvalues defines ``log_threshold_growth``, and one with
+    ``limit_zero`` ``threshold_growth``.  Threshold indices are searched on
+    ``log_inv`` alone, so no family carries an inverse of it.
     """
 
     name: ClassVar[str]
@@ -276,12 +262,6 @@ class PowerLaw(_FamilyBase):
     def log_inv(self, j: int) -> float:
         return self.a * math.log(j)
 
-    def threshold_hint(self, budget: float) -> int | None:
-        x = budget / self.a
-        if x >= _LOG_MAX:
-            return None
-        return max(1, int(math.exp(x)))
-
     def threshold_growth(self) -> Growth:
         return Growth(1.0, e=1.0 / self.a)
 
@@ -318,13 +298,6 @@ class ExpPower(_FamilyBase):
             return self.alpha * (math.pow(j, self.beta) - 1.0)
         except OverflowError:
             return math.inf
-
-    def threshold_hint(self, budget: float) -> int | None:
-        x = budget / self.alpha + 1.0
-        cand = _sat_pow(x, 1.0 / self.beta)
-        if math.isinf(cand):
-            return None
-        return max(1, int(cand))
 
     def threshold_growth(self) -> Growth:
         return Growth(math.pow(self.alpha, -1.0 / self.beta), p=1.0 / self.beta)
@@ -372,18 +345,6 @@ class DoubleExpPower(_FamilyBase):
         except OverflowError:
             return math.inf
 
-    def threshold_hint(self, budget: float) -> int | None:
-        base = _sat_exp(self.alpha)
-        if math.isinf(base):
-            return 1
-        y = budget + base
-        if math.isinf(y):
-            return None
-        cand = _sat_pow(math.log(y) / self.alpha, 1.0 / self.beta)
-        if math.isinf(cand):
-            return None
-        return max(1, int(cand))
-
     def threshold_growth(self) -> Growth:
         return Growth(math.pow(self.alpha, -1.0 / self.beta), q=1.0 / self.beta)
 
@@ -414,15 +375,6 @@ class TripleExp(_FamilyBase):
             return math.exp(math.exp(self.alpha * j)) - math.exp(math.exp(self.alpha))
         except OverflowError:
             return math.inf
-
-    def threshold_hint(self, budget: float) -> int | None:
-        base = _sat_exp(_sat_exp(self.alpha))
-        if math.isinf(base):
-            return 1
-        y = budget + base
-        if math.isinf(y):
-            return None
-        return max(1, int(math.log(math.log(y)) / self.alpha))
 
     def threshold_growth(self) -> Growth:
         return Growth(1.0 / self.alpha, r=1.0)
@@ -457,12 +409,6 @@ class LogPower(_FamilyBase):
             return math.pow(math.log(j), self.beta)
         except OverflowError:
             return math.inf
-
-    def threshold_hint(self, budget: float) -> int | None:
-        x = _sat_pow(budget, 1.0 / self.beta)
-        if x >= _LOG_MAX:
-            return None
-        return max(1, int(math.exp(x)))
 
     def threshold_growth(self):
         return SUPER_POLYNOMIAL
@@ -513,24 +459,6 @@ class IterLog(_FamilyBase):
         lj = math.log(j)
         return math.log(lj) * lj
 
-    def threshold_hint(self, budget: float) -> int | None:
-        # Solve u * log(u) = budget for u = log(j) by Newton iteration.
-        if budget <= 1.0:
-            return 1
-        u = max(2.0, budget / max(math.log(budget), 1.0))
-        for _ in range(80):
-            f = u * math.log(u) - budget
-            u_next = u - f / (math.log(u) + 1.0)
-            if u_next < 1.5:
-                u_next = 1.5
-            if abs(u_next - u) <= 1e-12 * u:
-                u = u_next
-                break
-            u = u_next
-        if u >= _LOG_MAX:
-            return None
-        return max(1, int(math.exp(u)))
-
     def threshold_growth(self):
         return SUPER_POLYNOMIAL
 
@@ -549,9 +477,8 @@ class IterLog(_FamilyBase):
 class _TableFamily(_FamilyBase):
     """A finite non-decreasing table ``_table`` of log(1/x_j); x_j = 0 past its end.
 
-    The zero tail makes the family compact and summable, and its threshold
-    hint, a bisection, is the exact index.  Subclasses set ``_table`` from
-    their own field in ``__post_init__``.
+    The zero tail makes the family compact and summable.  Subclasses set
+    ``_table`` from their own field in ``__post_init__``.
     """
 
     _table: tuple
@@ -560,9 +487,6 @@ class _TableFamily(_FamilyBase):
         if j <= len(self._table):
             return self._table[j - 1]
         return math.inf
-
-    def threshold_hint(self, budget: float) -> int:
-        return bisect_left(self._table, budget)
 
     @property
     def effective_len(self) -> int:

@@ -25,6 +25,12 @@ CASES = [
     # reused, and one budget_exceeded row is repeated.
     ("sweep", "sweep_memo", [], "sweep_memo.csv", EXIT_RUNTIME),
     ("sweep", "sweep_memo", ["--format", "json"], "sweep_memo.json", EXIT_RUNTIME),
+    # The eigenvalue index at E = 1e308 exceeds the float range: a
+    # non_compact row, not a traceback.
+    ("count", "count_non_compact", [], "count_non_compact.csv", EXIT_RUNTIME),
+    # A search cap of 1 does not bound a resolvable index: j_eps is 3 at
+    # E = 0.1, where a zero prefix puts L(3) below 2E.
+    ("sweep", "sweep_search_cap", [], "sweep_search_cap.csv", EXIT_OK),
     ("topk", "topk", [], "topk.csv", EXIT_OK),
     ("topk", "topk", ["--format", "json"], "topk.json", EXIT_OK),
     # A budget_exceeded row after a full tie class: columns mixing int or
@@ -47,6 +53,10 @@ CASES = [
     # EXP-SPT fails early because the weights do not tend to 0; the E = 0.5
     # probe skips the estimator with its error text.
     ("classify", "classify_spt_fails", ["--format", "json"], "classify_spt_fails.json", EXIT_OK),
+    # The default probe grid reaches an E whose eigenvalue index exceeds the
+    # float range: the probe is skipped with the NonCompact text.
+    ("classify", "classify_skipped_probe", ["--format", "json"], "classify_skipped_probe.json",
+     EXIT_OK),
     # s > 1, t = 1 with lambda_2 = 1 and no weight below one: the weight
     # conditions and a DivergenceResult with its probes.
     ("classify", "classify_weak_fails", ["--format", "json"], "classify_weak_fails.json", EXIT_OK),

@@ -101,7 +101,8 @@ class TestThresholdIndices:
         assert d_of_eps(ONES, 1.0, cap=12) == 12
 
     def test_closed_form_beyond_search_cap(self):
-        # threshold ~ exp(50) > the cap: still resolved exactly by the closed form
+        # threshold ~ exp(50) > the cap: the search runs past it, since the
+        # cap only stands in for an index that cannot be resolved
         lam = EigenSeq(PowerLaw(2.0))
         exact = j_of_eps(lam, 50.0, cap=1000)
         assert exact > 10**21
@@ -455,6 +456,12 @@ class TestThresholds:
         got = complexity._thresholds(np.array([math.nextafter(MAX, 0.0)]), np.array([math.inf]))
         assert got.tolist() == [3.0 * 2.0 ** 970]
 
+    def test_w_at_or_above_tau_gives_zero(self):
+        # 0 already meets p + w >= tau, and the walk down stops there.
+        got = complexity._thresholds(np.array([0.0, 1.0, 3.0, 0.0]), np.array([0.0, 1.0, 2.0, 1.0]))
+        assert got.tolist() == [0.0, 0.0, 0.0, 1.0]
+        self.check([math.inf, MAX, 1e-300, 5e-324], [math.inf, MAX, 5e-324, 5e-324])
+
 
 class TestSpectrum:
     def test_dyadic_top_six(self):
@@ -529,19 +536,57 @@ class TestLargeScaleThresholds:
         (LogPower(2.0), 1e5), (IterLog(), 1e3), (DoubleExpPower(1.0, 0.1), 1e50),
         (TripleExp(1e-18), 1e50),
     ], ids=["log_power", "iter_log", "double_exp_power", "triple_exp"])
-    def test_closed_form_hints_past_the_search_cap(self, fam, E):
+    def test_search_resolves_past_2_62(self, fam, E):
         lam = EigenSeq(fam)
         j = j_of_eps(lam, E)
         assert j > 2**62
         assert lam.L(j) < 2.0 * E <= lam.L(j + 1)
 
     def test_table_past_the_search_cap(self):
-        # Past the cap the table's hint, a bisection, gives the same index.
+        # A resolvable index does not depend on the cap.
         lam = EigenSeq(Tabulated(tuple(0.5 * j for j in range(100))))
         for E in (2.6, 10.0, 24.75, 30.0):  # 2E = 20 and 49.5 are entries; 60 is past the end
             j = j_of_eps(lam, E, cap=5)
             assert j == j_of_eps(lam, E) and j > 5
             assert lam.L(j) < 2.0 * E <= lam.L(j + 1)
+
+
+#: Every family, with the parameters where a threshold's float arithmetic is
+#: delicate: beta < 1 (log_inv saturates once j overflows a float), alpha < 1,
+#: a zero IterLog prefix, and tables with and without a zero tail.
+THRESHOLD_FAMILIES = [
+    PowerLaw(2.0), PowerLaw(0.5), ExpPower(1.0, 1.0), ExpPower(0.001, 2.0), ExpPower(2.0, 0.5),
+    DoubleExpPower(1.0, 1.0), DoubleExpPower(1.0, 0.1), TripleExp(1.0), TripleExp(1e-18),
+    LogPower(2.0), LogPower(1.1), IterLog(), IterLog((0.0, 0.0)),
+    Tabulated((0.0, 0.5, 1.0, 1e300)), Tabulated((0.0, 2.0, math.inf)),
+    EventuallyZero(3, (0.0, 1.0)), ConstantOne(),
+]
+THRESHOLD_E = [1e-3, 0.05, 0.1, 0.5, 1.0, 2.0, 10.0, 50.0, 1e3, 1e5, 1e10, 1e50, 1e100,
+               1e300, 1e305, 1e306, 1e307, 1e308]
+
+
+class TestThresholdSearch:
+    """j_of_eps and d_of_eps meet L(j) < 2E <= L(j+1) wherever j fits a float."""
+
+    @pytest.mark.parametrize("cap", [None, 1, 1000])
+    @pytest.mark.parametrize("fam", THRESHOLD_FAMILIES, ids=repr)
+    def test_index_brackets_the_budget_or_is_unresolvable(self, fam, cap):
+        L = fam.log_inv
+        lookups = [(d_of_eps, WeightSeq(fam))]
+        if not isinstance(fam, (ConstantOne, EventuallyZero)):
+            lookups.append((j_of_eps, EigenSeq(fam)))
+        for E in THRESHOLD_E:
+            budget = 2.0 * E
+            resolvable = fam.compact and L(int(sys.float_info.max)) >= budget
+            for index_of, seq in lookups:
+                if resolvable:
+                    j = index_of(seq, E, cap=cap)
+                    assert (j == 0 or L(j) < budget) and budget <= L(j + 1)
+                elif cap is None:
+                    with pytest.raises(NonCompact):
+                        index_of(seq, E)
+                else:
+                    assert index_of(seq, E, cap=cap) == cap
 
 
 class TestThresholdIndexErrors:
@@ -558,10 +603,11 @@ class TestThresholdIndexErrors:
         assert d_of_eps(ONES, 1.0, cap=7) == 7
 
     def test_index_beyond_the_search_cap(self):
-        # 2E / a is past log(float max): no closed-form hint, and the
-        # galloping search passes its cap.
+        # 2E / a is past log(float max): the index exceeds the float range,
+        # so it is NonCompact, or the cap when one is given.
         fam = PowerLaw(2.0)
-        with pytest.raises(NonCompact, match="could not be resolved") as j_err:
+        with pytest.raises(NonCompact, match="could not be resolved: the index exceeds the "
+                                             "float range$") as j_err:
             j_of_eps(EigenSeq(fam), 1000.0)
         with pytest.raises(NonCompact, match="^weight threshold could not be resolved") as d_err:
             d_of_eps(WeightSeq(fam), 1000.0)

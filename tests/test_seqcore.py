@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from tensortract import (
     Tabulated,
     TripleExp,
     WeightSeq,
+    d_of_eps,
     eval_G,
     eval_L,
     family_from_descriptor,
@@ -247,9 +249,12 @@ class TestTableFamilies:
         ez = EventuallyZero(len(prefix) + 1, prefix)
         js = range(1, len(prefix) + 4)  # runs past the end of both tables
         assert [tab.log_inv(j) for j in js] == [ez.log_inv(j) for j in js]
-        for budget in [0.0, math.inf, *prefix, *budgets]:
-            assert tab.threshold_hint(budget) == ez.threshold_hint(budget)
-        assert tab.threshold_hint(math.inf) == len(prefix)
+        tw, ew = WeightSeq(tab), WeightSeq(ez)
+        for budget in [*prefix, *budgets]:
+            if budget / 2 > 0.0:
+                assert d_of_eps(tw, budget / 2) == d_of_eps(ew, budget / 2)
+        # The largest finite E, whose budget 2E overflows to inf.
+        assert d_of_eps(tw, sys.float_info.max) == d_of_eps(ew, sys.float_info.max) == len(prefix)
         for c in (0.5, 1.0, 2.0):
             assert tab.summable(c) is True and ez.summable(c) is True
             for J in range(1, len(prefix) + 3):
