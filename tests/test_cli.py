@@ -72,6 +72,16 @@ class TestCount:
         assert row["d"] == "2"
         assert row["error"] == ""
 
+    def test_flat_weights_read_d_or_the_search_cap(self, tmp_path, capsys):
+        # constant_one weights never fall below eps**2: d_eps is unresolvable,
+        # so it reads the row's d, or limits.search_cap when one is set.
+        for extra, d_eps in (({}, "2"), ({"limits": {"search_cap": 5}}, "5")):
+            cfg = write_config(tmp_path, "c.json", dyadic_config(**extra))
+            assert main(["count", "--config", cfg]) == EXIT_OK
+            out = capsys.readouterr().out.splitlines()
+            row = dict(zip(out[0].split(","), out[1].split(",")))
+            assert (row["d"], row["d_eps"], row["count"], row["error"]) == ("2", d_eps, "6", "")
+
     def test_count_rejects_grids(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", dyadic_config(
             queries={"E": [1.0, 2.0], "d": [2]}))

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from tensortract import (
     family_from_descriptor,
     load_log_table,
 )
-from tensortract.seqcore import dump_log_table
+from tensortract.seqcore import SUPER_POLYNOMIAL, dump_log_table
 
 EIGEN_FAMILIES = [
     PowerLaw(2.0),
@@ -275,6 +276,30 @@ def test_log_inv_bits_are_pinned(pin):
     depend on every bit of them."""
     fam = family_from_descriptor(pin["family"])
     assert [float.hex(fam.log_inv(j)) for j in _LOG_INV_BITS["j"]] == pin["hex"]
+
+
+_GROWTH_BITS = json.loads((Path(__file__).parent / "growth_bits.json").read_text())
+
+
+def _growth_hex(growth):
+    if growth is SUPER_POLYNOMIAL:
+        return "super_polynomial"
+    return {f.name: float.hex(getattr(growth, f.name)) for f in fields(growth)}
+
+
+@pytest.mark.parametrize("pin", _GROWTH_BITS, ids=[json.dumps(p["family"]) for p in _GROWTH_BITS])
+def test_growth_bits_are_pinned(pin):
+    """Every Growth field of threshold_growth and log_threshold_growth as
+    float.hex, on parameters where 1/(1/a) != a, a reciprocal overflows or
+    underflows, and tables have 0, 1, 2 or many finite entries.  A family
+    without limit_zero has no threshold growth, and a weight-only family is
+    never asked for a log-threshold growth, so their pins leave them out."""
+    fam = family_from_descriptor(pin["family"])
+    assert fam.limit_zero is ("threshold_growth" in pin)
+    if fam.limit_zero:
+        assert _growth_hex(fam.threshold_growth()) == pin["threshold_growth"]
+    if "log_threshold_growth" in pin:
+        assert _growth_hex(fam.log_threshold_growth()) == pin["log_threshold_growth"]
 
 
 class TestFamilyRules:
