@@ -259,12 +259,9 @@ def _count_row(cfg: RunConfig, E: float, d: int, memo: dict) -> list:
     row = [E, d, "", "", "", "", "", ""]
     try:
         row[2] = j_of_eps(cfg.lam, E, cap=cfg.search_cap)
-        try:
-            row[3] = d_of_eps(cfg.gam, E, cap=cfg.search_cap)
-        except NonCompact:
-            # effective dimension exceeds the query dimension; d is all that
-            # matters for the count
-            row[3] = d_of_eps(cfg.gam, E, cap=d)
+        # without a search cap, an unresolvable effective dimension reads d,
+        # all that matters for the count
+        row[3] = d_of_eps(cfg.gam, E, cap=d if cfg.search_cap is None else cfg.search_cap)
         q = Query(E, d)
         key = (E, active_prefix(cfg.lam, cfg.gam, q))
         if key not in memo:

@@ -112,7 +112,7 @@ def _threshold_index(fam, E: float, cap: int | None, noun: str) -> int:
     Without a cap an unresolvable index raises NonCompact, naming ``noun``.
     """
     budget = 2.0 * _check_threshold(E)
-    if not fam.compact:
+    if not fam.limit_zero:
         reason = f"{noun}s do not decay to zero; supply a search cap"
     elif fam.log_inv(_INDEX_LIMIT) >= budget:
         return _max_index_below(fam.log_inv, budget, _INDEX_LIMIT)

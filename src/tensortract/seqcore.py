@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import InvalidIndex, SequenceError
 
-def _sat_exp(x: float) -> float:
-    """exp with overflow saturated to +inf."""
+def _saturated(f, *args) -> float:
+    """f(*args) with overflow saturated to +inf."""
     try:
-        return math.exp(x)
+        return f(*args)
     except OverflowError:
         return math.inf
 
@@ -186,16 +186,23 @@ SUPER_POLYNOMIAL = SuperPolynomial()
 class _FamilyBase:
     """Shared defaults for sequence families.
 
-    Every family defines ``log_inv`` and ``ratio_class``; one that can serve
-    as eigenvalues defines ``log_threshold_growth``, and one with
-    ``limit_zero`` ``threshold_growth``.  Threshold indices are searched on
-    ``log_inv`` alone, so no family carries an inverse of it.
+    A family defines only what cannot be derived from its other facts:
+    ``log_inv`` and ``ratio_class`` always; ``threshold_growth``, the growth
+    of the index count above a threshold, when ``limit_zero``; and
+    ``log_threshold_growth`` only when that growth is super-polynomial, since
+    otherwise it is the leading term of the log of ``threshold_growth``.
+    Threshold indices are searched on ``log_inv`` alone, and that search
+    terminates exactly when ``limit_zero``.
     """
 
     name: ClassVar[str]
     limit_zero: ClassVar[bool] = True      # x_j -> 0
     all_ones: ClassVar[bool] = False       # x_j == 1 for every j
-    compact: ClassVar[bool] = True         # threshold searches terminate
+
+    def log_threshold_growth(self) -> Growth:
+        """Leading term of log of the threshold growth; 0 for a table with at
+        most one finite entry, whose log count does not grow."""
+        return self.threshold_growth().log() or Growth(0.0)
 
     def summable(self, c: float) -> bool:
         """Whether sum_j x_j**c converges."""
@@ -265,9 +272,6 @@ class PowerLaw(_FamilyBase):
     def threshold_growth(self) -> Growth:
         return Growth(1.0, e=1.0 / self.a)
 
-    def log_threshold_growth(self) -> Growth:
-        return Growth(1.0 / self.a, p=1.0)
-
     def ratio_class(self, s: float) -> RatioClass:
         if s > 1.0:
             return DIVERGES
@@ -300,10 +304,7 @@ class ExpPower(_FamilyBase):
             return math.inf
 
     def threshold_growth(self) -> Growth:
-        return Growth(math.pow(self.alpha, -1.0 / self.beta), p=1.0 / self.beta)
-
-    def log_threshold_growth(self) -> Growth:
-        return Growth(1.0 / self.beta, q=1.0)
+        return Growth(_saturated(math.pow, self.alpha, -1.0 / self.beta), p=1.0 / self.beta)
 
     def ratio_class(self, s: float) -> RatioClass:
         return DIVERGES
@@ -318,7 +319,7 @@ class ExpPower(_FamilyBase):
             return self.log_inv(j) / math.log(j)
 
         cands = {max(2, J)}
-        dip = _sat_exp(1.0 / self.beta)
+        dip = _saturated(math.exp, 1.0 / self.beta)
         if math.isfinite(dip) and dip < 2**40:
             base = int(dip)
             cands.update(x for x in (base, base + 1) if x >= max(2, J))
@@ -346,10 +347,7 @@ class DoubleExpPower(_FamilyBase):
             return math.inf
 
     def threshold_growth(self) -> Growth:
-        return Growth(math.pow(self.alpha, -1.0 / self.beta), q=1.0 / self.beta)
-
-    def log_threshold_growth(self) -> Growth:
-        return Growth(1.0 / self.beta, r=1.0)
+        return Growth(_saturated(math.pow, self.alpha, -1.0 / self.beta), q=1.0 / self.beta)
 
     def ratio_class(self, s: float) -> RatioClass:
         return DIVERGES
@@ -378,9 +376,6 @@ class TripleExp(_FamilyBase):
 
     def threshold_growth(self) -> Growth:
         return Growth(1.0 / self.alpha, r=1.0)
-
-    def log_threshold_growth(self) -> Growth:
-        return Growth(1.0, u=1.0)
 
     def ratio_class(self, s: float) -> RatioClass:
         return DIVERGES
@@ -477,7 +472,7 @@ class IterLog(_FamilyBase):
 class _TableFamily(_FamilyBase):
     """A finite non-decreasing table ``_table`` of log(1/x_j); x_j = 0 past its end.
 
-    The zero tail makes the family compact and summable.  Subclasses set
+    The zero tail makes the family limit_zero and summable.  Subclasses set
     ``_table`` from their own field in ``__post_init__``.
     """
 
@@ -523,9 +518,6 @@ class Tabulated(_TableFamily):
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_table", vals)
 
-    def log_threshold_growth(self) -> Growth:
-        return Growth(math.log(self.effective_len) if self.effective_len >= 2 else 0.0)
-
 
 @dataclass(frozen=True)
 class ConstantOne(_FamilyBase):
@@ -534,7 +526,6 @@ class ConstantOne(_FamilyBase):
     name: ClassVar[str] = "constant_one"
     limit_zero: ClassVar[bool] = False
     all_ones: ClassVar[bool] = True
-    compact: ClassVar[bool] = False
 
     def log_inv(self, j: int) -> float:
         return 0.0
@@ -621,10 +612,6 @@ class _SeqView:
             raise InvalidIndex(f"index must be >= 1, got {j}")
         return self.family.log_inv(j)
 
-    @property
-    def limit_zero(self) -> bool:
-        return self.family.limit_zero
-
     def descriptor(self) -> dict:
         return self.family.descriptor()
 
@@ -663,10 +650,6 @@ class WeightSeq(_SeqView):
             raise SequenceError(f"not a sequence family: {self.family!r}")
 
     G = _SeqView.log_inv  #: log(1/gamma_k), +inf for zero weights
-
-    @property
-    def all_ones(self) -> bool:
-        return self.family.all_ones
 
 
 def eval_L(seq: EigenSeq, j: int) -> ExtLogMag:

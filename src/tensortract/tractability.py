@@ -480,8 +480,8 @@ def _polynomial_limit_constant(lam, gam, qpt: bool, ev) -> float:
 def _classify_polynomial(lam, gam, notion, policy) -> Verdict:
     qpt = notion.kind is NotionKind.EXP_QPT
     ev: list[Diagnostic] = []
-    lz_l = lam.limit_zero
-    lz_g = gam.limit_zero
+    lz_l = lam.family.limit_zero
+    lz_g = gam.family.limit_zero
     ev.append(Diagnostic("limit_lambda_zero", lz_l))
     ev.append(Diagnostic("limit_gamma_zero", lz_g))
     if not lz_l or not lz_g:
@@ -508,8 +508,8 @@ def _classify_weak(lam, gam, notion, policy) -> Verdict:
         required.append(res)
 
     if s == 1.0 and t == 1.0:
-        ev.append(Diagnostic("limit_gamma_zero", gam.limit_zero))
-        if not gam.limit_zero:
+        ev.append(Diagnostic("limit_gamma_zero", gam.family.limit_zero))
+        if not gam.family.limit_zero:
             analytic_fail = True
         add_div(lam, 1.0, "lambda_log_ratio[s=1]")
     elif s == 1.0 and t < 1.0:
@@ -522,7 +522,7 @@ def _classify_weak(lam, gam, notion, policy) -> Verdict:
         lambda2_unit = lam.L(2) == 0.0
         ev.append(Diagnostic("lambda2_is_one", lambda2_unit))
         if t <= 1.0 and lambda2_unit:
-            below = not gam.all_ones
+            below = not gam.family.all_ones
             ev.append(Diagnostic("exists_gamma_below_one", below))
             if not below:
                 analytic_fail = True

@@ -92,7 +92,7 @@ def check_count_sandwich(lam: EigenSeq, gam: WeightSeq, E: float, d: int,
     jeps = j_of_eps(lam, E)
     deps = d_of_eps(gam, E)
     n1 = info_complexity(lam, gam, Query(E, d), node_budget=node_budget).count
-    mid = max(jeps, 1) ** min(d, deps) if deps >= 0 else 1
+    mid = max(jeps, 1) ** min(d, deps)
     checks = [AuditCheck("count_sandwich.lower: count <= j_eps**min(d,d_eps)",
                          n1 <= mid, str(n1), str(mid))]
     if deps >= 1:

@@ -577,7 +577,7 @@ class TestThresholdSearch:
             lookups.append((j_of_eps, EigenSeq(fam)))
         for E in THRESHOLD_E:
             budget = 2.0 * E
-            resolvable = fam.compact and L(int(sys.float_info.max)) >= budget
+            resolvable = fam.limit_zero and L(int(sys.float_info.max)) >= budget
             for index_of, seq in lookups:
                 if resolvable:
                     j = index_of(seq, E, cap=cap)

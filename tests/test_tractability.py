@@ -402,6 +402,15 @@ class TestClassifier:
             "b_qpt_probes", "b_qpt_limit"]
         assert v.evidence[2].note == "bounded effective dimension; delegated to the plain limit"
 
+    @pytest.mark.parametrize("fam", [ExpPower(0.5, 1e-4), DoubleExpPower(0.5, 1e-4)], ids=repr)
+    def test_threshold_growth_past_the_float_range_saturates(self, fam):
+        # alpha**(-1/beta) = 2**10000 overflows a float: the coefficient
+        # saturates to inf, as log_inv does, on either side of the pair.
+        assert fam.threshold_growth().coef == math.inf
+        for lam, gam in ((fam, PowerLaw(2.0)), (PowerLaw(2.0), fam)):
+            v = classify(EigenSeq(lam), WeightSeq(gam), Notion.spt())
+            assert v.status is VerdictStatus.FAILS and v.evidence[-1].value == math.inf
+
     def test_unit_s_small_t_needs_both_ratios_divergent(self):
         names = ["gamma_log_ratio[s=1]", "lambda_log_ratio[s=1]"]
         gam = WeightSeq(ExpPower(1.0, 1.0))
