@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from tensortract import (
     LogPower,
     Notion,
     PowerLaw,
+    ProbePolicy,
     Tabulated,
     TripleExp,
     UnsupportedNotion,
@@ -25,12 +29,14 @@ from tensortract import (
     classify,
     divergence_check,
     eta_exponent,
+    family_from_descriptor,
     fit_exponent,
     summability,
     witness_ratio,
     wt_s_below_one_check,
     wt_sup_criterion,
 )
+from tensortract.cli import _dump_json
 from tensortract.goldens import GOLDEN_PAIRS, iterated_log_pair
 from tensortract.tractability import converged_sum_from_two
 
@@ -454,3 +460,66 @@ class TestFitExponent:
             fit_exponent([(1.0, 1), (2.0, 2)])
         with pytest.raises(ValueError):
             fit_exponent([(1.0, 1), (1.0, 2), (3.0, 4)])
+
+
+# The verdict pins: every call of classify over these axes that returns, with
+# its status, its exponent as float.hex and the SHA-256 of its evidence as the
+# CLI prints it.  `python tests/test_tractability.py` rewrites the file.
+VERDICT_BITS = Path(__file__).parent / "verdict_bits.json"
+_VERDICT_NOTIONS = {n.label: n for n in (
+    Notion.spt(), Notion.pt(), Notion.qpt(), Notion.wt(),
+    *(Notion.st_weak(s, t) for s, t in (
+        (1.0, 0.5), (1.0, 2.0), (2.0, 0.5), (2.0, 1.0), (0.5, 2.0), (0.5, 1.0), (3.0, 3.0))))}
+_VERDICT_POLICIES = {"default": ProbePolicy(),
+                     "small": ProbePolicy((2.0, 10.0, 1e4), (4, 64, 4096))}
+
+
+def _verdict_pin(lam, gam, notion, policy) -> list:
+    v = classify(lam, gam, notion, policy)
+    exponent = None if v.exponent is None else float.hex(v.exponent)
+    digest = hashlib.sha256(_dump_json(v.evidence).encode("utf-8")).hexdigest()
+    return [v.status.value, exponent, digest]
+
+
+def _write_verdict_bits() -> None:
+    lams = [PowerLaw(2.0), PowerLaw(49.0), ExpPower(1.0, 1.0), ExpPower(0.5, 1e-4),
+            DoubleExpPower(1.0, 1.0), TripleExp(1.0), LogPower(2.0), IterLog(),
+            IterLog((0.0, 0.0)), Tabulated((0.0, 0.7, math.inf)),
+            Tabulated(tuple(0.1 * j for j in range(40)))]
+    gams = lams + [ConstantOne(), EventuallyZero(3, (0.0, 0.5)), Tabulated((math.inf,)),
+                   Tabulated((0.3,))]
+    lines = []
+    for lam in lams:
+        for gam in gams:
+            pins = {}
+            for label, notion in _VERDICT_NOTIONS.items():
+                for grid, policy in _VERDICT_POLICIES.items():
+                    try:
+                        pins[f"{label} {grid}"] = _verdict_pin(
+                            EigenSeq(lam), WeightSeq(gam), notion, policy)
+                    except OverflowError:
+                        pass  # a call that raises is not pinned
+            lines.append(json.dumps({"lambda": lam.descriptor(), "gamma": gam.descriptor(),
+                                     "verdicts": pins}).replace("Infinity", '"inf"'))
+    VERDICT_BITS.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+
+
+_VERDICT_BITS = json.loads(VERDICT_BITS.read_text())
+
+
+@pytest.mark.parametrize("pin", _VERDICT_BITS, ids=[
+    f"{i}-{p['lambda']['family']}-{p['gamma']['family']}" for i, p in enumerate(_VERDICT_BITS)])
+def test_verdict_bits_are_pinned(pin):
+    """Status, exponent bits and evidence bytes of classify, for every family
+    as eigenvalues and as weights, tables with 0, 1, 2 and 40 finite entries,
+    every notion and every (s, t) regime, on the default and a small probe grid."""
+    lam = EigenSeq(family_from_descriptor(pin["lambda"]))
+    gam = WeightSeq(family_from_descriptor(pin["gamma"]))
+    for key, expected in pin["verdicts"].items():
+        label, grid = key.rsplit(" ", 1)
+        got = _verdict_pin(lam, gam, _VERDICT_NOTIONS[label], _VERDICT_POLICIES[grid])
+        assert got == expected, key
+
+
+if __name__ == "__main__":
+    _write_verdict_bits()
