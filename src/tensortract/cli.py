@@ -237,6 +237,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
         "c_list": _numbers(float, audit.get("c_list", [2.0, 1.0, 0.5, 0.1]),
                            "audit c_list", "audit c"),
     }
+    _require(audit["instances"] >= 1, "audit instances must be positive")
+    _require(audit["power_sum_draws"] >= 1, "power_sum_draws must be positive")
     _require(all(math.isfinite(c) and c > 0.0 for c in audit["c_list"]),
              "audit c values must be positive and finite")
 

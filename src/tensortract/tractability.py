@@ -22,6 +22,7 @@ from .seqcore import (
     LOG_BUDGET,
     SuperPolynomial,
     WeightSeq,
+    _saturated,
 )
 
 #: Doubly-exponential default threshold grid (E = log(1/eps), natural units).
@@ -56,6 +57,8 @@ class Notion:
                 raise UnsupportedNotion(f"{self.kind.value} takes no (s, t) parameters")
             return
         if self.kind is NotionKind.EXP_WT:
+            if (self.s, self.t) not in ((None, None), (1.0, 1.0)):
+                raise UnsupportedNotion(f"EXP-WT is EXP-(1,1)-WT, got ({self.s}, {self.t})")
             object.__setattr__(self, "s", 1.0)
             object.__setattr__(self, "t", 1.0)
             return
@@ -178,14 +181,13 @@ class Verdict:
     mode: VerdictMode
 
 
-def _trend(ratios) -> str:
-    vals = [r for r in ratios]
-    if len(vals) < 2:
+def _trend(ratios: list) -> str:
+    if len(ratios) < 2:
         return "flat"
-    finite = [abs(v) for v in vals if math.isfinite(v)]
+    finite = [abs(v) for v in ratios if math.isfinite(v)]
     tol = 1e-9 * max([1.0] + finite)
     inc = dec = False
-    for a, b in zip(vals, vals[1:]):
+    for a, b in zip(ratios, ratios[1:]):
         d = b - a
         if math.isnan(d):
             continue
@@ -268,9 +270,7 @@ def divergence_check(seq, s: float, jgrid=DEFAULT_J_GRID) -> DivergenceResult:
     for j in jgrid:
         if j < 2:
             raise ValueError("divergence probes require j >= 2")
-        lv = seq.log_inv(int(j))
-        ratio = math.inf if math.isinf(lv) else lv**s / math.log(j)
-        probes.append((float(j), ratio))
+        probes.append((float(j), _saturated(math.pow, seq.log_inv(int(j)), s) / math.log(j)))
     rc = seq.family.ratio_class(s)
     return DivergenceResult(rc.kind, rc.limit, "analytic", _limit_estimate(probes))
 
@@ -374,9 +374,7 @@ def wt_s_below_one_check(lam: EigenSeq, gam: WeightSeq, s: float,
             raise ValueError("triples require j >= 2")
         if not (1 <= k <= d):
             raise ValueError("triples require 1 <= k <= d")
-        g = gam.G(k)
-        l = lam.L(j)
-        num = (math.inf if math.isinf(g) else g**s) + (math.inf if math.isinf(l) else l**s)
+        num = _saturated(math.pow, gam.G(k), s) + _saturated(math.pow, lam.L(j), s)
         ratio = num / (d**(1.0 - s) * math.log(j))
         scale = float(max(d, j))
         by_scale[scale] = min(by_scale.get(scale, math.inf), ratio)
@@ -402,9 +400,8 @@ def witness_ratio(lam: EigenSeq, gam: WeightSeq, s: float, t: float,
     sum_l = 0.0
     for k in ks:
         sum_l += lam.L(k)
-    num = d**t
-    num += math.inf if math.isinf(sum_g) else sum_g**s
-    num += math.inf if math.isinf(sum_l) else sum_l**s
+    num = (_saturated(math.pow, d, t) + _saturated(math.pow, sum_g, s)
+           + _saturated(math.pow, sum_l, s))
     den = sum(math.log(k) for k in ks)
     return num / den
 
@@ -441,15 +438,6 @@ def fit_exponent(samples) -> FitResult:
     return FitResult(p_hat, math.exp(intercept), resid, False)
 
 
-def _attach_probe_estimates(lam, gam, policy, ev, want_qpt: bool) -> None:
-    estimates = (("b_spt_probes", b_spt_estimate), ("b_qpt_probes", b_qpt_estimate))
-    for name, estimate in estimates[:1 + want_qpt]:
-        try:
-            ev.append(Diagnostic(name, estimate(lam, gam, policy.E_grid)))
-        except (NonCompact, ValueError) as exc:
-            ev.append(Diagnostic(name, None, note=f"skipped: {exc}"))
-
-
 def _polynomial_limit_constant(lam, gam, qpt: bool, ev) -> float:
     """Analytic limit constant for the SPT (or QPT) characterization:
     +inf, 0 or a finite value."""
@@ -460,86 +448,78 @@ def _polynomial_limit_constant(lam, gam, qpt: bool, ev) -> float:
         # log j(eps) eventually stays >= log 2, so the limit is infinite.
         ev.append(Diagnostic("threshold_growth", "super-polynomial effective dimension"))
         return math.inf
-    if not qpt:
-        mon = d_growth.mul(lnj_growth).div(LOG_BUDGET)
-        ev.append(Diagnostic("b_spt_growth", mon))
-        return mon.limit()
-    log_d = d_growth.log()
-    if log_d is None:
+    log_d = d_growth.log() if qpt else None
+    note = ""
+    if qpt and log_d is None:
         # Bounded effective dimension with log d(eps) -> 0: the polynomial
         # and quasi-polynomial notions coincide, so reuse the plain limit.
-        spt = d_growth.mul(lnj_growth).div(LOG_BUDGET)
-        ev.append(Diagnostic("b_qpt_growth", spt,
-                             note="bounded effective dimension; delegated to the plain limit"))
-        return spt.limit()
-    mon = d_growth.mul(lnj_growth).div(log_d.mul(LOG_BUDGET))
-    ev.append(Diagnostic("b_qpt_growth", mon))
+        note = "bounded effective dimension; delegated to the plain limit"
+    den = LOG_BUDGET if log_d is None else log_d.mul(LOG_BUDGET)
+    mon = d_growth.mul(lnj_growth).div(den)
+    ev.append(Diagnostic("b_qpt_growth" if qpt else "b_spt_growth", mon, note=note))
     return mon.limit()
 
 
 def _classify_polynomial(lam, gam, notion, policy) -> Verdict:
+    """The notion holds exactly when the limit constant is finite; it has no
+    limit when a sequence does not tend to 0."""
     qpt = notion.kind is NotionKind.EXP_QPT
-    ev: list[Diagnostic] = []
     lz_l = lam.family.limit_zero
     lz_g = gam.family.limit_zero
-    ev.append(Diagnostic("limit_lambda_zero", lz_l))
-    ev.append(Diagnostic("limit_gamma_zero", lz_g))
-    if not lz_l or not lz_g:
-        _attach_probe_estimates(lam, gam, policy, ev, qpt)
-        return Verdict(notion, VerdictStatus.FAILS, None, tuple(ev), VerdictMode.ANALYTIC)
-    limit = _polynomial_limit_constant(lam, gam, qpt, ev)
-    _attach_probe_estimates(lam, gam, policy, ev, qpt)
-    name = "b_qpt_limit" if qpt else "b_spt_limit"
-    ev.append(Diagnostic(name, limit))
-    if math.isinf(limit):
-        return Verdict(notion, VerdictStatus.FAILS, None, tuple(ev), VerdictMode.ANALYTIC)
-    return Verdict(notion, VerdictStatus.HOLDS, limit, tuple(ev), VerdictMode.ANALYTIC)
+    ev = [Diagnostic("limit_lambda_zero", lz_l), Diagnostic("limit_gamma_zero", lz_g)]
+    limit = _polynomial_limit_constant(lam, gam, qpt, ev) if lz_l and lz_g else None
+    estimates = (("b_spt_probes", b_spt_estimate), ("b_qpt_probes", b_qpt_estimate))
+    for name, estimate in estimates[:1 + qpt]:
+        try:
+            ev.append(Diagnostic(name, estimate(lam, gam, policy.E_grid)))
+        except (NonCompact, ValueError) as exc:
+            ev.append(Diagnostic(name, None, note=f"skipped: {exc}"))
+    if limit is not None:
+        ev.append(Diagnostic("b_qpt_limit" if qpt else "b_spt_limit", limit))
+    holds = limit is not None and not math.isinf(limit)
+    return Verdict(notion, VerdictStatus.HOLDS if holds else VerdictStatus.FAILS,
+                   limit if holds else None, tuple(ev), VerdictMode.ANALYTIC)
 
 
 def _classify_weak(lam, gam, notion, policy) -> Verdict:
+    """Each (s, t) regime is a weight condition, recorded in the evidence,
+    and a list of (sequence, exponent, evidence name) whose log-ratios must
+    diverge; the notion holds when the condition does and all of them diverge."""
     s, t = notion.s, notion.t
     ev: list[Diagnostic] = []
-    required: list[DivergenceResult] = []
-    analytic_fail = False
-
-    def add_div(seq, expo, name):
-        res = divergence_check(seq, expo, policy.j_grid)
-        ev.append(Diagnostic(name, res))
-        required.append(res)
-
+    holds = True
+    lam_ratio = (lam, s, f"lambda_log_ratio[s={s:g}]")
     if s == 1.0 and t == 1.0:
-        ev.append(Diagnostic("limit_gamma_zero", gam.family.limit_zero))
-        if not gam.family.limit_zero:
-            analytic_fail = True
-        add_div(lam, 1.0, "lambda_log_ratio[s=1]")
+        holds = gam.family.limit_zero
+        ev.append(Diagnostic("limit_gamma_zero", holds))
+        diverging = [lam_ratio]
     elif s == 1.0 and t < 1.0:
-        add_div(gam, 1.0, "gamma_log_ratio[s=1]")
-        add_div(lam, 1.0, "lambda_log_ratio[s=1]")
-    elif s == 1.0 and t > 1.0:
+        diverging = [(gam, 1.0, "gamma_log_ratio[s=1]"), lam_ratio]
+    elif s == 1.0:  # t > 1
         ev.append(Diagnostic("gamma_condition", True, note="weights unconstrained in this regime"))
-        add_div(lam, 1.0, "lambda_log_ratio[s=1]")
+        diverging = [lam_ratio]
     elif s > 1.0:
         lambda2_unit = lam.L(2) == 0.0
         ev.append(Diagnostic("lambda2_is_one", lambda2_unit))
         if t <= 1.0 and lambda2_unit:
-            below = not gam.family.all_ones
-            ev.append(Diagnostic("exists_gamma_below_one", below))
-            if not below:
-                analytic_fail = True
-        add_div(lam, s, f"lambda_log_ratio[s={s:g}]")
+            holds = not gam.family.all_ones
+            ev.append(Diagnostic("exists_gamma_below_one", holds))
+        diverging = [lam_ratio]
     elif t > 1.0:  # s < 1 < t
         eta = eta_exponent(s, t)
         ev.append(Diagnostic("eta", eta, note="effective divergence exponent s(t-1)/(t-s)"))
-        add_div(lam, eta, f"lambda_log_ratio[s={eta:.12g}]")
+        diverging = [(lam, eta, f"lambda_log_ratio[s={eta:.12g}]")]
     else:  # s < 1, t == 1
-        return _classify_weak_boundary(lam, gam, notion, ev)
-
-    fails = analytic_fail or any(r.kind == "bounded" for r in required)
-    status = VerdictStatus.FAILS if fails else VerdictStatus.HOLDS
+        return _classify_weak_boundary(lam, gam, notion)
+    for seq, expo, name in diverging:
+        res = divergence_check(seq, expo, policy.j_grid)
+        ev.append(Diagnostic(name, res))
+        holds = holds and res.kind != "bounded"
+    status = VerdictStatus.HOLDS if holds else VerdictStatus.FAILS
     return Verdict(notion, status, None, tuple(ev), VerdictMode.ANALYTIC)
 
 
-def _classify_weak_boundary(lam, gam, notion, ev) -> Verdict:
+def _classify_weak_boundary(lam, gam, notion) -> Verdict:
     """s < 1, t = 1: the ratio must diverge along every admissible (d, k, j) net."""
     s = notion.s
     g1 = gam.G(1)  # finite: classify answers gamma_1 = 0 as the trivial problem
@@ -548,15 +528,13 @@ def _classify_weak_boundary(lam, gam, notion, ev) -> Verdict:
         triples.append((d, 1, 2))            # d grows, k and j fixed
         triples.append((d, 1, d + 1))        # diagonal in d and j
         triples.append((4 * max(DEFAULT_NET_D), 1, d + 1))  # j grows, d fixed
-    est = wt_s_below_one_check(lam, gam, s, triples)
-    ev.append(Diagnostic("boundary_ratio_probes", est))
+    ev = [Diagnostic("boundary_ratio_probes", wt_s_below_one_check(lam, gam, s, triples))]
     # Along the net with k = 1 and j = 2 fixed and d -> inf the numerator is
     # the constant G(1)**s + L(2)**s while the denominator d**(1-s) log 2
     # grows, so the required divergence fails.
-    witness = (g1**s + lam.L(2)**s)
     ev.append(Diagnostic(
         "bounded_net_witness",
-        {"net": "k=1, j=2, d->inf", "numerator": witness, "ratio_limit": 0.0},
+        {"net": "k=1, j=2, d->inf", "numerator": g1**s + lam.L(2)**s, "ratio_limit": 0.0},
         note="constant numerator against a growing denominator"))
     return Verdict(notion, VerdictStatus.FAILS, None, tuple(ev), VerdictMode.ANALYTIC)
 
@@ -575,8 +553,7 @@ def classify(lam: EigenSeq, gam: WeightSeq, notion: Notion,
         # All weights vanish: the only positive eigenvalue is the all-ones
         # tuple and every notion holds trivially.
         ev = (Diagnostic("trivial_problem", True, note="gamma_1 = 0 (count is always 1)"),)
-        exponent = 0.0 if notion.kind in (NotionKind.EXP_SPT, NotionKind.EXP_PT,
-                                          NotionKind.EXP_QPT) else None
+        exponent = None if notion.kind in (NotionKind.EXP_WT, NotionKind.EXP_ST_WT) else 0.0
         return Verdict(notion, VerdictStatus.HOLDS, exponent, ev, VerdictMode.ANALYTIC)
     if notion.kind is NotionKind.EXP_PT:
         base = classify(lam, gam, Notion.spt(), policy)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tensortract import EigenSeq, Query, WeightSeq, cli, family_from_descriptor, info_complexity
-from tensortract.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _cell, _dump_json, _write_rows, main
+from tensortract.cli import (EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _cell, _dump_json,
+                             _write_rows, main)
 from tensortract.verify import AuditReport
 
 LN2 = math.log(2.0)
@@ -31,9 +32,9 @@ def dyadic_config(**extra):
     return cfg
 
 
-# (id, entries replaced in dyadic_config()): each config makes `count` exit with
-# one "config error: " line on stderr.  The CI step "CLI config errors" runs
-# these through `python -m tensortract` as well.
+# (id, entries replaced in dyadic_config()): each config makes every subcommand
+# exit with one "config error: " line on stderr.  The CI step "CLI config
+# errors" runs these through `python -m tensortract` as well.
 CONFIG_ERRORS = [
     ("node_budget", {"limits": {"node_budget": "abc"}}),
     ("d", {"queries": {"E": [1.0], "d": ["x"]}}),
@@ -58,6 +59,9 @@ CONFIG_ERRORS = [
     ("table-str", {"lambda": {"family": "tabulated", "values": "123"}}),
     # Audit settings are parsed with the rest of the config, before any suite runs.
     ("audit-draws", {"audit": {"suites": ["sandwich", "power_sum"], "power_sum_draws": 2.5}}),
+    # An audit size below 1 would run an empty suite that passes.
+    ("audit-instances-negative", {"audit": {"suites": ["oracle"], "instances": -3}}),
+    ("audit-draws-negative", {"audit": {"suites": ["power_sum"], "power_sum_draws": -7}}),
 ]
 
 
@@ -212,6 +216,15 @@ class TestAudit:
         lines = out.read_text().splitlines()
         assert all(",true," in line for line in lines[1:])
 
+    def test_sandwich_budget_rows(self, tmp_path, capsys):
+        # Cells past the node budget are failed rows with the error text, not a crash.
+        cfg = write_config(tmp_path, "a.json", dyadic_config(audit={"suites": ["sandwich"]}))
+        assert main(["audit", "--config", cfg, "--node-budget", "3"]) == EXIT_AUDIT
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        budget = [r for r in rows if r["note"].startswith("BudgetExceeded: ")]
+        assert budget and all((r["check"], r["passed"], r["lhs"], r["rhs"])
+                              == ("count_sandwich", "false", "", "") for r in budget)
+
     def test_unknown_suite_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "a.json", dyadic_config(audit={"suites": ["nope"]}))
         assert main(["audit", "--config", cfg]) == EXIT_CONFIG
@@ -260,8 +273,10 @@ class TestConfigErrors:
                              ids=[name for name, _ in CONFIG_ERRORS])
     def test_unparsable_values_rejected(self, tmp_path, capsys, extra):
         cfg = write_config(tmp_path, "b.json", dyadic_config(**extra))
-        assert main(["count", "--config", cfg]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: ")
+        for command in ("count", "sweep", "topk", "classify", "audit"):
+            assert main([command, "--config", cfg]) == EXIT_CONFIG
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
 
     def test_audit_settings_checked_before_any_suite(self, tmp_path, capsys, monkeypatch):
         def no_auditing(*args, **kwargs):

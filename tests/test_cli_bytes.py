@@ -60,6 +60,10 @@ CASES = [
     # s > 1, t = 1 with lambda_2 = 1 and no weight below one: the weight
     # conditions and a DivergenceResult with its probes.
     ("classify", "classify_weak_fails", ["--format", "json"], "classify_weak_fails.json", EXIT_OK),
+    # log(1/lambda_j)**2 passes the float range at every probe index: the
+    # probe ratios saturate to inf instead of raising OverflowError.
+    ("classify", "classify_saturated_ratio", ["--format", "json"], "classify_saturated_ratio.json",
+     EXIT_OK),
 ]
 
 

@@ -16,6 +16,7 @@ from tensortract import (
     IterLog,
     LogPower,
     Notion,
+    NotionKind,
     PowerLaw,
     ProbePolicy,
     Tabulated,
@@ -127,6 +128,23 @@ class TestDivergence:
         assert divergence_check(EigenSeq(PowerLaw(2.0)), 2.0).kind == "diverges"
         res = divergence_check(EigenSeq(LogPower(2.0)), 0.25)
         assert res.kind == "bounded" and res.limit == 0.0
+
+    @pytest.mark.parametrize("fam, s, limit", [
+        (PowerLaw(3.0), 0.5, 0.0), (LogPower(2.0), 0.5, 1.0), (IterLog(), 0.5, 0.0)],
+        ids=["power_law-s<1", "log_power-s*beta=1", "iter_log-s<1"])
+    def test_bounded_ratio_classes(self, fam, s, limit):
+        res = divergence_check(EigenSeq(fam), s)
+        assert (res.kind, res.limit) == ("bounded", limit)
+        ratios = [r for _, r in res.evidence.probes]
+        assert ratios == [math.pow(fam.log_inv(int(j)), s) / math.log(j)
+                          for j, _ in res.evidence.probes]
+
+    def test_overflowing_probe_power_saturates(self):
+        # log(1/lambda_j) = 1e300 * log j: its square passes the float range.
+        res = divergence_check(EigenSeq(PowerLaw(1e300)), 2.0)
+        assert res.kind == "diverges"
+        assert [r for _, r in res.evidence.probes] == [math.inf] * 6
+        assert res.evidence.tail_sup == math.inf
 
 
 class TestSummability:
@@ -240,6 +258,13 @@ class TestSupCriterion:
         with pytest.raises(DivergentTail):
             wt_sup_criterion(EigenSeq(PowerLaw(1.0)), WeightSeq(ConstantOne()), 1.0, 1.0, 10)
 
+    @pytest.mark.parametrize("c, growing", [(0.1, True), (5.0, False)])
+    def test_single_dimension(self, c, growing):
+        # With dmax = 1 the growth flag is the sign of the only value.
+        res = wt_sup_criterion(EigenSeq(ExpPower(LN2, 1.0)), WeightSeq(ConstantOne()), c, 1.0, 1)
+        assert res.argmax_d == 1 and res.still_growing is growing
+        assert res.sup == pytest.approx(math.log1p(res.m_star) - c, rel=1e-15)
+
     @pytest.mark.parametrize("dmax", [True, 2.5, 3.0])
     def test_non_integer_dmax_rejected(self, dmax):
         with pytest.raises(ValueError, match="dmax must be a positive integer"):
@@ -297,6 +322,12 @@ class TestWitnessRatio:
         gam = WeightSeq(Tabulated(tuple(float(k) for k in range(1, 40))))
         got = witness_ratio(lam, gam, 1.0, 1.0, 10, [2] * 10)
         assert got == pytest.approx((10 + 55 + 10 * LN2) / (10 * LN2), rel=1e-12)
+
+    def test_overflowing_powers_saturate(self):
+        lam = EigenSeq(PowerLaw(1e300))
+        assert witness_ratio(lam, WeightSeq(ConstantOne()), 2.0, 1.0, 2, [2, 3]) == math.inf
+        assert witness_ratio(EigenSeq(PowerLaw(2.0)), WeightSeq(ConstantOne()),
+                             1.0, 1e10, 2, [2, 3]) == math.inf
 
 
 class TestEta:
@@ -385,9 +416,12 @@ class TestClassifier:
             Notion.st_weak(0.5, 0.99)
         with pytest.raises(UnsupportedNotion):
             Notion.st_weak(-1.0, 2.0)
+        for s, t in ((0.5, 3.0), (2.0, 1.0), (1.0, None), (None, 1.0)):
+            with pytest.raises(UnsupportedNotion, match="EXP-WT is EXP-"):
+                Notion(NotionKind.EXP_WT, s, t)
 
     def test_wt_alias(self):
-        assert Notion.st_weak(1.0, 1.0) == Notion.wt()
+        assert Notion.st_weak(1.0, 1.0) == Notion.wt() == Notion(NotionKind.EXP_WT, 1.0, 1.0)
 
     def test_super_polynomial_effective_dimension_fails(self):
         v = classify(EigenSeq(ExpPower(1.0, 1.0)), WeightSeq(LogPower(2.0)), Notion.spt())

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -86,6 +87,22 @@ class TestCountSandwich:
         assert report.passed
         # the mid term should be j_eps**min(d, d_eps) = 5**5 here
         assert any(c.rhs == str(5**5) for c in report.checks)
+
+    def test_no_active_weight_is_vacuous(self):
+        # gamma_1 is below eps**2 already: d_eps = 0 and the count is 1.
+        report = check_count_sandwich(DYADIC, WeightSeq(Tabulated((5.0,))), 1.0, 3)
+        assert report.passed and report.instance.endswith("d_eps=0")
+        assert [(c.lhs, c.rhs, c.note) for c in report.checks] == [
+            ("1", "1", ""), ("1", "n/a", "d_eps = 0; upper bound vacuous")]
+
+    def test_amplified_budget_past_the_float_range_is_vacuous(self):
+        # 2E is finite but 2 * d_eps * E = 4E overflows to inf.
+        E = sys.float_info.max / 3
+        lam = EigenSeq(Tabulated((0.0, 1.0, math.inf)))
+        report = check_count_sandwich(lam, WeightSeq(Tabulated((0.0, 0.5, math.inf))), E, 2)
+        assert report.passed and report.instance.endswith("j_eps=2 d_eps=2")
+        upper = report.checks[1]
+        assert (upper.lhs, upper.rhs) == ("4", "inf") and "saturates" in upper.note
 
 
 class TestPowerSumSplit:
