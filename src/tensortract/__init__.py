@@ -47,7 +47,6 @@ from .tractability import (
     DEFAULT_J_GRID,
     Diagnostic,
     DivergenceResult,
-    FitResult,
     LimitEstimate,
     Notion,
     NotionKind,
@@ -61,11 +60,8 @@ from .tractability import (
     classify,
     divergence_check,
     eta_exponent,
-    fit_exponent,
     summability,
-    witness_ratio,
     wt_s_below_one_check,
-    wt_sup_criterion,
 )
 from .verify import (
     AuditCheck,

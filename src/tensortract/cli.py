@@ -207,11 +207,12 @@ def load_config(path: str, overrides: argparse.Namespace) -> RunConfig:
 
     probes = raw.get("probes", {})
     _require(isinstance(probes, dict), "probes must be an object")
-    policy = ProbePolicy(
-        E_grid=tuple(_numbers(float, probes.get("E_grid", DEFAULT_E_GRID), "E_grid", "probe E")),
-        j_grid=tuple(_numbers(int, probes.get("j_grid", DEFAULT_J_GRID), "j_grid", "probe j")),
-    )
-    _require(all(j >= 2 for j in policy.j_grid), "probe j values must be >= 2")
+    E_grid = tuple(_numbers(float, probes.get("E_grid", DEFAULT_E_GRID), "E_grid", "probe E"))
+    j_grid = tuple(_numbers(int, probes.get("j_grid", DEFAULT_J_GRID), "j_grid", "probe j"))
+    try:
+        policy = ProbePolicy(E_grid, j_grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     output = raw.get("output", {})
     _require(isinstance(output, dict), "output must be an object")

@@ -10,6 +10,7 @@ the counting and classification layers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import ClassVar
@@ -301,7 +302,11 @@ class ExpPower(_FamilyBase):
         try:
             return self.alpha * (math.pow(j, self.beta) - 1.0)
         except OverflowError:
-            return math.inf
+            # j or j**beta is past the float range, alpha * j**beta need not
+            # be; the clamp, the largest value of the branch above (reached
+            # at j = MAX when beta < 1), keeps log_inv non-decreasing.
+            return max(self.alpha * math.pow(sys.float_info.max, min(self.beta, 1.0)),
+                       _saturated(math.exp, math.log(self.alpha) + self.beta * math.log(j)))
 
     def threshold_growth(self) -> Growth:
         return Growth(_saturated(math.pow, self.alpha, -1.0 / self.beta), p=1.0 / self.beta)

@@ -146,33 +146,6 @@ class SummabilityResult:
 
 
 @dataclass(frozen=True)
-class SupCriterionResult:
-    sup: float
-    argmax_d: int
-    still_growing: bool
-    m_star: float
-
-
-@dataclass(frozen=True)
-class FitResult:
-    p_hat: float
-    c_hat: float
-    residual: float
-    degenerate: bool
-
-
-@dataclass(frozen=True)
-class ProbePolicy:
-    """Probe-grid configuration for the classifier and estimators."""
-
-    E_grid: tuple = DEFAULT_E_GRID
-    j_grid: tuple = DEFAULT_J_GRID
-
-
-DEFAULT_POLICY = ProbePolicy()
-
-
-@dataclass(frozen=True)
 class Verdict:
     notion: Notion
     status: VerdictStatus
@@ -224,20 +197,42 @@ def _check_egrid(Egrid) -> list:
     return grid
 
 
+@dataclass(frozen=True)
+class ProbePolicy:
+    """Probe-grid configuration for the classifier and estimators; a grid
+    the probes cannot run on raises ValueError here."""
+
+    E_grid: tuple = DEFAULT_E_GRID
+    j_grid: tuple = DEFAULT_J_GRID
+
+    def __post_init__(self):
+        _check_egrid(self.E_grid)
+        if not all(j >= 2 for j in self.j_grid):
+            raise ValueError("probe j values must be >= 2")
+
+
+DEFAULT_POLICY = ProbePolicy()
+
+
 def _probe_estimate(lam, gam, Egrid, floor: int, skip_note: str, den) -> LimitEstimate:
     """Probe d(eps) * log j(eps) / den(d(eps), E) along the grid.
 
     Probes with d(eps) < floor are skipped and recorded with
-    ``skip_note.format(d(eps))``; j(eps) <= 1 contributes a zero ratio.
+    ``skip_note.format(d(eps))``, and probes whose d(eps) or j(eps) cannot be
+    resolved with the NonCompact text; j(eps) <= 1 contributes a zero ratio.
     """
     probes = []
     skipped = []
     for E in _check_egrid(Egrid):
-        deps = d_of_eps(gam, E)
-        if deps < floor:
-            skipped.append((E, skip_note.format(deps)))
+        try:
+            deps = d_of_eps(gam, E)
+            if deps < floor:
+                skipped.append((E, skip_note.format(deps)))
+                continue
+            jeps = j_of_eps(lam, E)
+        except NonCompact as exc:
+            skipped.append((E, str(exc)))
             continue
-        jeps = j_of_eps(lam, E)
         probes.append((E, deps * math.log(jeps) / den(deps, E) if jeps >= 1 else 0.0))
     return _limit_estimate(probes, skipped)
 
@@ -245,7 +240,8 @@ def _probe_estimate(lam, gam, Egrid, floor: int, skip_note: str, den) -> LimitEs
 def b_spt_estimate(lam: EigenSeq, gam: WeightSeq, Egrid=DEFAULT_E_GRID) -> LimitEstimate:
     """Probe d(eps) * log j(eps) / log log(1/eps) along the grid.
 
-    Probes with d(eps) = 0 are skipped (and recorded).
+    Probes with d(eps) = 0 or an unresolvable threshold are skipped (and
+    recorded).
     """
     return _probe_estimate(lam, gam, Egrid, 1, "d(eps) = {}", lambda deps, E: math.log(E))
 
@@ -308,60 +304,6 @@ def summability(seq, c: float, J: int) -> SummabilityResult:
     return res
 
 
-def converged_sum_from_two(seq, c: float, rel_tol: float = 1e-9,
-                           j_cap: int = 2**22) -> tuple:
-    """sum_{j>=2} x_j**c with the truncation grown until the tail bound is
-    below rel_tol of the partial sum; returns (value, tail_bound or None).
-
-    Every partial sum lies below the J = 64 sum plus its tail bound, so a J
-    whose closed-form tail bound exceeds rel_tol of twice that (a margin far
-    above the rounding of any float sum) cannot stop the search, and its
-    table is never built.
-    """
-    J = 64
-    res = summability(seq, c, J)
-    x1 = math.exp(-c * seq.log_inv(1))
-    top = math.inf if res.tail_bound is None else 2.0 * (res.value + res.tail_bound)
-    while True:
-        from_two = res.value - x1
-        bound = res.tail_bound
-        if J >= j_cap or (bound is not None and bound <= rel_tol * max(from_two, 1e-300)):
-            return from_two, bound
-        J = min(8 * J, j_cap)
-        while J < j_cap:
-            b = seq.family.tail_bound(c, J)
-            if b is not None and b <= rel_tol * max(top, 1e-300):
-                break
-            J = min(8 * J, j_cap)
-        res = summability(seq, c, J)
-
-
-def wt_sup_criterion(lam: EigenSeq, gam: WeightSeq, c: float, t: float,
-                     dmax: int) -> SupCriterionResult:
-    """Evaluate sup_d (sum_{k<=d} log(1 + gamma_k**c * M*) - c * d**t) over d <= dmax.
-
-    M* is the converged from-two eigenvalue power sum.  The growth flag marks
-    an expression still increasing at dmax (an unbounded supremum refutes
-    the corresponding weak-tractability notion).
-    """
-    if isinstance(dmax, bool) or not isinstance(dmax, int) or dmax < 1:
-        raise ValueError(f"dmax must be a positive integer, got {dmax!r}")
-    m_star, _ = converged_sum_from_two(lam, c)
-    ks = np.arange(1, dmax + 1, dtype=float)
-    gs = np.fromiter(map(gam.family.log_inv, range(1, dmax + 1)), float, dmax)
-    with np.errstate(over="ignore"):
-        w = np.exp(-c * gs)
-        increments = np.log1p(w * m_star)
-        values = np.cumsum(increments) - c * np.power(ks, t)
-    idx = int(np.argmax(values))
-    sup = float(values[idx])
-    if dmax == 1:
-        growing = bool(values[0] > 0.0)
-    else:
-        growing = bool(values[-1] - values[-2] > 0.0) and idx == dmax - 1
-    return SupCriterionResult(sup, idx + 1, growing, m_star)
-
-
 def wt_s_below_one_check(lam: EigenSeq, gam: WeightSeq, s: float,
                          triples) -> LimitEstimate:
     """Probe ((log 1/gamma_k)**s + (log 1/lambda_j)**s) / (d**(1-s) * log j)
@@ -382,60 +324,11 @@ def wt_s_below_one_check(lam: EigenSeq, gam: WeightSeq, s: float,
     return _limit_estimate(probes)
 
 
-def witness_ratio(lam: EigenSeq, gam: WeightSeq, s: float, t: float,
-                  d: int, k_list) -> float:
-    """(d**t + (sum log 1/gamma)**s + (sum log 1/lambda_{k_j})**s) / sum log k_j.
-
-    A sequence of these ratios staying bounded along a growing net refutes
-    exponential (s,t)-weak tractability.
-    """
-    ks = list(k_list)
-    if len(ks) != d:
-        raise ValueError(f"k_list must have length d = {d}")
-    if any(k < 2 for k in ks):
-        raise ValueError("all k_j must be >= 2")
-    sum_g = 0.0
-    for j in range(1, d + 1):
-        sum_g += gam.G(j)
-    sum_l = 0.0
-    for k in ks:
-        sum_l += lam.L(k)
-    num = (_saturated(math.pow, d, t) + _saturated(math.pow, sum_g, s)
-           + _saturated(math.pow, sum_l, s))
-    den = sum(math.log(k) for k in ks)
-    return num / den
-
-
 def eta_exponent(s: float, t: float) -> float:
     """Effective divergence exponent s*(t-1)/(t-s) for the s < 1 < t regime."""
     if t == s:
         raise ValueError("eta requires t != s")
     return s * (t - 1.0) / (t - s)
-
-
-def fit_exponent(samples) -> FitResult:
-    """Least-squares slope of log(count) against log(1 + E).
-
-    Recovers the exponent of a count growing like C * (1 + log(1/eps))**p.
-    """
-    pts = [(float(E), int(n)) for E, n in samples]
-    if len(pts) < 3:
-        raise ValueError("need at least 3 samples")
-    if any(n < 1 for _, n in pts):
-        raise ValueError("counts must be >= 1")
-    es = [E for E, _ in pts]
-    if len(set(es)) != len(es):
-        raise ValueError("E values must be distinct")
-    counts = [n for _, n in pts]
-    if len(set(counts)) == 1:
-        return FitResult(0.0, float(counts[0]), 0.0, True)
-    xs = np.array([math.log1p(E) for E, _ in pts])
-    ys = np.array([math.log(n) for _, n in pts])
-    A = np.column_stack([xs, np.ones_like(xs)])
-    sol, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    p_hat, intercept = float(sol[0]), float(sol[1])
-    resid = float(np.linalg.norm(A @ sol - ys))
-    return FitResult(p_hat, math.exp(intercept), resid, False)
 
 
 def _polynomial_limit_constant(lam, gam, qpt: bool, ev) -> float:
@@ -470,10 +363,7 @@ def _classify_polynomial(lam, gam, notion, policy) -> Verdict:
     limit = _polynomial_limit_constant(lam, gam, qpt, ev) if lz_l and lz_g else None
     estimates = (("b_spt_probes", b_spt_estimate), ("b_qpt_probes", b_qpt_estimate))
     for name, estimate in estimates[:1 + qpt]:
-        try:
-            ev.append(Diagnostic(name, estimate(lam, gam, policy.E_grid)))
-        except (NonCompact, ValueError) as exc:
-            ev.append(Diagnostic(name, None, note=f"skipped: {exc}"))
+        ev.append(Diagnostic(name, estimate(lam, gam, policy.E_grid)))
     if limit is not None:
         ev.append(Diagnostic("b_qpt_limit" if qpt else "b_spt_limit", limit))
     holds = limit is not None and not math.isinf(limit)

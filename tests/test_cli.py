@@ -62,6 +62,13 @@ CONFIG_ERRORS = [
     # An audit size below 1 would run an empty suite that passes.
     ("audit-instances-negative", {"audit": {"suites": ["oracle"], "instances": -3}}),
     ("audit-draws-negative", {"audit": {"suites": ["power_sum"], "power_sum_draws": -7}}),
+    # A probe grid the estimates cannot run on is rejected up front, not skipped.
+    ("E_grid-below-one", {"probes": {"E_grid": [0.5, 10]}}),
+    # The grid the classify_spt_fails pin ran on before the check.
+    ("E_grid-below-one-spt", {"lambda": {"family": "power_law", "a": 2.0},
+                              "notion": {"kind": "exp_spt"}, "probes": {"E_grid": [0.5, 2.0]}}),
+    ("E_grid-empty", {"probes": {"E_grid": []}}),
+    ("E_grid-decreasing", {"probes": {"E_grid": [100, 10]}}),
 ]
 
 

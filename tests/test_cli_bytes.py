@@ -50,11 +50,11 @@ CASES = [
     ("classify", "classify_qpt", ["--format", "json"], "classify_qpt.json", EXIT_OK),
     # The s < 1, t = 1 boundary: ratio probes, a dict witness and a null exponent.
     ("classify", "classify_st_weak", ["--format", "json"], "classify_st_weak.json", EXIT_OK),
-    # EXP-SPT fails early because the weights do not tend to 0; the E = 0.5
-    # probe skips the estimator with its error text.
+    # EXP-SPT fails early because the weights do not tend to 0; d(eps) is
+    # unresolvable, so each probe is skipped with the NonCompact text.
     ("classify", "classify_spt_fails", ["--format", "json"], "classify_spt_fails.json", EXIT_OK),
-    # The default probe grid reaches an E whose eigenvalue index exceeds the
-    # float range: the probe is skipped with the NonCompact text.
+    # At every E of the default probe grid the eigenvalue index exceeds the
+    # float range: each probe is skipped with the NonCompact text.
     ("classify", "classify_skipped_probe", ["--format", "json"], "classify_skipped_probe.json",
      EXIT_OK),
     # s > 1, t = 1 with lambda_2 = 1 and no weight below one: the weight

@@ -27,6 +27,7 @@ from tensortract import (
     eval_G,
     eval_L,
     family_from_descriptor,
+    j_of_eps,
     load_log_table,
 )
 from tensortract.seqcore import SUPER_POLYNOMIAL, dump_log_table
@@ -148,6 +149,34 @@ class TestInvariants:
         assert math.isinf(v)
         for budget in (1e-300, 1.0, 1e300):
             assert not (v < budget)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.9, 1.0), (0.001, 2.0), (1e-300, 1.0),
+                                             (0.5, 3.0), (0.25, 0.5), (2.0, 1.0)])
+    def test_exp_power_monotone_across_the_overflow_boundary(self, alpha, beta):
+        """Past the first j whose j**beta leaves the float range, alpha * j**beta
+        may still be finite (alpha < 1): log_inv must not drop there."""
+        fam = ExpPower(alpha, beta)
+        lo, hi = 1, 2 ** (int(1024 / beta) + 2)  # j**beta is finite at lo, overflows at hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                math.pow(mid, beta)
+                lo = mid
+            except OverflowError:
+                hi = mid
+        offsets = {0} | {sign * k << e for sign in (-1, 1) for k in (1, 3)
+                         for e in range(0, hi.bit_length() - 3, 8)}
+        js = sorted(hi + o for o in offsets)
+        vals = [fam.log_inv(j) for j in js]
+        assert vals == sorted(vals)
+        assert js[0] <= lo < hi <= js[-1]
+
+    def test_exp_power_past_the_float_range_of_j_to_the_beta(self):
+        # 0.001 * j**2 < 2e305 although j**2 overflows: j_eps is sqrt(2) * 1e154.
+        j = j_of_eps(EigenSeq(ExpPower(0.001, 2.0)), 1e305)
+        assert float(j) == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-12)
+        # With beta < 1 it is j itself that leaves the float range.
+        assert ExpPower(0.25, 0.5).log_inv(2**1030) == pytest.approx(2.0**513, rel=1e-12)
 
     def test_weight_monotone(self):
         seq = WeightSeq(DoubleExpPower(1.0, 1.0))

@@ -31,15 +31,11 @@ from tensortract import (
     divergence_check,
     eta_exponent,
     family_from_descriptor,
-    fit_exponent,
     summability,
-    witness_ratio,
     wt_s_below_one_check,
-    wt_sup_criterion,
 )
 from tensortract.cli import _dump_json
 from tensortract.goldens import GOLDEN_PAIRS, iterated_log_pair
-from tensortract.tractability import converged_sum_from_two
 
 LN2 = math.log(2.0)
 GRID = (1e3, 1e6, 1e12, 1e100, 1e300)
@@ -109,6 +105,22 @@ class TestLimitEstimators:
             b_spt_estimate(INTRO_LAM, INTRO_GAM, (100.0, 10.0))
         with pytest.raises(ValueError):
             b_spt_estimate(INTRO_LAM, INTRO_GAM, (0.5, 10.0))
+
+    def test_unresolvable_probe_is_skipped_alone(self):
+        # d(eps) is 7 at E = 2 and 22,026 at E = 10, and past the float range at E = 1e4.
+        v = classify(EigenSeq(ExpPower(1.0, 1.0)), WeightSeq(PowerLaw(2.0)), Notion.spt(),
+                     ProbePolicy(E_grid=(2.0, 10.0, 1e4)))
+        est = {d.name: d.value for d in v.evidence}["b_spt_probes"]
+        assert [E for E, _ in est.probes] == [2.0, 10.0]
+        assert est.probes[0][1] == pytest.approx(7 * math.log(4.0) / LN2, rel=1e-15)
+        assert est.skipped == ((1e4, "weight threshold could not be resolved: "
+                                     "the index exceeds the float range"),)
+
+    @pytest.mark.parametrize("E_grid, j_grid", [
+        ((0.5, 10.0), (4,)), ((), (4,)), ((100.0, 10.0), (4,)), ((10.0,), (1, 4))])
+    def test_policy_rejects_unusable_grids(self, E_grid, j_grid):
+        with pytest.raises(ValueError):
+            ProbePolicy(E_grid, j_grid)
 
 
 class TestDivergence:
@@ -197,81 +209,6 @@ class TestSummability:
         with pytest.raises(ValueError, match="J must be an integer"):
             summability(EigenSeq(PowerLaw(2.0)), 1.0, J)
 
-    def test_converged_sum_skips_hopeless_tables(self, monkeypatch):
-        # The tail bound 1/J of PowerLaw(2) at c = 1 stays above 1e-9 of the
-        # sum up to the cap, so only the J = 64 and J = 2**22 tables are
-        # built, plus the one x_1 term.
-        seq = EigenSeq(PowerLaw(2.0))
-        calls = []
-        scalar = PowerLaw.log_inv
-        monkeypatch.setattr(PowerLaw, "log_inv", lambda self, j: calls.append(j) or scalar(self, j))
-        value, bound = converged_sum_from_two(seq, 1.0)
-        assert len(calls) <= 64 + 2**22 + 1
-        assert bound == 2.0**-22
-        assert value == pytest.approx(math.pi**2 / 6 - 1.0, abs=2 * bound)
-
-    @pytest.mark.parametrize("fam,c", [
-        (PowerLaw(2.0), 1.0), (PowerLaw(3.0), 1.0), (PowerLaw(6.0), 0.5), (ExpPower(0.3, 0.5), 1.0),
-        (ExpPower(1.0, 1.0), 0.1), (LogPower(2.0), 1.0), (LogPower(3.0), 2.0),
-        (Tabulated((0.3, 0.5, 1.0, 3.0)), 1.0)])
-    def test_converged_sum_matches_the_full_search(self, fam, c):
-        """Skipping tables returns the bits of the search that builds every one."""
-        seq, j_cap = EigenSeq(fam), 2**18
-        J = 64
-        while True:
-            res = summability(seq, c, J)
-            want = (res.value - math.exp(-c * seq.log_inv(1)), res.tail_bound)
-            if J >= j_cap or (want[1] is not None and want[1] <= 1e-9 * max(want[0], 1e-300)):
-                break
-            J = min(8 * J, j_cap)
-        assert converged_sum_from_two(seq, c, j_cap=j_cap) == want
-
-    def test_converged_sum_stops_at_the_cap(self):
-        seq = EigenSeq(PowerLaw(2.0))
-        capped = summability(seq, 1.0, 100)
-        assert converged_sum_from_two(seq, 1.0, j_cap=100) == (capped.value - 1.0,
-                                                               capped.tail_bound)
-
-
-class TestSupCriterion:
-    def test_unweighted_dyadic_grows_linearly(self):
-        res = wt_sup_criterion(EigenSeq(ExpPower(LN2, 1.0)), WeightSeq(ConstantOne()),
-                               0.1, 1.0, 200)
-        assert res.m_star == pytest.approx(2**-0.1 / (1 - 2**-0.1), rel=1e-9)
-        per_term = math.log1p(res.m_star) - 0.1
-        assert per_term == pytest.approx(2.604, abs=1e-2)
-        assert res.still_growing and res.argmax_d == 200
-
-    def test_decaying_weights_peak_early(self):
-        gam = WeightSeq(Tabulated(tuple(float(k) for k in range(1, 300))))
-        res = wt_sup_criterion(EigenSeq(ExpPower(LN2, 1.0)), gam, 0.1, 1.0, 200)
-        assert not res.still_growing
-        assert res.argmax_d < 60
-
-    def test_large_exponent_puts_peak_at_one(self):
-        res = wt_sup_criterion(EigenSeq(ExpPower(LN2, 1.0)), WeightSeq(ConstantOne()),
-                               5.0, 1.0, 50)
-        assert res.argmax_d == 1 and not res.still_growing
-        assert res.sup < 0.0
-
-    def test_divergent_eigen_sum_rejected(self):
-        with pytest.raises(DivergentTail):
-            wt_sup_criterion(EigenSeq(PowerLaw(1.0)), WeightSeq(ConstantOne()), 1.0, 1.0, 10)
-
-    @pytest.mark.parametrize("c, growing", [(0.1, True), (5.0, False)])
-    def test_single_dimension(self, c, growing):
-        # With dmax = 1 the growth flag is the sign of the only value.
-        res = wt_sup_criterion(EigenSeq(ExpPower(LN2, 1.0)), WeightSeq(ConstantOne()), c, 1.0, 1)
-        assert res.argmax_d == 1 and res.still_growing is growing
-        assert res.sup == pytest.approx(math.log1p(res.m_star) - c, rel=1e-15)
-
-    @pytest.mark.parametrize("dmax", [True, 2.5, 3.0])
-    def test_non_integer_dmax_rejected(self, dmax):
-        with pytest.raises(ValueError, match="dmax must be a positive integer"):
-            wt_sup_criterion(EigenSeq(ExpPower(LN2, 1.0)), WeightSeq(ConstantOne()),
-                             0.1, 1.0, dmax)
-
-
 class TestBoundaryRatio:
     def test_power_law_diagonal_vanishes(self):
         lam = EigenSeq(PowerLaw(2.0))
@@ -301,33 +238,6 @@ class TestBoundaryRatio:
         with pytest.raises(ValueError):
             wt_s_below_one_check(EigenSeq(PowerLaw(2.0)), WeightSeq(ConstantOne()),
                                  0.5, [(2, 3, 2)])
-
-
-class TestWitnessRatio:
-    def test_unit_second_eigenvalue_constant_ratio(self):
-        lam = EigenSeq(Tabulated((0.0, 0.0, 1.0, 2.0)))
-        for d in (5, 10, 40):
-            got = witness_ratio(lam, WeightSeq(ConstantOne()), 2.0, 1.0, d, [2] * d)
-            assert got == pytest.approx(1.0 / LN2, rel=1e-12)
-
-    def test_single_coordinate_form(self):
-        lam = EigenSeq(ExpPower(LN2, 1.0))
-        gam = WeightSeq(Tabulated((0.5,)))
-        got = witness_ratio(lam, gam, 1.5, 1.0, 1, [2])
-        want = (1.0 + 0.5**1.5 + LN2**1.5) / LN2
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_mixed_sums(self):
-        lam = EigenSeq(ExpPower(LN2, 1.0))
-        gam = WeightSeq(Tabulated(tuple(float(k) for k in range(1, 40))))
-        got = witness_ratio(lam, gam, 1.0, 1.0, 10, [2] * 10)
-        assert got == pytest.approx((10 + 55 + 10 * LN2) / (10 * LN2), rel=1e-12)
-
-    def test_overflowing_powers_saturate(self):
-        lam = EigenSeq(PowerLaw(1e300))
-        assert witness_ratio(lam, WeightSeq(ConstantOne()), 2.0, 1.0, 2, [2, 3]) == math.inf
-        assert witness_ratio(EigenSeq(PowerLaw(2.0)), WeightSeq(ConstantOne()),
-                             1.0, 1e10, 2, [2, 3]) == math.inf
 
 
 class TestEta:
@@ -471,34 +381,9 @@ class TestClassifier:
         assert v.status is VerdictStatus.HOLDS and v.mode is VerdictMode.ANALYTIC
 
 
-class TestFitExponent:
-    def test_recovers_square_law(self):
-        samples = [(E, round((1.0 + E) ** 2)) for E in (10.0, 100.0, 1000.0)]
-        fit = fit_exponent(samples)
-        assert fit.p_hat == pytest.approx(2.0, abs=0.05)
-        assert not fit.degenerate
-
-    def test_constant_counts_degenerate(self):
-        fit = fit_exponent([(10.0, 1), (100.0, 1), (1000.0, 1)])
-        assert fit.p_hat == 0.0 and fit.degenerate
-
-    def test_intro_family_exponent_stays_small(self):
-        from tensortract import Query, info_complexity
-        samples = [(E, info_complexity(INTRO_LAM, INTRO_GAM, Query(E, 8)).count)
-                   for E in (1e2, 1e3, 1e4, 1e5, 1e6)]
-        fit = fit_exponent(samples)
-        assert fit.p_hat < 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fit_exponent([(1.0, 1), (2.0, 2)])
-        with pytest.raises(ValueError):
-            fit_exponent([(1.0, 1), (1.0, 2), (3.0, 4)])
-
-
-# The verdict pins: every call of classify over these axes that returns, with
-# its status, its exponent as float.hex and the SHA-256 of its evidence as the
-# CLI prints it.  `python tests/test_tractability.py` rewrites the file.
+# The verdict pins: every call of classify over these axes, with its status,
+# its exponent as float.hex and the SHA-256 of its evidence as the CLI prints
+# it.  `python tests/test_tractability.py` rewrites the file.
 VERDICT_BITS = Path(__file__).parent / "verdict_bits.json"
 _VERDICT_NOTIONS = {n.label: n for n in (
     Notion.spt(), Notion.pt(), Notion.qpt(), Notion.wt(),
@@ -528,11 +413,8 @@ def _write_verdict_bits() -> None:
             pins = {}
             for label, notion in _VERDICT_NOTIONS.items():
                 for grid, policy in _VERDICT_POLICIES.items():
-                    try:
-                        pins[f"{label} {grid}"] = _verdict_pin(
-                            EigenSeq(lam), WeightSeq(gam), notion, policy)
-                    except OverflowError:
-                        pass  # a call that raises is not pinned
+                    pins[f"{label} {grid}"] = _verdict_pin(
+                        EigenSeq(lam), WeightSeq(gam), notion, policy)
             lines.append(json.dumps({"lambda": lam.descriptor(), "gamma": gam.descriptor(),
                                      "verdicts": pins}).replace("Infinity", '"inf"'))
     VERDICT_BITS.write_text("[\n" + ",\n".join(lines) + "\n]\n")
