@@ -36,6 +36,7 @@ from tensortract import (
 )
 from tensortract.cli import _dump_json
 from tensortract.goldens import GOLDEN_PAIRS, iterated_log_pair
+from tensortract.tractability import _power_sums
 
 LN2 = math.log(2.0)
 GRID = (1e3, 1e6, 1e12, 1e100, 1e300)
@@ -209,6 +210,62 @@ class TestSummability:
         with pytest.raises(ValueError, match="J must be an integer"):
             summability(EigenSeq(PowerLaw(2.0)), 1.0, J)
 
+    @pytest.mark.parametrize("fam,c", [
+        (PowerLaw(2.0), 1.0), (PowerLaw(3.0), 1.0), (PowerLaw(6.0), 0.5), (ExpPower(0.3, 0.5), 1.0),
+        (ExpPower(1.0, 1.0), 0.1), (LogPower(2.0), 1.0), (LogPower(3.0), 2.0),
+        (Tabulated((0.3, 0.5, 1.0, 3.0)), 1.0)])
+    def test_tail_bound_covers_the_longer_sum(self, fam, c):
+        """Each truncation plus its tail bound lies above the sum to 2**16."""
+        seq = EigenSeq(fam)
+        full = summability(seq, c, 2**16).value
+        prev = 0.0
+        for J in (64, 512, 4096):
+            res = summability(seq, c, J)
+            slack = 1e-12 * full  # the partial sums carry their own rounding
+            assert prev <= res.value <= full + slack
+            if res.tail_bound is not None:
+                assert full <= res.value + res.tail_bound + slack
+            prev = res.value
+
+    def test_integral_tail_at_the_truncation(self):
+        # PowerLaw(2) at c = 1: the tail past J is at most the integral 1/J.
+        res = summability(EigenSeq(PowerLaw(2.0)), 1.0, 100)
+        assert res.tail_bound == 0.01 and res.terms == 100
+        assert res.value == pytest.approx(sum(j**-2.0 for j in range(1, 101)), rel=1e-14)
+
+    def test_divergence_raises_before_any_table(self, monkeypatch):
+        calls = []
+        scalar = PowerLaw.log_inv
+        monkeypatch.setattr(PowerLaw, "log_inv", lambda self, j: calls.append(j) or scalar(self, j))
+        with pytest.raises(DivergentTail):
+            summability(EigenSeq(PowerLaw(1.0)), 1.0, 10**6)
+        assert len(calls) <= 2  # the summable() check reads a term, no table is built
+
+    @pytest.mark.parametrize("fam", [PowerLaw(2.0), ExpPower(0.3, 0.5), LogPower(2.0)],
+                             ids=lambda fam: fam.name)
+    def test_power_sums_share_one_table(self, fam, monkeypatch):
+        """_power_sums reads log_inv once per index for every exponent, and
+        matches summability wherever the series converges."""
+        seq, J, cs = EigenSeq(fam), 500, (0.25, 1.0, 2.0)
+        calls = []
+        scalar = type(fam).log_inv
+        monkeypatch.setattr(type(fam), "log_inv",
+                            lambda self, j: calls.append(j) or scalar(self, j))
+        sums = _power_sums(seq, cs, J)
+        # One table of J terms; the tail bounds then read only indices past it.
+        assert calls[:J] == list(range(1, J + 1))
+        assert all(j >= J for j in calls[J:])
+        monkeypatch.undo()
+        for c, res in zip(cs, sums):
+            if fam.summable(c):
+                assert res == summability(seq, c, J)
+            else:
+                with pytest.raises(DivergentTail):
+                    summability(seq, c, J)
+                ls = np.array([fam.log_inv(j) for j in range(1, J + 1)])
+                assert res.value == float(np.exp(-c * ls).sum())
+
+
 class TestBoundaryRatio:
     def test_power_law_diagonal_vanishes(self):
         lam = EigenSeq(PowerLaw(2.0))
@@ -244,6 +301,18 @@ class TestEta:
     def test_values(self):
         assert eta_exponent(0.5, 2.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert eta_exponent(0.5, 1.4) == pytest.approx(2.0 / 9.0, abs=1e-15)
+
+
+class TestIntroCounts:
+    def test_intro_family_count_grows_slower_than_sqrt_E(self):
+        # The least-squares slope of log n(E, 8) against log(1 + E) on the
+        # intro family (the counts are 5, 27, 81, 141 and 195).
+        from tensortract import Query, info_complexity
+        Es = (1e2, 1e3, 1e4, 1e5, 1e6)
+        counts = [info_complexity(INTRO_LAM, INTRO_GAM, Query(E, 8)).count for E in Es]
+        assert counts == sorted(counts) and counts[0] >= 1
+        slope = np.polyfit(np.log1p(Es), np.log(counts), 1)[0]
+        assert slope < 0.5
 
 
 class TestClassifier:
