@@ -193,7 +193,11 @@ class _FamilyBase:
     ``log_threshold_growth`` only when that growth is super-polynomial, since
     otherwise it is the leading term of the log of ``threshold_growth``.
     Threshold indices are searched on ``log_inv`` alone, and that search
-    terminates exactly when ``limit_zero``.
+    terminates exactly when ``limit_zero``.  ``log_inv`` never decreases,
+    and for j from 2**53 to ``int(sys.float_info.max)`` it reads j only
+    through float(j) (``math.log`` and ``math.pow`` convert such an int to
+    its nearest double, ``alpha * j`` multiplies by it, and a table is
+    constant past its end), so the search bisects over doubles there.
     """
 
     name: ClassVar[str]

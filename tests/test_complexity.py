@@ -169,6 +169,18 @@ class TestInfoComplexity:
             info_complexity(DYADIC, WeightSeq(ExpPower(1.0, 1.0)), Query(8.0, 6),
                             node_budget=10)
 
+    @pytest.mark.parametrize("top, want", [(100.0, 99), (101.0, 100), (102.0, None),
+                                           (121.0, None), (129.0, None)])
+    def test_level_table_stops_at_the_node_budget(self, top, want):
+        # L(j) = log j below 2E = log(top): the level table needs J = ceil(top) - 1,
+        # which must not pass the node budget of 100.
+        args = EigenSeq(PowerLaw(1.0)), WeightSeq(ExpPower(1.0, 1.0)), Query(math.log(top) / 2, 1)
+        if want is None:
+            with pytest.raises(BudgetExceeded, match=r"level range exceeds the node budget \(100\)"):
+                info_complexity(*args, node_budget=100)
+        else:
+            assert info_complexity(*args, node_budget=100).count == want
+
     def test_query_validation(self):
         with pytest.raises(ValueError):
             Query(-1.0, 2)
@@ -587,6 +599,89 @@ class TestThresholdSearch:
                         index_of(seq, E)
                 else:
                     assert index_of(seq, E, cap=cap) == cap
+
+
+def integer_search(L, budget):
+    """max{j : L(j) < budget} by a doubling gallop and a bisection over the
+    integers alone: the reference for the search over doubles."""
+    if not (L(1) < budget):
+        return 0
+    lo, hi = 1, 2
+    while L(hi) < budget:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if L(mid) < budget:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class Identity:
+    """Test-only family with log_inv(j) = float(j), j's nearest double."""
+
+    limit_zero = True
+
+    def log_inv(self, j):
+        return float(j)
+
+
+class TestSearchOverDoubles:
+    """Past 2**53 the threshold search bisects doubles; its answer is the
+    largest integer that rounds to the last double below the budget."""
+
+    @pytest.mark.parametrize("x", [
+        2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**53 + 4, 2.0**54, 2.0**54 + 4, 2.0**54 + 8,
+        2.0**60 + 2**8, 2.0**60 + 2**9, math.nextafter(2.0**61, 0.0), 2.0**100, 1e300,
+        2.0**1023, math.nextafter(2.0**1023, 0.0), math.nextafter(MAX, 0.0),
+    ])
+    def test_knife_edges(self, x):
+        seq = SimpleNamespace(family=Identity())
+        # Below the double after x, exactly the integers that round to x or less qualify.
+        j = j_of_eps(seq, math.nextafter(x, math.inf) / 2)
+        assert float(j) == x and float(j + 1) > x
+        # Below x itself, those that round below x.
+        j = j_of_eps(seq, x / 2)
+        assert float(j) < x and float(j + 1) == x
+
+    def test_ties_round_to_the_even_mantissa(self):
+        seq = SimpleNamespace(family=Identity())
+        assert j_of_eps(seq, math.nextafter(2.0**53, math.inf) / 2) == 2**53 + 1
+        assert j_of_eps(seq, math.nextafter(2.0**53 + 2, math.inf) / 2) == 2**53 + 2
+
+    def test_past_the_float_range_is_unresolvable(self):
+        for cap in (complexity._INDEX_LIMIT, 2**2000):
+            assert complexity._max_index_below(float, math.inf, cap) is None
+
+    @pytest.mark.parametrize("fam", THRESHOLD_FAMILIES, ids=repr)
+    def test_matches_the_integer_search(self, fam):
+        L = fam.log_inv
+        rng = random.Random(repr(fam))
+        lookups = [(d_of_eps, WeightSeq(fam))]
+        if not isinstance(fam, (ConstantOne, EventuallyZero)):
+            lookups.append((j_of_eps, EigenSeq(fam)))
+        for E in THRESHOLD_E + [10.0 ** rng.uniform(-3.0, 308.0) for _ in range(8)]:
+            budget = 2.0 * E  # inf at E = 1e308
+            if not (fam.limit_zero and L(complexity._INDEX_LIMIT) >= budget):
+                continue
+            want = integer_search(L, budget)
+            for index_of, seq in lookups:
+                for cap in (None, 1, 1000):
+                    assert index_of(seq, E, cap=cap) == want
+            for cap in (1, 1000, complexity._INDEX_LIMIT):
+                got = complexity._max_index_below(L, budget, cap)
+                assert got == (want if want <= cap else None)
+
+    def test_calls_at_the_top_of_the_float_range(self, monkeypatch):
+        seq, calls = EigenSeq(ExpPower(1.0, 1.0)), []
+        scalar = ExpPower.log_inv
+        monkeypatch.setattr(ExpPower, "log_inv", lambda self, j: calls.append(j) or scalar(self, j))
+        j = j_of_eps(seq, 1e300)
+        # The resolvability check, 54 gallop steps to 2**53, 62 bisection steps.
+        assert len(calls) <= 117
+        monkeypatch.undo()
+        assert j == integer_search(ExpPower(1.0, 1.0).log_inv, 2e300)
 
 
 class TestThresholdIndexErrors:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -177,6 +178,30 @@ class TestInvariants:
         assert float(j) == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-12)
         # With beta < 1 it is j itself that leaves the float range.
         assert ExpPower(0.25, 0.5).log_inv(2**1030) == pytest.approx(2.0**513, rel=1e-12)
+
+    @pytest.mark.parametrize("fam", [
+        *(PowerLaw(a) for a in (0.1, 1.0, 7.0)),
+        *(ExpPower(alpha, beta) for alpha in (1e-300, 0.001, 1.0, 3.0)
+          for beta in (0.1, 0.5, 1.0, 2.0, 3.0)),
+        *(DoubleExpPower(alpha, beta) for alpha in (0.1, 1.0) for beta in (0.01, 0.1, 1.0)),
+        *(TripleExp(alpha) for alpha in (1e-300, 1e-18, 1.0)),
+        *(LogPower(beta) for beta in (1.1, 2.0, 3.0)),
+        IterLog(), IterLog((0.0, 0.0)), IterLog((0.0, 0.1, 0.2, 0.3)),
+        Tabulated((0.0, 0.5, 1.5, math.inf)), Tabulated((0.0, 1e300)),
+        EventuallyZero(3, (0.0, 1.0)), ConstantOne(),
+    ], ids=repr)
+    def test_log_inv_reads_large_indices_through_float(self, fam):
+        """Past 2**53, log_inv(j) depends on j only through float(j): the
+        threshold search bisects over doubles there."""
+        rng = random.Random(repr(fam))
+        top = int(sys.float_info.max)
+        js = [2**53, 2**53 + 1, 2**53 + 3, 2**54 - 1, 2**54 + 2, top - 1, top,
+              top + 2**970 - 1]
+        for _ in range(200):
+            e = rng.randrange(53, 1024)
+            js.append(rng.randrange(2**e, min(2**(e + 1), top + 1)))
+        for j in js:
+            assert fam.log_inv(j) == fam.log_inv(int(float(j))), j
 
     def test_weight_monotone(self):
         seq = WeightSeq(DoubleExpPower(1.0, 1.0))

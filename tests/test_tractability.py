@@ -266,6 +266,31 @@ class TestSummability:
                 assert res.value == float(np.exp(-c * ls).sum())
 
 
+    def test_power_sums_stop_where_every_term_underflows(self, monkeypatch):
+        """Once log_inv reaches 800 / min(cs), every later term is 0.0: the
+        table stops at that block and the sums keep their bits."""
+        fam, J, cs = ExpPower(1.0, 1.0), 2**17, (2.0, 1.0, 0.5, 0.1)
+        seq, calls = EigenSeq(fam), []
+        monkeypatch.setattr(ExpPower, "log_inv",
+                            lambda self, j, scalar=ExpPower.log_inv: calls.append(j) or scalar(self, j))
+        sums = _power_sums(seq, cs, J)
+        # log_inv(j) = j - 1 first reaches 800 / 0.1 in the block ending at 8192.
+        n = sum(j <= J for j in calls)
+        assert n == 8192
+        assert calls[:n] == list(range(1, n + 1)) and all(j > J for j in calls[n:])
+        monkeypatch.undo()
+        ls = np.array([fam.log_inv(j) for j in range(1, J + 1)])
+        for c, res in zip(cs, sums):
+            assert res.value == float(np.exp(-c * ls).sum())
+
+    def test_power_sums_read_every_index_without_underflow(self, monkeypatch):
+        seq, J, calls = EigenSeq(PowerLaw(2.0)), 5000, []
+        monkeypatch.setattr(PowerLaw, "log_inv",
+                            lambda self, j, scalar=PowerLaw.log_inv: calls.append(j) or scalar(self, j))
+        _power_sums(seq, (2.0, 1.0, 0.5, 0.1), J)
+        assert calls == list(range(1, J + 1))
+
+
 class TestBoundaryRatio:
     def test_power_law_diagonal_vanishes(self):
         lam = EigenSeq(PowerLaw(2.0))
