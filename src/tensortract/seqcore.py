@@ -12,12 +12,19 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import repeat
+from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import InvalidIndex, SequenceError
+
+#: Every integer up to here is a double; past it the threshold search steps
+#: over doubles, and tables map the scalar log_inv.
+_EXACT_LIMIT = 2**53
+
 
 def _saturated(f, *args) -> float:
     """f(*args) with overflow saturated to +inf."""
@@ -198,11 +205,17 @@ class _FamilyBase:
     through float(j) (``math.log`` and ``math.pow`` convert such an int to
     its nearest double, ``alpha * j`` multiplies by it, and a table is
     constant past its end), so the search bisects over doubles there.
+
+    A closed form writes its arithmetic once, as ``_formula(j, m)``, and its
+    ``log_inv`` calls it with ``m = math`` from index ``_formula_start`` on,
+    keeping any guard (the first index, a prefix, an overflow clamp) to
+    itself; ``log_inv_table`` calls the same formula on blocks of indices.
     """
 
     name: ClassVar[str]
     limit_zero: ClassVar[bool] = True      # x_j -> 0
     all_ones: ClassVar[bool] = False       # x_j == 1 for every j
+    _formula_start: ClassVar[int] = 2      # indices below are guarded by log_inv
 
     def log_threshold_growth(self) -> Growth:
         """Leading term of log of the threshold growth; 0 for a table with at
@@ -267,12 +280,16 @@ class PowerLaw(_FamilyBase):
 
     a: float
     name: ClassVar[str] = "power_law"
+    _formula_start: ClassVar[int] = 1
 
     def __post_init__(self):
         object.__setattr__(self, "a", _positive_param("a", self.a))
 
     def log_inv(self, j: int) -> float:
-        return self.a * math.log(j)
+        return self._formula(j, math)
+
+    def _formula(self, j, m):
+        return self.a * m.log(j)
 
     def threshold_growth(self) -> Growth:
         return Growth(1.0, e=1.0 / self.a)
@@ -304,13 +321,16 @@ class ExpPower(_FamilyBase):
         if j == 1:
             return 0.0
         try:
-            return self.alpha * (math.pow(j, self.beta) - 1.0)
+            return self._formula(j, math)
         except OverflowError:
             # j or j**beta is past the float range, alpha * j**beta need not
             # be; the clamp, the largest value of the branch above (reached
             # at j = MAX when beta < 1), keeps log_inv non-decreasing.
             return max(self.alpha * math.pow(sys.float_info.max, min(self.beta, 1.0)),
                        _saturated(math.exp, math.log(self.alpha) + self.beta * math.log(j)))
+
+    def _formula(self, j, m):
+        return self.alpha * (m.pow(j, self.beta) - 1.0)
 
     def threshold_growth(self) -> Growth:
         return Growth(_saturated(math.pow, self.alpha, -1.0 / self.beta), p=1.0 / self.beta)
@@ -351,9 +371,12 @@ class DoubleExpPower(_FamilyBase):
         if j == 1:
             return 0.0
         try:
-            return math.exp(self.alpha * math.pow(j, self.beta)) - math.exp(self.alpha)
+            return self._formula(j, math)
         except OverflowError:
             return math.inf
+
+    def _formula(self, j, m):
+        return m.exp(self.alpha * m.pow(j, self.beta)) - math.exp(self.alpha)
 
     def threshold_growth(self) -> Growth:
         return Growth(_saturated(math.pow, self.alpha, -1.0 / self.beta), q=1.0 / self.beta)
@@ -379,9 +402,12 @@ class TripleExp(_FamilyBase):
         if j == 1:
             return 0.0
         try:
-            return math.exp(math.exp(self.alpha * j)) - math.exp(math.exp(self.alpha))
+            return self._formula(j, math)
         except OverflowError:
             return math.inf
+
+    def _formula(self, j, m):
+        return m.exp(m.exp(self.alpha * j)) - math.exp(math.exp(self.alpha))
 
     def threshold_growth(self) -> Growth:
         return Growth(1.0 / self.alpha, r=1.0)
@@ -410,9 +436,12 @@ class LogPower(_FamilyBase):
         if j == 1:
             return 0.0
         try:
-            return math.pow(math.log(j), self.beta)
+            return self._formula(j, math)
         except OverflowError:
             return math.inf
+
+    def _formula(self, j, m):
+        return m.pow(m.log(j), self.beta)
 
     def threshold_growth(self):
         return SUPER_POLYNOMIAL
@@ -429,7 +458,7 @@ class LogPower(_FamilyBase):
         return RatioClass("bounded", 0.0)
 
     def _tail_exponent(self, c: float, J: int) -> float:
-        return c * math.pow(math.log(max(J, 2)), self.beta - 1.0)
+        return c * _saturated(math.pow, math.log(max(J, 2)), self.beta - 1.0)
 
 
 _ITERLOG_DEFAULT_PREFIX = (0.0, -math.log(0.95))
@@ -460,8 +489,15 @@ class IterLog(_FamilyBase):
     def log_inv(self, j: int) -> float:
         if j <= len(self.prefix):
             return self.prefix[j - 1]
-        lj = math.log(j)
-        return math.log(lj) * lj
+        return self._formula(j, math)
+
+    @property
+    def _formula_start(self) -> int:
+        return len(self.prefix) + 1
+
+    def _formula(self, j, m):
+        lj = m.log(j)
+        return m.log(lj) * lj
 
     def threshold_growth(self):
         return SUPER_POLYNOMIAL
@@ -584,6 +620,63 @@ _FAMILY_TYPES = {
 }
 
 _WEIGHT_ONLY = (ConstantOne, EventuallyZero)
+
+
+#: The scalar log_inv functions whose tables are built in blocks.  A family
+#: whose log_inv is any other function (an override, a patch or a wrapper)
+#: is tabulated by mapping that function.
+_BLOCK_LOG_INV = frozenset(cls.__dict__["log_inv"] for cls in (
+    PowerLaw, ExpPower, DoubleExpPower, TripleExp, LogPower, IterLog, _TableFamily))
+
+#: Fewest entries for which a table is built in blocks; a shorter one maps
+#: the scalar log_inv, which costs less than numpy's fixed cost per block.
+_BLOCK_MIN = 64
+#: Most indices per block, so that the temporaries of a block stay small.
+_BLOCK_LEN = 2048
+
+
+def _mapped(f, x: np.ndarray, *consts) -> np.ndarray:
+    """[f(v, *consts) for v in x] as a float64 array, one C-level map."""
+    return np.fromiter(map(f, x.tolist(), *map(repeat, consts)), float, len(x))
+
+
+#: ``m`` of a closed form's ``_formula`` on a block: the same math calls as
+#: the scalar formula, mapped over the block, so each entry is the float
+#: the scalar call returns; numpy does the + - * in between, which round
+#: as Python's float arithmetic does.
+_BLOCK_MATH = SimpleNamespace(log=partial(_mapped, math.log), pow=partial(_mapped, math.pow),
+                              exp=partial(_mapped, math.exp))
+
+
+def log_inv_table(fam, lo: int, hi: int) -> np.ndarray:
+    """[fam.log_inv(j) for j in range(lo, hi)] as a float64 array, bit for bit.
+
+    A table family slices its table.  A closed form maps its guarded indices
+    through ``log_inv`` and runs ``_formula`` on the rest, block by block;
+    a block in which a math call overflows is mapped through ``log_inv``,
+    whose guards give the value there.  Closed-form tables shorter than
+    ``_BLOCK_MIN`` or reaching past ``_EXACT_LIMIT``, and families whose
+    ``log_inv`` is not in ``_BLOCK_LOG_INV``, map ``log_inv`` throughout.
+    """
+    n = hi - lo
+    blocked = type(fam).log_inv in _BLOCK_LOG_INV
+    if blocked and isinstance(fam, _TableFamily):
+        head = fam._table[lo - 1:hi - 1]
+        return np.array(head + (math.inf,) * (n - len(head)), dtype=float)
+    scalar = fam.log_inv
+    if not blocked or n < _BLOCK_MIN or hi > _EXACT_LIMIT + 1:
+        return np.fromiter(map(scalar, range(lo, hi)), float, n)
+    out = np.empty(n)
+    start = min(max(lo, fam._formula_start), hi)
+    out[:start - lo] = list(map(scalar, range(lo, start)))
+    with np.errstate(over="ignore"):  # products past the float range are inf, as in Python
+        for a in range(start, hi, _BLOCK_LEN):
+            b = min(a + _BLOCK_LEN, hi)
+            try:
+                out[a - lo:b - lo] = fam._formula(np.arange(a, b, dtype=float), _BLOCK_MATH)
+            except OverflowError:
+                out[a - lo:b - lo] = list(map(scalar, range(a, b)))
+    return out
 
 
 def family_from_descriptor(desc: dict):

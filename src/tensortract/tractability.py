@@ -23,6 +23,7 @@ from .seqcore import (
     SuperPolynomial,
     WeightSeq,
     _saturated,
+    log_inv_table,
 )
 
 #: Doubly-exponential default threshold grid (E = log(1/eps), natural units).
@@ -281,20 +282,21 @@ def _check_power_sum(cs, J) -> None:
 
 def _power_sums(seq, cs, J: int) -> list:
     """summability(seq, c, J) for each c in cs, divergent exponents included;
-    all exponents sum over one table of the scalar log_inv, read up to the
-    block where every term underflows."""
+    all exponents sum over one ``log_inv_table``, bit for bit the scalar
+    log_inv, read up to the chunk where every term underflows."""
     _check_power_sum(cs, J)
     fam = seq.family
-    # The table is read in order and doubles in length from 1024 entries.
-    # log_inv never decreases, so once an entry reaches 800 / min(cs) every
-    # later c * log_inv is past 745.2, where exp(-x) underflows to exactly
-    # 0.0, for every c; so is exp(-inf) for the rest of the table.
+    # The table is read in order, in chunks that double from 1024 entries
+    # up to 8192.  log_inv never decreases, so once an entry reaches
+    # 800 / min(cs) every later c * log_inv is past 745.2, where exp(-x)
+    # underflows to exactly 0.0, for every c; so is exp(-inf) for the rest
+    # of the table.
     stop = 800.0 / min(cs)
     ls = np.full(J, math.inf)
     n = 0
     while n < J:
-        end = min(max(2 * n, 1024), J)
-        ls[n:end] = np.fromiter(map(fam.log_inv, range(n + 1, end + 1)), float, end - n)
+        end = min(max(2 * n, 1024), n + 8192, J)
+        ls[n:end] = log_inv_table(fam, n + 1, end + 1)
         n = end
         if ls[n - 1] >= stop:
             break

@@ -181,6 +181,25 @@ class TestInfoComplexity:
         else:
             assert info_complexity(*args, node_budget=100).count == want
 
+    def test_level_tables_read_formula_blocks(self, monkeypatch):
+        """Level tables of closed forms come from _formula on blocks of
+        indices 2..J; a patched log_inv maps the scalar instead, to the
+        same count and spectrum."""
+        lam, gam = EigenSeq(PowerLaw(1.0)), WeightSeq(ExpPower(1.0, 1.0))
+        q = Query(math.log(5000.0) / 2, 3)  # G(1) = 0: levels j < 5000
+        blocks = []
+        formula = PowerLaw._formula
+        monkeypatch.setattr(PowerLaw, "_formula", lambda self, j, m:
+                            (m is not math and blocks.append(j)) or formula(self, j, m))
+        res = info_complexity(lam, gam, q)
+        assert np.concatenate(blocks).tolist() == list(range(2, 5000))
+        top = top_eigenvalues(lam, gam, 3, 2000)
+        monkeypatch.undo()
+        scalar = PowerLaw.log_inv
+        monkeypatch.setattr(PowerLaw, "log_inv", lambda self, j: scalar(self, j))
+        assert info_complexity(lam, gam, q) == res
+        assert top_eigenvalues(lam, gam, 3, 2000) == top
+
     def test_query_validation(self):
         with pytest.raises(ValueError):
             Query(-1.0, 2)

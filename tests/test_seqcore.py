@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tensortract import (
     ConstantOne,
@@ -31,7 +31,7 @@ from tensortract import (
     j_of_eps,
     load_log_table,
 )
-from tensortract.seqcore import SUPER_POLYNOMIAL, dump_log_table
+from tensortract.seqcore import SUPER_POLYNOMIAL, dump_log_table, log_inv_table
 
 EIGEN_FAMILIES = [
     PowerLaw(2.0),
@@ -330,6 +330,70 @@ def test_log_inv_bits_are_pinned(pin):
     depend on every bit of them."""
     fam = family_from_descriptor(pin["family"])
     assert [float.hex(fam.log_inv(j)) for j in _LOG_INV_BITS["j"]] == pin["hex"]
+
+
+#: Every family, with parameters at the overflow edges of each formula: the
+#: scalar log_inv overflows from j = 11 for ExpPower(1, 300), j = 374 for
+#: LogPower(400), j = 2 for DoubleExpPower(709, 1) and j = 14 for
+#: TripleExp(0.5), and every index of DoubleExpPower(710, 1) and
+#: TripleExp(7) overflows.  The custom IterLog prefix ends at index 100,
+#: the tables at 3,001 and 1,499 entries.
+_TABLE_FAMILIES = [
+    PowerLaw(2.0), PowerLaw(1e300),
+    ExpPower(1.0, 300.0), ExpPower(0.001, 2.0), ExpPower(1.0, 1.0), ExpPower(0.25, 0.5),
+    LogPower(150.0), LogPower(400.0), LogPower(2.0),
+    IterLog(), IterLog(tuple(0.07 * i for i in range(100))),
+    DoubleExpPower(709.0, 1.0), DoubleExpPower(710.0, 1.0), DoubleExpPower(0.2, 0.5),
+    TripleExp(0.5), TripleExp(7.0),
+    Tabulated(tuple(0.01 * j for j in range(3000)) + (math.inf,)),
+    EventuallyZero(1500, tuple(0.01 * j for j in range(1499))),
+    ConstantOne(),
+]
+
+#: Ranges across index 1, the IterLog prefix junction (101), the power-sum
+#: chunk edges 1,024 and 2,048, the block edges 2,050 and 4,098 (blocks of
+#: 2,048 from index 2), each overflow edge above, the table ends, and
+#: 2**53, past which tables map the scalar log_inv; empty and short ones.
+_TABLE_RANGES = [(1, 70), (1, 5000), (3, 4200), (90, 200), (1000, 1100), (2000, 2100),
+                 (10, 100), (300, 2500), (8, 20), (7, 7), (2**53 - 3000, 2**53 + 1),
+                 (2**53 - 100, 2**53 + 100)]
+
+
+def _hex_table(fam, lo, hi):
+    return [float.hex(float(v)) for v in log_inv_table(fam, lo, hi)]
+
+
+def _hex_scalar(fam, lo, hi):
+    return [float.hex(fam.log_inv(j)) for j in range(lo, hi)]
+
+
+class TestLogInvTable:
+    """log_inv_table is the scalar log_inv bit for bit: the blocks map the
+    same math calls, and numpy's + - * round as Python's do."""
+
+    @pytest.mark.parametrize("lo,hi", _TABLE_RANGES)
+    @pytest.mark.parametrize("fam", _TABLE_FAMILIES, ids=repr)
+    def test_table_bits_match_the_scalar(self, fam, lo, hi):
+        table = log_inv_table(fam, lo, hi)
+        assert table.dtype == np.float64 and table.shape == (hi - lo,)
+        assert _hex_table(fam, lo, hi) == _hex_scalar(fam, lo, hi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_TABLE_FAMILIES), st.integers(1, 2**53), st.integers(0, 2500))
+    def test_random_ranges(self, fam, lo, n):
+        hi = min(lo + n, 2**53 + 1)
+        assert _hex_table(fam, lo, hi) == _hex_scalar(fam, lo, hi)
+
+    @pytest.mark.parametrize("pin", _LOG_INV_BITS["pins"],
+                             ids=[json.dumps(p["family"]) for p in _LOG_INV_BITS["pins"]])
+    def test_pinned_points(self, pin):
+        """A table from each pinned index up to 2**53 starts with the pin."""
+        fam = family_from_descriptor(pin["family"])
+        for j, want in zip(_LOG_INV_BITS["j"], pin["hex"]):
+            if j <= 2**53 - 100:
+                got = _hex_table(fam, j, j + 100)
+                assert got[0] == want
+                assert got == _hex_scalar(fam, j, j + 100)
 
 
 _GROWTH_BITS = json.loads((Path(__file__).parent / "growth_bits.json").read_text())

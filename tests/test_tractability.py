@@ -290,6 +290,33 @@ class TestSummability:
         _power_sums(seq, (2.0, 1.0, 0.5, 0.1), J)
         assert calls == list(range(1, J + 1))
 
+    @pytest.mark.parametrize("fam,J,read", [
+        (PowerLaw(2.0), 5000, 5000), (LogPower(2.0), 2**17, 2**17), (IterLog(), 3000, 3000),
+        (ExpPower(1.0, 1.0), 2**17, 8192)], ids=["power_law", "log_power", "iter_log", "exp_power"])
+    def test_power_sums_read_blocks_of_the_formula(self, fam, J, read, monkeypatch):
+        """On a family whose log_inv is not patched, the table comes from
+        _formula on blocks of indices: each index from _formula_start up to
+        the stop is read once and in order, the guarded ones by log_inv
+        alone, and scalar _formula calls (the tail bounds) read past J."""
+        seq, calls = EigenSeq(fam), []
+        formula = type(fam)._formula
+        monkeypatch.setattr(type(fam), "_formula",
+                            lambda self, j, m: calls.append((j, m)) or formula(self, j, m))
+        sums = _power_sums(seq, (2.0, 1.0, 0.5, 0.1), J)
+        blocks = [j for j, m in calls if m is not math]
+        assert np.concatenate(blocks).tolist() == list(range(fam._formula_start, read + 1))
+        assert all(j > J for j, m in calls if m is math)
+        monkeypatch.undo()
+        ls = np.array([fam.log_inv(j) for j in range(1, J + 1)])
+        for c, res in zip((2.0, 1.0, 0.5, 0.1), sums):
+            assert res.value == float(np.exp(-c * ls).sum())
+
+    def test_log_power_tail_exponent_saturates(self):
+        # (log J)**(beta - 1) passes the float range from J = 374 on.
+        res = summability(EigenSeq(LogPower(400.0)), 2.0, 5000)
+        assert (res.value, res.tail_bound) == (2.0, 0.0)
+        assert LogPower(400.0).tail_bound(0.1, 2**17) == 0.0
+
 
 class TestBoundaryRatio:
     def test_power_law_diagonal_vanishes(self):

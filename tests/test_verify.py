@@ -140,6 +140,11 @@ class TestSummabilityEquivalence:
         report = check_summability_equivalence(EigenSeq(fam), (2.0, 1.0, 0.5, 0.1))
         assert report.passed, report.checks
 
+    def test_saturated_tail_exponent(self):
+        # LogPower(400) raised OverflowError in its tail exponent from J = 374 on.
+        report = check_summability_equivalence(EigenSeq(LogPower(400.0)), (2.0, 1.0, 0.5, 0.1))
+        assert report.passed, report.checks
+
     def test_one_table_per_family(self, monkeypatch):
         calls = []
         scalar = LogPower.log_inv
