@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, NonCompact
-from .seqcore import _EXACT_LIMIT, EigenSeq, ExtLogMag, WeightSeq, log_inv_table
+from .seqcore import _BLOCK_MIN, _EXACT_LIMIT, EigenSeq, ExtLogMag, WeightSeq, log_inv_table
 
 DEFAULT_NODE_BUDGET = 10**8
 #: The largest integer that converts to a float: a threshold index past it
@@ -123,14 +123,13 @@ def _max_index_below(eval_at, budget: float, cap: int) -> int | None:
     return j if j <= min(cap, _INDEX_LIMIT) else None
 
 
-def _level_table(fam, g1: float, B: float, cap: int, too_long: str) -> np.ndarray:
-    """log_inv(2), ..., log_inv(J) for J = max{j : g1 + log_inv(j) < B};
-    J past ``cap`` raises ``too_long``."""
-    L = fam.log_inv
+def _last_level(L, g1: float, B: float, cap: int, too_long: str) -> int:
+    """J = max{j : g1 + L(j) < B}, the last entry of a level table; J past
+    ``cap`` raises ``too_long``."""
     J = _max_index_below(lambda j: g1 + L(j), B, cap)
     if J is None:
         raise BudgetExceeded(too_long)
-    return log_inv_table(fam, 2, J + 1)
+    return J
 
 
 def _threshold_index(fam, E: float, cap: int | None, noun: str) -> int:
@@ -360,13 +359,16 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     B = 2.0 * q.E
     # Every index below is generated here, so the tables read the families
     # directly rather than through the validating accessors L and G.
+    L = lam.family.log_inv
     Gs = list(map(gam.family.log_inv, range(1, m + 1)))
     # Level table shared by all coordinates: levels j >= 2 usable anywhere
     # satisfy G(1) + L(j) < B (coordinate 1 has the most slack); m > 0 puts
-    # L(2) in it.
-    levels = _level_table(lam.family, Gs[0], B, node_budget,
-                          f"admissible level range exceeds the node budget ({node_budget})")
-    Ltab = levels.tolist()  # the pure-Python head reads the levels as floats
+    # L(2) in it.  The Python head reads it as a list of floats, which a
+    # short table maps from L directly, below numpy's fixed cost.
+    J = _last_level(L, Gs[0], B, node_budget,
+                    f"admissible level range exceeds the node budget ({node_budget})")
+    Ltab = (list(map(L, range(2, J + 1))) if J <= _BLOCK_MIN
+            else log_inv_table(lam.family, 2, J + 1).tolist())
     L2 = Ltab[0]
     # reach[k]: the cheapest cost a level adds on coordinate k (none past m).
     reach = [g + L2 for g in Gs] + [math.inf]
@@ -374,16 +376,16 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     total = 0
     head = [0.0]
     taus = ()  # thresholds of the nonempty tails; none until the tail starts
-    listed = True  # the head is a list, until it becomes an array
+    levels = None  # Ltab as an array, once the head is one
     entries = 1
     k, t = 0, m  # the head covers coordinates [0, k), the tail [t, m)
     while k < t:
         room = node_budget - entries
-        if listed and m >= _SPLIT_MIN_COORDS and len(head) > _TAIL_STEP_ENTRIES:
-            listed = False
+        if levels is None and m >= _SPLIT_MIN_COORDS and len(head) > _TAIL_STEP_ENTRIES:
+            levels = np.array(Ltab)
             head = np.array(head)
-        if listed or len(head) <= _TAIL_STEP_ENTRIES + len(taus):
-            if listed:
+        if levels is None or len(head) <= _TAIL_STEP_ENTRIES + len(taus):
+            if levels is None:
                 done, head = _extend_head(head, Gs[k], reach[k + 1], Ltab, B, room)
                 new = len(head)
             else:
@@ -434,8 +436,9 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list:
     # The tuples (j, 1, ..., 1) with j <= K cost at most G(1) + L(K), and a
     # level j costs at least G(1) + L(j) on any coordinate.
     g1 = G(1)
-    levels = _level_table(lam.family, g1, math.nextafter(g1 + L(K), math.inf), cap,
-                          over.format(f"more than {cap}", 1))
+    J = _last_level(L, g1, math.nextafter(g1 + L(K), math.inf), cap,
+                    over.format(f"more than {cap}", 1))
+    levels = log_inv_table(lam.family, 2, J + 1)
     L2 = float(levels[0]) if len(levels) else math.inf
     costs = np.zeros(1)
     with np.errstate(over="ignore"):  # sums past the float range saturate to inf
