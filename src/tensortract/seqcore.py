@@ -195,8 +195,8 @@ class _FamilyBase:
     """Shared defaults for sequence families.
 
     A family defines only what cannot be derived from its other facts:
-    ``log_inv`` and ``ratio_class`` always; ``threshold_growth``, the growth
-    of the index count above a threshold, when ``limit_zero``; and
+    log_inv(j) = log(1/x_j) and ``ratio_class`` always; ``threshold_growth``,
+    the growth of the index count above a threshold, when ``limit_zero``; and
     ``log_threshold_growth`` only when that growth is super-polynomial, since
     otherwise it is the leading term of the log of ``threshold_growth``.
     Threshold indices are searched on ``log_inv`` alone, and that search
@@ -206,16 +206,31 @@ class _FamilyBase:
     its nearest double, ``alpha * j`` multiplies by it, and a table is
     constant past its end), so the search bisects over doubles there.
 
-    A closed form writes its arithmetic once, as ``_formula(j, m)``, and its
-    ``log_inv`` calls it with ``m = math`` from index ``_formula_start`` on,
-    keeping any guard (the first index, a prefix, an overflow clamp) to
-    itself; ``log_inv_table`` calls the same formula on blocks of indices.
+    A closed form gives log_inv as data for the shared ``log_inv`` below:
+    its arithmetic, once, as ``_formula(j, m)``; ``_head``, the values below
+    index ``_formula_start``; and ``_overflowed(j)``, the value where a math
+    call overflows.  ``log_inv_table`` slices the same ``_head`` and runs
+    the same formula on blocks of indices.
     """
 
     name: ClassVar[str]
     limit_zero: ClassVar[bool] = True      # x_j -> 0
     all_ones: ClassVar[bool] = False       # x_j == 1 for every j
-    _formula_start: ClassVar[int] = 2      # indices below are guarded by log_inv
+    _formula_start: ClassVar[int] = 2      # first index of _formula
+    _head: ClassVar[tuple] = (0.0,)        # log_inv below _formula_start: x_1 = 1
+    _geometric_tail: ClassVar[bool] = False  # increments never decrease: tail_bound is geometric
+
+    def log_inv(self, j: int) -> float:
+        if j < self._formula_start:
+            return self._head[j - 1]
+        try:
+            return self._formula(j, math)
+        except OverflowError:
+            return self._overflowed(j)
+
+    def _overflowed(self, j: int) -> float:
+        """log_inv(j) where a math call of ``_formula`` overflows."""
+        return math.inf
 
     def log_threshold_growth(self) -> Growth:
         """Leading term of log of the threshold growth; 0 for a table with at
@@ -232,17 +247,13 @@ class _FamilyBase:
         prod = c * rc.limit
         return prod > 1.0
 
-    def _geometric_tail(self) -> bool:
-        """Whether log_inv increments are non-decreasing (geometric tail valid)."""
-        return False
-
     def _tail_exponent(self, c: float, J: int) -> float | None:
         """Lower bound on c * log_inv(j)/log(j) over j >= J, when available."""
         return None
 
     def tail_bound(self, c: float, J: int) -> float | None:
         """Upper bound on sum_{j > J} x_j**c, or None when unavailable."""
-        if self._geometric_tail():
+        if self._geometric_tail:
             l1 = self.log_inv(J + 1)
             if math.isinf(l1):
                 return 0.0
@@ -281,12 +292,10 @@ class PowerLaw(_FamilyBase):
     a: float
     name: ClassVar[str] = "power_law"
     _formula_start: ClassVar[int] = 1
+    _head: ClassVar[tuple] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "a", _positive_param("a", self.a))
-
-    def log_inv(self, j: int) -> float:
-        return self._formula(j, math)
 
     def _formula(self, j, m):
         return self.a * m.log(j)
@@ -317,20 +326,15 @@ class ExpPower(_FamilyBase):
         object.__setattr__(self, "alpha", _positive_param("alpha", self.alpha))
         object.__setattr__(self, "beta", _positive_param("beta", self.beta))
 
-    def log_inv(self, j: int) -> float:
-        if j == 1:
-            return 0.0
-        try:
-            return self._formula(j, math)
-        except OverflowError:
-            # j or j**beta is past the float range, alpha * j**beta need not
-            # be; the clamp, the largest value of the branch above (reached
-            # at j = MAX when beta < 1), keeps log_inv non-decreasing.
-            return max(self.alpha * math.pow(sys.float_info.max, min(self.beta, 1.0)),
-                       _saturated(math.exp, math.log(self.alpha) + self.beta * math.log(j)))
-
     def _formula(self, j, m):
         return self.alpha * (m.pow(j, self.beta) - 1.0)
+
+    def _overflowed(self, j: int) -> float:
+        # j or j**beta is past the float range, alpha * j**beta need not be;
+        # the clamp, the largest value of the formula (reached at j = MAX
+        # when beta < 1), keeps log_inv non-decreasing.
+        return max(self.alpha * math.pow(sys.float_info.max, min(self.beta, 1.0)),
+                   _saturated(math.exp, math.log(self.alpha) + self.beta * math.log(j)))
 
     def threshold_growth(self) -> Growth:
         return Growth(_saturated(math.pow, self.alpha, -1.0 / self.beta), p=1.0 / self.beta)
@@ -338,21 +342,19 @@ class ExpPower(_FamilyBase):
     def ratio_class(self, s: float) -> RatioClass:
         return DIVERGES
 
+    @property
     def _geometric_tail(self) -> bool:
         return self.beta >= 1.0
 
     def _tail_exponent(self, c: float, J: int) -> float | None:
         # log_inv(j)/log(j) is unimodal with a dip near exp(1/beta); take the
         # minimum over that dip and J to lower-bound the exponent on [J, inf).
-        def u(j: int) -> float:
-            return self.log_inv(j) / math.log(j)
-
         cands = {max(2, J)}
         dip = _saturated(math.exp, 1.0 / self.beta)
         if math.isfinite(dip) and dip < 2**40:
             base = int(dip)
             cands.update(x for x in (base, base + 1) if x >= max(2, J))
-        return c * min(u(x) for x in cands)
+        return c * min(self.log_inv(x) / math.log(x) for x in cands)
 
 
 @dataclass(frozen=True)
@@ -362,18 +364,11 @@ class DoubleExpPower(_FamilyBase):
     alpha: float
     beta: float
     name: ClassVar[str] = "double_exp_power"
+    _geometric_tail: ClassVar[bool] = True
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _positive_param("alpha", self.alpha))
         object.__setattr__(self, "beta", _positive_param("beta", self.beta))
-
-    def log_inv(self, j: int) -> float:
-        if j == 1:
-            return 0.0
-        try:
-            return self._formula(j, math)
-        except OverflowError:
-            return math.inf
 
     def _formula(self, j, m):
         return m.exp(self.alpha * m.pow(j, self.beta)) - math.exp(self.alpha)
@@ -384,9 +379,6 @@ class DoubleExpPower(_FamilyBase):
     def ratio_class(self, s: float) -> RatioClass:
         return DIVERGES
 
-    def _geometric_tail(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class TripleExp(_FamilyBase):
@@ -394,17 +386,10 @@ class TripleExp(_FamilyBase):
 
     alpha: float
     name: ClassVar[str] = "triple_exp"
+    _geometric_tail: ClassVar[bool] = True
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _positive_param("alpha", self.alpha))
-
-    def log_inv(self, j: int) -> float:
-        if j == 1:
-            return 0.0
-        try:
-            return self._formula(j, math)
-        except OverflowError:
-            return math.inf
 
     def _formula(self, j, m):
         return m.exp(m.exp(self.alpha * j)) - math.exp(math.exp(self.alpha))
@@ -414,9 +399,6 @@ class TripleExp(_FamilyBase):
 
     def ratio_class(self, s: float) -> RatioClass:
         return DIVERGES
-
-    def _geometric_tail(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -431,14 +413,6 @@ class LogPower(_FamilyBase):
         if b <= 1.0:
             raise SequenceError(f"beta must exceed 1, got {self.beta!r}")
         object.__setattr__(self, "beta", b)
-
-    def log_inv(self, j: int) -> float:
-        if j == 1:
-            return 0.0
-        try:
-            return self._formula(j, math)
-        except OverflowError:
-            return math.inf
 
     def _formula(self, j, m):
         return m.pow(m.log(j), self.beta)
@@ -481,19 +455,11 @@ class IterLog(_FamilyBase):
             raise SequenceError("prefix must cover at least indices 1 and 2")
         _validate_table(pref, allow_inf=False)
         tail_start = len(pref) + 1
-        lj = math.log(tail_start)
-        if pref[-1] > math.log(lj) * lj:
+        if pref[-1] > self._formula(tail_start, math):
             raise SequenceError("prefix must not exceed the tail value at its junction")
         object.__setattr__(self, "prefix", pref)
-
-    def log_inv(self, j: int) -> float:
-        if j <= len(self.prefix):
-            return self.prefix[j - 1]
-        return self._formula(j, math)
-
-    @property
-    def _formula_start(self) -> int:
-        return len(self.prefix) + 1
+        object.__setattr__(self, "_head", pref)
+        object.__setattr__(self, "_formula_start", tail_start)
 
     def _formula(self, j, m):
         lj = m.log(j)
@@ -622,12 +588,6 @@ _FAMILY_TYPES = {
 _WEIGHT_ONLY = (ConstantOne, EventuallyZero)
 
 
-#: The scalar log_inv functions whose tables are built in blocks.  A family
-#: whose log_inv is any other function (an override, a patch or a wrapper)
-#: is tabulated by mapping that function.
-_BLOCK_LOG_INV = frozenset(cls.__dict__["log_inv"] for cls in (
-    PowerLaw, ExpPower, DoubleExpPower, TripleExp, LogPower, IterLog, _TableFamily))
-
 #: Fewest entries for which a table is built in blocks; a shorter one maps
 #: the scalar log_inv, which costs less than numpy's fixed cost per block.
 _BLOCK_MIN = 64
@@ -651,24 +611,26 @@ _BLOCK_MATH = SimpleNamespace(log=partial(_mapped, math.log), pow=partial(_mappe
 def log_inv_table(fam, lo: int, hi: int) -> np.ndarray:
     """[fam.log_inv(j) for j in range(lo, hi)] as a float64 array, bit for bit.
 
-    A table family slices its table.  A closed form maps its guarded indices
-    through ``log_inv`` and runs ``_formula`` on the rest, block by block;
-    a block in which a math call overflows is mapped through ``log_inv``,
-    whose guards give the value there.  Closed-form tables shorter than
-    ``_BLOCK_MIN`` or reaching past ``_EXACT_LIMIT``, and families whose
-    ``log_inv`` is not in ``_BLOCK_LOG_INV``, map ``log_inv`` throughout.
+    The family's ``log_inv`` picks the path at call time.  ``_TableFamily``'s
+    slices the table.  The shared ``_FamilyBase.log_inv`` slices ``_head``
+    and runs ``_formula`` on the rest, block by block; a block in which a
+    math call overflows maps ``log_inv``, whose ``_overflowed`` gives the
+    value there.  Both keep their path under a wrapper installed on them.
+    Any other ``log_inv`` (a subclass override, a patch on one class) is
+    mapped throughout, as are closed-form tables shorter than ``_BLOCK_MIN``
+    or reaching past ``_EXACT_LIMIT``.
     """
     n = hi - lo
-    blocked = type(fam).log_inv in _BLOCK_LOG_INV
-    if blocked and isinstance(fam, _TableFamily):
+    method = type(fam).log_inv
+    if method is _TableFamily.log_inv:
         head = fam._table[lo - 1:hi - 1]
         return np.array(head + (math.inf,) * (n - len(head)), dtype=float)
     scalar = fam.log_inv
-    if not blocked or n < _BLOCK_MIN or hi > _EXACT_LIMIT + 1:
+    if method is not _FamilyBase.log_inv or n < _BLOCK_MIN or hi > _EXACT_LIMIT + 1:
         return np.fromiter(map(scalar, range(lo, hi)), float, n)
     out = np.empty(n)
     start = min(max(lo, fam._formula_start), hi)
-    out[:start - lo] = list(map(scalar, range(lo, start)))
+    out[:start - lo] = fam._head[lo - 1:start - 1]
     with np.errstate(over="ignore"):  # products past the float range are inf, as in Python
         for a in range(start, hi, _BLOCK_LEN):
             b = min(a + _BLOCK_LEN, hi)

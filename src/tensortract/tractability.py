@@ -10,12 +10,13 @@ many probes) are attached as evidence and never decide a verdict.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .complexity import d_of_eps, j_of_eps
+from .complexity import _INDEX_LIMIT, d_of_eps, j_of_eps
 from .errors import DivergentTail, NonCompact, UnsupportedNotion
 from .seqcore import (
     EigenSeq,
@@ -198,6 +199,21 @@ def _check_egrid(Egrid) -> list:
     return grid
 
 
+def _check_jgrid(jgrid) -> list:
+    """The probe indices as ints: integral numbers, not booleans, from 2 up
+    to ``_INDEX_LIMIT``, past which log j and float(j) overflow."""
+    grid = list(jgrid)
+    for j in grid:
+        if isinstance(j, bool) or not (isinstance(j, numbers.Integral)
+                                       or isinstance(j, float) and j.is_integer()):
+            raise ValueError(f"probe j values must be integers, got {j!r}")
+        if j < 2:
+            raise ValueError("probe j values must be >= 2")
+        if j > _INDEX_LIMIT:
+            raise ValueError("probe j values must not exceed the float range")
+    return [int(j) for j in grid]
+
+
 @dataclass(frozen=True)
 class ProbePolicy:
     """Probe-grid configuration for the classifier and estimators; a grid
@@ -208,8 +224,7 @@ class ProbePolicy:
 
     def __post_init__(self):
         _check_egrid(self.E_grid)
-        if not all(j >= 2 for j in self.j_grid):
-            raise ValueError("probe j values must be >= 2")
+        _check_jgrid(self.j_grid)
 
 
 DEFAULT_POLICY = ProbePolicy()
@@ -263,11 +278,8 @@ def divergence_check(seq, s: float, jgrid=DEFAULT_J_GRID) -> DivergenceResult:
     """
     if not (s > 0.0 and math.isfinite(s)):
         raise ValueError(f"s must be positive and finite, got {s!r}")
-    probes = []
-    for j in jgrid:
-        if j < 2:
-            raise ValueError("divergence probes require j >= 2")
-        probes.append((float(j), _saturated(math.pow, seq.log_inv(int(j)), s) / math.log(j)))
+    probes = [(float(j), _saturated(math.pow, seq.log_inv(j), s) / math.log(j))
+              for j in _check_jgrid(jgrid)]
     rc = seq.family.ratio_class(s)
     return DivergenceResult(rc.kind, rc.limit, "analytic", _limit_estimate(probes))
 

@@ -69,6 +69,8 @@ CONFIG_ERRORS = [
                               "notion": {"kind": "exp_spt"}, "probes": {"E_grid": [0.5, 2.0]}}),
     ("E_grid-empty", {"probes": {"E_grid": []}}),
     ("E_grid-decreasing", {"probes": {"E_grid": [100, 10]}}),
+    # An integer probe index past the float range, which float(j) cannot read.
+    ("j_grid-past-float-range", {"probes": {"j_grid": [4, 10**400]}}),
 ]
 
 

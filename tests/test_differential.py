@@ -25,11 +25,13 @@ from tensortract import (
     PowerLaw,
     Query,
     Tabulated,
+    TripleExp,
     WeightSeq,
     brute_force_count,
     info_complexity,
     top_eigenvalues,
 )
+from tensortract.seqcore import _BLOCK_MIN
 
 #: Largest level box (box**d cells) the oracle enumerates per example.
 BOX_CELLS = 200_000
@@ -90,6 +92,32 @@ def test_closed_forms_match_oracle(fam, wfam, j_top, frac, data):
     lo, hi = g1 + lam.L(j_top), g1 + lam.L(j_top + 1)
     B = lo + frac * (hi - lo)
     d = data.draw(st.integers(1, max_dimension(oracle_box(lam, gam, B))))
+    check_against_oracle(lam, gam, B, d)
+
+
+#: Cells whose level tables have more than _BLOCK_MIN entries, so that the
+#: counter builds them from blocks of _formula: the hypothesis draws above
+#: stay under ten levels.  Budgets fall around level j_top of coordinate 1.
+_BLOCK_CELLS = [
+    (PowerLaw(0.5), ExpPower(1.0, 1.0), 120),
+    (ExpPower(0.25, 0.5), PowerLaw(2.0), 100),
+    (IterLog(tuple(0.07 * i for i in range(100))), ExpPower(1.0, 1.0), 110),
+    (LogPower(2.0), ExpPower(2.0, 1.0), 100),
+    (DoubleExpPower(0.2, 0.5), ExpPower(1.0, 1.0), 100),
+    (TripleExp(0.01), ExpPower(1.0, 1.0), 80),
+]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("frac", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("fam, wfam, j_top", _BLOCK_CELLS,
+                         ids=["power_law", "exp_power_beta_half", "iter_log_long_prefix",
+                              "log_power", "double_exp", "triple_exp"])
+def test_block_built_level_tables_match_oracle(fam, wfam, j_top, frac, d):
+    lam, gam = EigenSeq(fam), WeightSeq(wfam)
+    lo, hi = gam.G(1) + lam.L(j_top), gam.G(1) + lam.L(j_top + 1)
+    B = lo + frac * (hi - lo)
+    assert oracle_box(lam, gam, B) - 1 > _BLOCK_MIN
     check_against_oracle(lam, gam, B, d)
 
 

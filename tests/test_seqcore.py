@@ -31,7 +31,8 @@ from tensortract import (
     j_of_eps,
     load_log_table,
 )
-from tensortract.seqcore import SUPER_POLYNOMIAL, dump_log_table, log_inv_table
+from tensortract.seqcore import (SUPER_POLYNOMIAL, _FamilyBase, _TableFamily, dump_log_table,
+                                 log_inv_table)
 
 EIGEN_FAMILIES = [
     PowerLaw(2.0),
@@ -394,6 +395,64 @@ class TestLogInvTable:
                 got = _hex_table(fam, j, j + 100)
                 assert got[0] == want
                 assert got == _hex_scalar(fam, j, j + 100)
+
+
+class TestLogInvTablePath:
+    """log_inv_table picks its path by the family's log_inv at call time: a
+    wrapper installed on a shared method keeps the blocks (or the table
+    slice), while a subclass override or a patch on one class is mapped."""
+
+    @pytest.mark.parametrize("fam, head", [
+        (PowerLaw(2.0), 0), (ExpPower(0.25, 0.5), 1), (LogPower(2.0), 1),
+        (IterLog(tuple(0.07 * i for i in range(100))), 100), (DoubleExpPower(0.2, 0.5), 1),
+        (TripleExp(0.001), 1)],
+        ids=["power_law", "exp_power", "log_power", "iter_log_long_prefix", "double_exp", "triple_exp"])
+    def test_a_wrapped_shared_method_keeps_the_blocks(self, fam, head, monkeypatch):
+        want = _hex_table(fam, 1, 5000)
+        shared, formula = _FamilyBase.log_inv, type(fam)._formula
+        scalar, blocks = [], []
+        monkeypatch.setattr(_FamilyBase, "log_inv",
+                            lambda self, j: scalar.append(j) or shared(self, j))
+        monkeypatch.setattr(type(fam), "_formula", lambda self, j, m:
+                            (m is not math and blocks.append(j)) or formula(self, j, m))
+        assert _hex_table(fam, 1, 5000) == want
+        assert scalar == []  # the head is sliced, not mapped
+        assert len(blocks) == 3 and np.concatenate(blocks).tolist() == list(range(head + 1, 5000))
+
+    def test_a_wrapped_shared_method_maps_only_overflowing_blocks(self, monkeypatch):
+        """ExpPower(1, 300) overflows from j = 11: the first block maps the
+        wrapped method, whose _overflowed gives the value there."""
+        fam = ExpPower(1.0, 300.0)
+        want = _hex_table(fam, 2, 3000)
+        shared = _FamilyBase.log_inv
+        scalar = []
+        monkeypatch.setattr(_FamilyBase, "log_inv",
+                            lambda self, j: scalar.append(j) or shared(self, j))
+        assert _hex_table(fam, 2, 3000) == want
+        assert scalar == list(range(2, 3000))
+
+    def test_a_wrapped_table_method_keeps_the_slice(self, monkeypatch):
+        fam = Tabulated(tuple(0.01 * j for j in range(3000)))
+        want = _hex_table(fam, 1, 5000)
+        monkeypatch.setattr(_TableFamily, "log_inv", lambda self, j: pytest.fail("mapped"))
+        assert _hex_table(fam, 1, 5000) == want
+
+    def test_a_subclass_override_is_mapped(self):
+        class Shifted(PowerLaw):
+            def log_inv(self, j):
+                return PowerLaw.log_inv(self, j) + 1.0
+
+        fam = Shifted(0.5)
+        assert _hex_table(fam, 1, 3000) == [float.hex(0.5 * math.log(j) + 1.0)
+                                            for j in range(1, 3000)]
+
+    def test_a_patched_class_is_mapped(self, monkeypatch):
+        fam = ExpPower(1.0, 1.0)
+        want = _hex_table(fam, 2, 3000)
+        scalar, calls = ExpPower.log_inv, []
+        monkeypatch.setattr(ExpPower, "log_inv", lambda self, j: calls.append(j) or scalar(self, j))
+        assert _hex_table(fam, 2, 3000) == want
+        assert calls == list(range(2, 3000))
 
 
 _GROWTH_BITS = json.loads((Path(__file__).parent / "growth_bits.json").read_text())

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,24 @@ class TestLimitEstimators:
     def test_policy_rejects_unusable_grids(self, E_grid, j_grid):
         with pytest.raises(ValueError):
             ProbePolicy(E_grid, j_grid)
+
+    @pytest.mark.parametrize("j_grid", [(4, math.inf), (4, 10**400), (2.5,), (4, math.nan), (True, 4)],
+                             ids=["inf", "past-float-range", "fraction", "nan", "bool"])
+    def test_policy_rejects_probe_indices_the_probes_cannot_read(self, j_grid):
+        with pytest.raises(ValueError, match="probe j values must"):
+            ProbePolicy((10.0,), j_grid)
+        with pytest.raises(ValueError, match="probe j values must"):
+            divergence_check(EigenSeq(PowerLaw(2.0)), 1.0, j_grid)
+
+    def test_probe_indices_up_to_the_float_range(self):
+        top = int(sys.float_info.max)
+        res = divergence_check(EigenSeq(PowerLaw(2.0)), 1.0, (4.0, np.int64(16), top))
+        assert [j for j, _ in res.evidence.probes] == [4.0, 16.0, sys.float_info.max]
+        assert all(r == 2.0 for _, r in res.evidence.probes)
+        v = classify(EigenSeq(PowerLaw(2.0)), WeightSeq(PowerLaw(2.0)), Notion.wt(),
+                     ProbePolicy((10.0,), (4, top)))
+        ratio = {d.name: d.value for d in v.evidence}["lambda_log_ratio[s=1]"]
+        assert ratio.evidence.probes == ((4.0, 2.0), (sys.float_info.max, 2.0))
 
 
 class TestDivergence:
