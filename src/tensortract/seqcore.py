@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import repeat
-from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
@@ -208,9 +207,11 @@ class _FamilyBase:
 
     A closed form gives log_inv as data for the shared ``log_inv`` below:
     its arithmetic, once, as ``_formula(j, m)``; ``_head``, the values below
-    index ``_formula_start``; and ``_overflowed(j)``, the value where a math
-    call overflows.  ``log_inv_table`` slices the same ``_head`` and runs
-    the same formula on blocks of indices.
+    index ``_formula_start`` (copied onto each instance by ``_set``, where
+    ``log_inv`` reads it faster); and ``_overflowed(j)``, the value where a
+    math call overflows.  ``log_inv_table`` slices the same ``_head`` and
+    runs the same formula on blocks of indices, whose log(j) it may read
+    from a shared table, so ``_formula`` must not write into ``m.log(j)``.
     """
 
     name: ClassVar[str]
@@ -231,6 +232,11 @@ class _FamilyBase:
     def _overflowed(self, j: int) -> float:
         """log_inv(j) where a math call of ``_formula`` overflows."""
         return math.inf
+
+    def _set(self, **attrs) -> None:
+        """Set attributes on the frozen instance, ``_formula_start`` too."""
+        for name, value in {"_formula_start": self._formula_start, **attrs}.items():
+            object.__setattr__(self, name, value)
 
     def log_threshold_growth(self) -> Growth:
         """Leading term of log of the threshold growth; 0 for a table with at
@@ -295,7 +301,7 @@ class PowerLaw(_FamilyBase):
     _head: ClassVar[tuple] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _positive_param("a", self.a))
+        self._set(a=_positive_param("a", self.a))
 
     def _formula(self, j, m):
         return self.a * m.log(j)
@@ -323,8 +329,8 @@ class ExpPower(_FamilyBase):
     name: ClassVar[str] = "exp_power"
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _positive_param("alpha", self.alpha))
-        object.__setattr__(self, "beta", _positive_param("beta", self.beta))
+        self._set(alpha=_positive_param("alpha", self.alpha),
+                  beta=_positive_param("beta", self.beta))
 
     def _formula(self, j, m):
         return self.alpha * (m.pow(j, self.beta) - 1.0)
@@ -367,8 +373,8 @@ class DoubleExpPower(_FamilyBase):
     _geometric_tail: ClassVar[bool] = True
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _positive_param("alpha", self.alpha))
-        object.__setattr__(self, "beta", _positive_param("beta", self.beta))
+        self._set(alpha=_positive_param("alpha", self.alpha),
+                  beta=_positive_param("beta", self.beta))
 
     def _formula(self, j, m):
         return m.exp(self.alpha * m.pow(j, self.beta)) - math.exp(self.alpha)
@@ -389,7 +395,7 @@ class TripleExp(_FamilyBase):
     _geometric_tail: ClassVar[bool] = True
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _positive_param("alpha", self.alpha))
+        self._set(alpha=_positive_param("alpha", self.alpha))
 
     def _formula(self, j, m):
         return m.exp(m.exp(self.alpha * j)) - math.exp(math.exp(self.alpha))
@@ -412,7 +418,7 @@ class LogPower(_FamilyBase):
         b = _positive_param("beta", self.beta)
         if b <= 1.0:
             raise SequenceError(f"beta must exceed 1, got {self.beta!r}")
-        object.__setattr__(self, "beta", b)
+        self._set(beta=b)
 
     def _formula(self, j, m):
         return m.pow(m.log(j), self.beta)
@@ -457,9 +463,7 @@ class IterLog(_FamilyBase):
         tail_start = len(pref) + 1
         if pref[-1] > self._formula(tail_start, math):
             raise SequenceError("prefix must not exceed the tail value at its junction")
-        object.__setattr__(self, "prefix", pref)
-        object.__setattr__(self, "_head", pref)
-        object.__setattr__(self, "_formula_start", tail_start)
+        self._set(prefix=pref, _head=pref, _formula_start=tail_start)
 
     def _formula(self, j, m):
         lj = m.log(j)
@@ -526,8 +530,7 @@ class Tabulated(_TableFamily):
         if not vals:
             raise SequenceError("table must be non-empty")
         _validate_table(vals, allow_inf=True)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_table", vals)
+        self._set(values=vals, _table=vals)
 
 
 @dataclass(frozen=True)
@@ -561,8 +564,7 @@ class EventuallyZero(_TableFamily):
             raise SequenceError("prefix length must be j_star - 1")
         if pref:
             _validate_table(pref, allow_inf=False)
-        object.__setattr__(self, "prefix", pref)
-        object.__setattr__(self, "_table", pref)
+        self._set(prefix=pref, _table=pref)
 
 
 def _validate_table(values: tuple, *, allow_inf: bool) -> None:
@@ -600,12 +602,37 @@ def _mapped(f, x: np.ndarray, *consts) -> np.ndarray:
     return np.fromiter(map(f, x.tolist(), *map(repeat, consts)), float, len(x))
 
 
-#: ``m`` of a closed form's ``_formula`` on a block: the same math calls as
-#: the scalar formula, mapped over the block, so each entry is the float
-#: the scalar call returns; numpy does the + - * in between, which round
-#: as Python's float arithmetic does.
-_BLOCK_MATH = SimpleNamespace(log=partial(_mapped, math.log), pow=partial(_mapped, math.pow),
-                              exp=partial(_mapped, math.exp))
+#: math.log(j) for j = 1, 2, ..., len, shared by every table: a read-only
+#: view of one buffer of 2**17 entries (1 MB, the summability audit's
+#: default J), filled up to the highest index asked for so far.
+_index_logs = np.empty(0)
+_INDEX_LOGS_CAP = 2**17
+
+
+class _BlockMath:
+    """``m`` of a closed form's ``_formula`` on the block ``j`` of indices
+    range(a, b): the same math calls as the scalar formula, mapped over the
+    block, so each entry is the float the scalar call returns (``log`` of
+    ``j`` itself, no other array, is sliced from ``_index_logs``); numpy
+    does the + - * in between, which round as Python's float arithmetic does."""
+
+    pow = staticmethod(partial(_mapped, math.pow))
+    exp = staticmethod(partial(_mapped, math.exp))
+
+    def __init__(self, a: int, b: int):
+        self.j, self._a, self._b = np.arange(a, b, dtype=float), a, b
+
+    def log(self, x: np.ndarray) -> np.ndarray:
+        global _index_logs
+        logs, n = _index_logs, self._b - 1
+        if x is not self.j or n > _INDEX_LOGS_CAP:
+            return _mapped(math.log, x)
+        if n > len(logs):
+            buf = np.empty(_INDEX_LOGS_CAP) if logs.base is None else logs.base
+            buf[len(logs):n] = _mapped(math.log, np.arange(len(logs) + 1, n + 1, dtype=float))
+            logs = _index_logs = buf[:n]
+            logs.flags.writeable = False
+        return logs[self._a - 1:n]
 
 
 def log_inv_table(fam, lo: int, hi: int) -> np.ndarray:
@@ -613,12 +640,13 @@ def log_inv_table(fam, lo: int, hi: int) -> np.ndarray:
 
     The family's ``log_inv`` picks the path at call time.  ``_TableFamily``'s
     slices the table.  The shared ``_FamilyBase.log_inv`` slices ``_head``
-    and runs ``_formula`` on the rest, block by block; a block in which a
-    math call overflows maps ``log_inv``, whose ``_overflowed`` gives the
-    value there.  Both keep their path under a wrapper installed on them.
-    Any other ``log_inv`` (a subclass override, a patch on one class) is
-    mapped throughout, as are closed-form tables shorter than ``_BLOCK_MIN``
-    or reaching past ``_EXACT_LIMIT``.
+    and runs ``_formula`` on the rest, block by block, with ``m`` a
+    ``_BlockMath`` that reads log(j) from the shared ``_index_logs``; a
+    block in which a math call overflows maps ``log_inv``, whose
+    ``_overflowed`` gives the value there.  Both keep their path under a
+    wrapper installed on them.  Any other ``log_inv`` (a subclass override,
+    a patch on one class) is mapped throughout, as are closed-form tables
+    shorter than ``_BLOCK_MIN`` or reaching past ``_EXACT_LIMIT``.
     """
     n = hi - lo
     method = type(fam).log_inv
@@ -634,8 +662,9 @@ def log_inv_table(fam, lo: int, hi: int) -> np.ndarray:
     with np.errstate(over="ignore"):  # products past the float range are inf, as in Python
         for a in range(start, hi, _BLOCK_LEN):
             b = min(a + _BLOCK_LEN, hi)
+            m = _BlockMath(a, b)
             try:
-                out[a - lo:b - lo] = fam._formula(np.arange(a, b, dtype=float), _BLOCK_MATH)
+                out[a - lo:b - lo] = fam._formula(m.j, m)
             except OverflowError:
                 out[a - lo:b - lo] = list(map(scalar, range(a, b)))
     return out

@@ -31,6 +31,7 @@ from tensortract import (
     j_of_eps,
     load_log_table,
 )
+from tensortract import seqcore
 from tensortract.seqcore import (SUPER_POLYNOMIAL, _FamilyBase, _TableFamily, dump_log_table,
                                  log_inv_table)
 
@@ -453,6 +454,59 @@ class TestLogInvTablePath:
         monkeypatch.setattr(ExpPower, "log_inv", lambda self, j: calls.append(j) or scalar(self, j))
         assert _hex_table(fam, 2, 3000) == want
         assert calls == list(range(2, 3000))
+
+
+#: The families whose _formula takes log of the block's own indices:
+#: PowerLaw reads only that log, LogPower and IterLog take a second log of it.
+_INDEX_LOG_FAMILIES = [PowerLaw(2.0), PowerLaw(1e300), LogPower(2.0), IterLog(),
+                       IterLog(tuple(0.07 * i for i in range(100)))]
+
+#: Ranges across powers of two up to 2**17 and across 2**17, past which
+#: blocks map math.log; in shuffled order, a range may start past the end of
+#: the shared log(j) table, inside it, or at it, and a long one fills most
+#: of it at once.
+_INDEX_LOG_RANGES = [(1, 70), (2000, 2100), (4000, 4200), (8150, 8250), (16300, 16400),
+                     (32700, 32800), (65500, 65600), (2**17 - 3000, 2**17 + 3000),
+                     (2**17 - 70, 2**17 + 2), (2**17, 2**17 + 100), (3, 40000)]
+
+
+class TestIndexLogs:
+    """The blocks read log(j) of their own indices from one table shared by
+    every log_inv_table call, math.log(j) for j up to 2**17, filled on first
+    need: the tables keep the scalar bits whatever order they are built in."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(seqcore, "_index_logs", np.empty(0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_cold_table_in_shuffled_order(self, seed):
+        cases = [(fam, lo, hi) for fam in _INDEX_LOG_FAMILIES for lo, hi in _INDEX_LOG_RANGES]
+        random.Random(seed).shuffle(cases)
+        for fam, lo, hi in cases:
+            assert _hex_table(fam, lo, hi) == _hex_scalar(fam, lo, hi), (fam, lo, hi)
+        logs = seqcore._index_logs
+        assert 40000 <= len(logs) <= 2**17 and not logs.flags.writeable
+        assert [float.hex(v) for v in logs.tolist()] == [float.hex(math.log(j))
+                                                          for j in range(1, len(logs) + 1)]
+
+    def test_the_table_stops_at_its_cap(self):
+        fam = PowerLaw(1.0)
+        assert _hex_table(fam, 1, 2**17 + 3000) == _hex_scalar(fam, 1, 2**17 + 3000)
+        assert len(seqcore._index_logs) == 2**17
+
+    def test_only_the_blocks_own_indices_are_served(self):
+        """An array derived from j, even one equal to a slice of the shared
+        table's indices, is mapped, not served from the table."""
+        class Shifted(PowerLaw):
+            def _formula(self, j, m):
+                return self.a * m.log(j + 1.0)
+
+        fam = Shifted(1.0)
+        for _ in ("cold", "warm"):
+            assert _hex_table(fam, 1, 5000) == _hex_scalar(fam, 1, 5000) == [
+                float.hex(math.log(j + 1)) for j in range(1, 5000)]
+            log_inv_table(PowerLaw(1.0), 1, 5000)
 
 
 _GROWTH_BITS = json.loads((Path(__file__).parent / "growth_bits.json").read_text())

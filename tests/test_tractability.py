@@ -35,6 +35,7 @@ from tensortract import (
     summability,
     wt_s_below_one_check,
 )
+from tensortract import seqcore
 from tensortract.cli import _dump_json
 from tensortract.goldens import GOLDEN_PAIRS, iterated_log_pair
 from tensortract.tractability import _power_sums
@@ -329,6 +330,19 @@ class TestSummability:
         ls = np.array([fam.log_inv(j) for j in range(1, J + 1)])
         for c, res in zip((2.0, 1.0, 0.5, 0.1), sums):
             assert res.value == float(np.exp(-c * ls).sum())
+
+    @pytest.mark.parametrize("fam", [PowerLaw(1.0), LogPower(2.0), IterLog()],
+                             ids=lambda fam: fam.name)
+    def test_power_sums_on_cold_and_warm_index_logs(self, fam, monkeypatch):
+        """The sums keep their bits whether the blocks' shared log(j) table
+        is built by this call (cold) or read as an earlier call left it."""
+        J, cs = 5000, (2.0, 1.0, 0.5, 0.1)
+        ls = np.array([fam.log_inv(j) for j in range(1, J + 1)])
+        want = [float.hex(float(np.exp(-c * ls).sum())) for c in cs]
+        monkeypatch.setattr(seqcore, "_index_logs", np.empty(0))
+        for size in (0, J):
+            assert len(seqcore._index_logs) == size
+            assert [float.hex(res.value) for res in _power_sums(EigenSeq(fam), cs, J)] == want
 
     def test_log_power_tail_exponent_saturates(self):
         # (log J)**(beta - 1) passes the float range from J = 374 on.
