@@ -29,7 +29,6 @@ from .seqcore import (
     EigenSeq,
     EventuallyZero,
     ExpPower,
-    ExtLogMag,
     Growth,
     IterLog,
     LogPower,
@@ -37,8 +36,6 @@ from .seqcore import (
     Tabulated,
     TripleExp,
     WeightSeq,
-    eval_G,
-    eval_L,
     family_from_descriptor,
     load_log_table,
 )
@@ -53,7 +50,6 @@ from .tractability import (
     ProbePolicy,
     SummabilityResult,
     Verdict,
-    VerdictMode,
     VerdictStatus,
     b_qpt_estimate,
     b_spt_estimate,

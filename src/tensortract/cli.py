@@ -319,7 +319,7 @@ def run_classify(cfg: RunConfig) -> dict:
         "notion": {"kind": cfg.notion.label, "s": cfg.notion.s, "t": cfg.notion.t},
         "verdict": {
             "status": verdict.status.value,
-            "mode": verdict.mode.value,
+            "mode": "analytic",
             "exponent": verdict.exponent,
             "evidence": verdict.evidence,
         },

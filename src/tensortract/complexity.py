@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, NonCompact
-from .seqcore import _BLOCK_MIN, _EXACT_LIMIT, EigenSeq, ExtLogMag, WeightSeq, log_inv_table
+from .seqcore import _BLOCK_MIN, _EXACT_LIMIT, EigenSeq, WeightSeq, log_inv_table
 
 DEFAULT_NODE_BUDGET = 10**8
 #: The largest integer that converts to a float: a threshold index past it
@@ -45,12 +45,8 @@ class Query:
     d: int
 
     def __post_init__(self):
-        e = float(self.E)
-        if not math.isfinite(e) or e <= 0.0:
-            raise ValueError(f"E must be positive and finite, got {self.E!r}")
-        object.__setattr__(self, "E", e)
-        if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d!r}")
+        object.__setattr__(self, "E", _check_threshold(self.E))
+        _check_positive_int("d", self.d)
 
 
 @dataclass(frozen=True)
@@ -63,10 +59,16 @@ class CountResult:
 
 
 def _check_threshold(E: float) -> float:
-    e = float(E)
+    """float(E) for a positive finite E that is neither a boolean nor a string."""
+    e = math.nan if isinstance(E, (bool, str)) else float(E)
     if not math.isfinite(e) or e <= 0.0:
         raise ValueError(f"threshold E must be positive and finite, got {E!r}")
     return e
+
+
+def _check_positive_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _last_below(f, budget: float, lo: int, hi: int) -> int:
@@ -353,6 +355,7 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     ``nodes_visited`` is the number of head and tail entries enumerated, and
     ``node_budget`` caps it before the merge.
     """
+    _check_positive_int("node_budget", node_budget)
     m = active_prefix(lam, gam, q)
     if m == 0:
         return CountResult(1, 1, 0)
@@ -409,7 +412,7 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     return CountResult(total, entries, m)
 
 
-def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list:
+def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float]:
     """K largest tensor eigenvalues as non-decreasing log(1/value) costs.
 
     Folds the coordinates in order, keeping the ascending partial costs no
@@ -423,10 +426,8 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list:
     K positive eigenvalues it is padded with +inf costs to K.  A fold that
     overflows to +inf is a zero eigenvalue, so it pads and is never a tie.
     """
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
-    if isinstance(K, bool) or not isinstance(K, int) or K < 1:
-        raise ValueError(f"K must be a positive integer, got {K!r}")
+    _check_positive_int("d", d)
+    _check_positive_int("K", K)
     cap = max(4096, 32 * K * max(d, 2))
     over = f"top-{K} search needs {{}} candidates on coordinate {{}}, over the cap of {cap}"
 
@@ -467,12 +468,16 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list:
             if len(cand) > K:
                 cand = cand[cand <= np.partition(cand, K - 1)[K - 1]]
             costs = np.sort(cand)
-    return ExtLogMag.many(np.concatenate((costs, np.full(max(K - len(costs), 0), math.inf))))
+    # A family whose log_inv drops below 0 (an eigenvalue above 1) shows here.
+    bad = costs[~(costs >= 0.0)]
+    if len(bad):
+        raise ValueError(f"log-magnitude must be >= 0 (or +inf), got {float(bad[0])!r}")
+    return costs.tolist() + [math.inf] * (K - len(costs))
 
 
-def nth_minimal_error(lam: EigenSeq, gam: WeightSeq, d: int, n: int) -> ExtLogMag:
+def nth_minimal_error(lam: EigenSeq, gam: WeightSeq, d: int, n: int) -> float:
     """log(1/e(n)): half the cost of the (n+1)-th largest tensor eigenvalue."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     ev = top_eigenvalues(lam, gam, d, n + 1)
-    return ExtLogMag(0.5 * float(ev[n]))
+    return 0.5 * ev[n]

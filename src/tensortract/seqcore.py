@@ -65,58 +65,6 @@ def _table_entries(name: str, values) -> tuple:
     return tuple(_as_float(f"{name} entry", v) for v in values)
 
 
-class ExtLogMag(float):
-    """Nonnegative extended real T = log(1/x) for x in [0, 1].
-
-    Ordering follows T, so it reverses the ordering of the underlying x
-    (T1 < T2 iff x1 > x2).  Adding two values corresponds to multiplying
-    the underlying x values; T = +inf encodes x = 0 and is absorbing.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value) -> "ExtLogMag":
-        v = float(value)
-        if math.isnan(v) or v < 0.0:
-            raise ValueError(f"log-magnitude must be >= 0 (or +inf), got {value!r}")
-        return super().__new__(cls, v)
-
-    @classmethod
-    def many(cls, values: np.ndarray) -> list:
-        """[cls(v) for v in values], with the range check made once on the array."""
-        bad = values[~(values >= 0.0)]
-        if len(bad):
-            raise ValueError(f"log-magnitude must be >= 0 (or +inf), got {float(bad[0])!r}")
-        return list(map(float.__new__, repeat(cls), values.tolist()))
-
-    @classmethod
-    def from_linear(cls, x: float) -> "ExtLogMag":
-        """Build from x in [0, 1]; x = 0 maps to +inf."""
-        xf = float(x)
-        if math.isnan(xf) or xf < 0.0 or xf > 1.0:
-            raise ValueError(f"linear value must be in [0, 1], got {x!r}")
-        if xf == 0.0:
-            return cls(math.inf)
-        return cls(-math.log(xf))
-
-    def to_linear(self) -> float:
-        return math.exp(-float(self))
-
-    @property
-    def is_zero(self) -> bool:
-        """True when the underlying x equals 0 (T = +inf)."""
-        return math.isinf(self)
-
-    def __add__(self, other) -> "ExtLogMag":
-        return ExtLogMag(float.__add__(self, float(other)))
-
-    def __radd__(self, other) -> "ExtLogMag":
-        return ExtLogMag(float.__radd__(self, float(other)))
-
-    def __repr__(self) -> str:
-        return f"ExtLogMag({float.__repr__(self)})"
-
-
 @dataclass(frozen=True)
 class RatioClass:
     """Analytic behaviour of (log(1/x_j))**s / log j as j grows."""
@@ -745,16 +693,6 @@ class WeightSeq(_SeqView):
     G = _SeqView.log_inv  #: log(1/gamma_k), +inf for zero weights
 
 
-def eval_L(seq: EigenSeq, j: int) -> ExtLogMag:
-    """log(1/lambda_j) with index validation; +inf when lambda_j = 0."""
-    return ExtLogMag(seq.L(j))
-
-
-def eval_G(seq: WeightSeq, k: int) -> ExtLogMag:
-    """log(1/gamma_k) with index validation; +inf for zero weights."""
-    return ExtLogMag(seq.G(k))
-
-
 def load_log_table(path) -> tuple:
     """Read a two-column text table "index log_inv_value" with '#' comments.
 
@@ -783,11 +721,3 @@ def load_log_table(path) -> tuple:
     vals = tuple(values)
     _validate_table(vals, allow_inf=True)
     return vals
-
-
-def dump_log_table(values, path) -> None:
-    """Write a table read back bit-identically by load_log_table."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# index log_inv_value\n")
-        for i, v in enumerate(values, start=1):
-            fh.write(f"{i} {float(v)!r}\n")

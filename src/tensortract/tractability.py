@@ -109,10 +109,6 @@ class VerdictStatus(str, Enum):
     FAILS = "fails"
 
 
-class VerdictMode(str, Enum):
-    ANALYTIC = "analytic"
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     """One named piece of evidence attached to a verdict."""
@@ -136,7 +132,7 @@ class LimitEstimate:
 class DivergenceResult:
     kind: str  # "diverges" | "bounded"
     limit: float
-    mode: str  # always "analytic"
+    mode: str = "analytic"
     evidence: LimitEstimate | None = None
 
 
@@ -153,7 +149,6 @@ class Verdict:
     status: VerdictStatus
     exponent: float | None
     evidence: tuple
-    mode: VerdictMode
 
 
 def _trend(ratios: list) -> str:
@@ -281,7 +276,7 @@ def divergence_check(seq, s: float, jgrid=DEFAULT_J_GRID) -> DivergenceResult:
     probes = [(float(j), _saturated(math.pow, seq.log_inv(j), s) / math.log(j))
               for j in _check_jgrid(jgrid)]
     rc = seq.family.ratio_class(s)
-    return DivergenceResult(rc.kind, rc.limit, "analytic", _limit_estimate(probes))
+    return DivergenceResult(rc.kind, rc.limit, evidence=_limit_estimate(probes))
 
 
 def _check_power_sum(cs, J) -> None:
@@ -395,7 +390,7 @@ def _classify_polynomial(lam, gam, notion, policy) -> Verdict:
         ev.append(Diagnostic("b_qpt_limit" if qpt else "b_spt_limit", limit))
     holds = limit is not None and not math.isinf(limit)
     return Verdict(notion, VerdictStatus.HOLDS if holds else VerdictStatus.FAILS,
-                   limit if holds else None, tuple(ev), VerdictMode.ANALYTIC)
+                   limit if holds else None, tuple(ev))
 
 
 def _classify_weak(lam, gam, notion, policy) -> Verdict:
@@ -433,7 +428,7 @@ def _classify_weak(lam, gam, notion, policy) -> Verdict:
         ev.append(Diagnostic(name, res))
         holds = holds and res.kind != "bounded"
     status = VerdictStatus.HOLDS if holds else VerdictStatus.FAILS
-    return Verdict(notion, status, None, tuple(ev), VerdictMode.ANALYTIC)
+    return Verdict(notion, status, None, tuple(ev))
 
 
 def _classify_weak_boundary(lam, gam, notion) -> Verdict:
@@ -453,7 +448,7 @@ def _classify_weak_boundary(lam, gam, notion) -> Verdict:
         "bounded_net_witness",
         {"net": "k=1, j=2, d->inf", "numerator": g1**s + lam.L(2)**s, "ratio_limit": 0.0},
         note="constant numerator against a growing denominator"))
-    return Verdict(notion, VerdictStatus.FAILS, None, tuple(ev), VerdictMode.ANALYTIC)
+    return Verdict(notion, VerdictStatus.FAILS, None, tuple(ev))
 
 
 def classify(lam: EigenSeq, gam: WeightSeq, notion: Notion,
@@ -471,12 +466,12 @@ def classify(lam: EigenSeq, gam: WeightSeq, notion: Notion,
         # tuple and every notion holds trivially.
         ev = (Diagnostic("trivial_problem", True, note="gamma_1 = 0 (count is always 1)"),)
         exponent = None if notion.kind in (NotionKind.EXP_WT, NotionKind.EXP_ST_WT) else 0.0
-        return Verdict(notion, VerdictStatus.HOLDS, exponent, ev, VerdictMode.ANALYTIC)
+        return Verdict(notion, VerdictStatus.HOLDS, exponent, ev)
     if notion.kind is NotionKind.EXP_PT:
         base = classify(lam, gam, Notion.spt(), policy)
         ev = base.evidence + (Diagnostic(
             "delegated", "EXP-SPT", note="the polynomial and strong polynomial notions coincide"),)
-        return Verdict(notion, base.status, base.exponent, ev, base.mode)
+        return Verdict(notion, base.status, base.exponent, ev)
     if notion.kind in (NotionKind.EXP_SPT, NotionKind.EXP_QPT):
         return _classify_polynomial(lam, gam, notion, policy)
     return _classify_weak(lam, gam, notion, policy)

@@ -28,12 +28,14 @@ from tensortract import (
     TripleExp,
     WeightSeq,
     brute_force_count,
+    check_count_sandwich,
     d_of_eps,
     info_complexity,
     j_of_eps,
     nth_minimal_error,
     top_eigenvalues,
 )
+from tensortract.seqcore import _FamilyBase
 from tensortract.verify import random_tabulated_instance
 
 LN2 = math.log(2.0)
@@ -114,6 +116,11 @@ class TestThresholdIndices:
             j_of_eps(DYADIC, 0.0)
         with pytest.raises(ValueError):
             j_of_eps(DYADIC, math.inf)
+
+    @pytest.mark.parametrize("bad", ["3", True])
+    def test_threshold_rejects_booleans_and_strings(self, bad):
+        with pytest.raises(ValueError, match="threshold E must be positive and finite"):
+            j_of_eps(EigenSeq(PowerLaw(2.0)), bad)
 
 
 class TestInfoComplexity:
@@ -207,6 +214,29 @@ class TestInfoComplexity:
             Query(1.0, 0)
         with pytest.raises(ValueError):
             Query(1.0, 2.5)
+
+    @pytest.mark.parametrize("E, d", [("5", 2), (True, 1)])
+    def test_query_rejects_boolean_and_string_thresholds(self, E, d):
+        with pytest.raises(ValueError, match="threshold E must be positive and finite"):
+            Query(E, d)
+
+    @pytest.mark.parametrize("budget", [0, -1, 2.5, True, "100"])
+    @pytest.mark.parametrize("E", [2.0, 0.1])  # 0.1: no coordinate is active, m = 0
+    def test_node_budget_must_be_a_positive_int(self, budget, E):
+        with pytest.raises(ValueError, match="node_budget must be a positive integer"):
+            info_complexity(DYADIC, WeightSeq(ExpPower(1.0, 1.0)), Query(E, 3),
+                            node_budget=budget)
+
+    def test_sandwich_rejects_a_bad_node_budget(self):
+        with pytest.raises(ValueError, match="node_budget must be a positive integer"):
+            check_count_sandwich(DYADIC, WeightSeq(ExpPower(1.0, 1.0)), 2.0, 3, node_budget=0)
+
+    def test_node_budget_of_one(self):
+        # The root entry alone: m = 0 fits, and any active coordinate does not.
+        gam = WeightSeq(ExpPower(1.0, 1.0))
+        assert info_complexity(DYADIC, gam, Query(0.1, 3), node_budget=1) == CountResult(1, 1, 0)
+        with pytest.raises(BudgetExceeded):
+            info_complexity(DYADIC, gam, Query(2.0, 3), node_budget=1)
 
 
 class TestActivePrefix:
@@ -520,7 +550,8 @@ class TestSpectrum:
         lam = EigenSeq(Tabulated((0.0, LN2)))
         gam = WeightSeq(Tabulated((0.0,)))
         costs = top_eigenvalues(lam, gam, 1, 4)
-        assert [math.isinf(c) for c in costs] == [False, False, True, True]
+        assert costs == [0.0, LN2, math.inf, math.inf]
+        assert [type(c) for c in costs] == [float] * 4
 
     def test_saturated_costs_pad_to_k(self):
         # Two levels of 1e308 sum to inf: a zero eigenvalue, so it pads the
@@ -534,6 +565,19 @@ class TestSpectrum:
         assert float(nth_minimal_error(DYADIC, ONES, 2, 0)) == 0.0
         assert float(nth_minimal_error(DYADIC, ONES, 2, 1)) == 0.5 * LN2
         assert float(nth_minimal_error(DYADIC, ONES, 2, 3)) == LN2
+
+    @pytest.mark.parametrize("K", [1, 100])  # 100: the level table is built in blocks
+    def test_negative_cost_rejected(self, K):
+        # log_inv(j) = j - 3 from j = 2 on goes below zero: no eigenvalue
+        # may exceed lambda_1 = 1.
+        class Rising(_FamilyBase):
+            name = "rising"
+
+            def _formula(self, j, m):
+                return j - 3.0
+
+        with pytest.raises(ValueError, match="log-magnitude must be >= 0"):
+            top_eigenvalues(EigenSeq(Rising()), ONES, 1, K)
 
     def test_frontier_cap(self):
         # all 50**6 tuples cost 0, so the tie class of the top eigenvalue runs away

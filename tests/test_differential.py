@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from tensortract import (
     DoubleExpPower,
     EigenSeq,
-    ExtLogMag,
     EventuallyZero,
     ExpPower,
     IterLog,
@@ -29,6 +28,7 @@ from tensortract import (
     WeightSeq,
     brute_force_count,
     info_complexity,
+    nth_minimal_error,
     top_eigenvalues,
 )
 from tensortract.seqcore import _BLOCK_MIN
@@ -223,8 +223,12 @@ def reference_top(lam, gam, d, K):
 
 def check_top_against_reference(lam, gam, d, K):
     top = top_eigenvalues(lam, gam, d, K)
-    assert all(type(c) is ExtLogMag for c in top)
-    assert [float(c) for c in top] == reference_top(lam, gam, d, K), (lam, gam, d, K)
+    ref = reference_top(lam, gam, d, K)
+    assert all(type(c) is float for c in top)
+    assert top == ref, (lam, gam, d, K)
+    # The error after K - 1 functionals is half the K-th cost.
+    err = nth_minimal_error(lam, gam, d, K - 1)
+    assert type(err) is float and err == 0.5 * ref[K - 1]
 
 
 def draw_dimension(data, lam, gam, K, cap=12):
@@ -302,7 +306,5 @@ def test_top_stops_at_active_dimension(monkeypatch, fam, wfam, K):
     kth = float(top[K - 1])
     m = max(k for k in range(1, 201) if gam.G(k) + lam.L(2) <= kth)
     assert m < 200 and max(read) <= m + 1
-    assert all(type(c) is ExtLogMag for c in top)
-    costs = [float(c) for c in top]
-    assert costs == [float(c) for c in top_eigenvalues(lam, gam, m, K)]
-    assert costs == reference_top(lam, gam, m, K)
+    assert all(type(c) is float for c in top)
+    assert top == top_eigenvalues(lam, gam, m, K) == reference_top(lam, gam, m, K)

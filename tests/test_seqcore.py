@@ -15,7 +15,6 @@ from tensortract import (
     EigenSeq,
     EventuallyZero,
     ExpPower,
-    ExtLogMag,
     InvalidIndex,
     IterLog,
     LogPower,
@@ -25,15 +24,12 @@ from tensortract import (
     TripleExp,
     WeightSeq,
     d_of_eps,
-    eval_G,
-    eval_L,
     family_from_descriptor,
     j_of_eps,
     load_log_table,
 )
 from tensortract import seqcore
-from tensortract.seqcore import (SUPER_POLYNOMIAL, _FamilyBase, _TableFamily, dump_log_table,
-                                 log_inv_table)
+from tensortract.seqcore import SUPER_POLYNOMIAL, _FamilyBase, _TableFamily, log_inv_table
 
 EIGEN_FAMILIES = [
     PowerLaw(2.0),
@@ -51,81 +47,35 @@ EIGEN_FAMILIES = [
 ]
 
 
-class TestExtLogMag:
-    def test_ordering_reverses_linear(self):
-        a = ExtLogMag.from_linear(0.9)
-        b = ExtLogMag.from_linear(0.1)
-        assert a < b  # larger x means smaller log(1/x)
-
-    def test_addition_is_multiplication(self):
-        a = ExtLogMag.from_linear(0.5)
-        b = ExtLogMag.from_linear(0.25)
-        assert math.isclose((a + b).to_linear(), 0.125, rel_tol=1e-12)
-
-    def test_zero_and_one(self):
-        assert ExtLogMag.from_linear(1.0) == 0.0
-        z = ExtLogMag.from_linear(0.0)
-        assert z.is_zero and math.isinf(z)
-        assert z.to_linear() == 0.0
-
-    def test_infinity_absorbs(self):
-        assert math.isinf(ExtLogMag(math.inf) + ExtLogMag(3.0))
-
-    def test_rejects_negative_and_nan(self):
-        with pytest.raises(ValueError):
-            ExtLogMag(-1e-9)
-        with pytest.raises(ValueError):
-            ExtLogMag(math.nan)
-        with pytest.raises(ValueError):
-            ExtLogMag.from_linear(1.5)
-
-    def test_many_matches_one_by_one(self):
-        values = [0.0, -0.0, 5e-324, 0.1, 1e300, math.inf]
-        got = ExtLogMag.many(np.array(values))
-        assert all(type(v) is ExtLogMag for v in got)
-        assert [repr(v) for v in got] == [repr(ExtLogMag(v)) for v in values]
-
-    @pytest.mark.parametrize("bad", [-1e-9, -math.inf, math.nan])
-    def test_many_rejects_negative_and_nan(self, bad):
-        with pytest.raises(ValueError, match="log-magnitude must be >= 0"):
-            ExtLogMag.many(np.array([0.0, 1.0, bad, 2.0]))
-
-    @given(st.floats(min_value=1e-300, max_value=1.0),
-           st.floats(min_value=1e-300, max_value=1.0))
-    def test_add_matches_product(self, x, y):
-        got = (ExtLogMag.from_linear(x) + ExtLogMag.from_linear(y))
-        assert math.isclose(float(got), -math.log(x) - math.log(y), rel_tol=1e-12, abs_tol=1e-12)
-
-
 class TestEvaluation:
     def test_exp_power_first_is_one(self):
-        assert eval_L(EigenSeq(ExpPower(1.0, 1.0)), 1) == 0.0
+        assert EigenSeq(ExpPower(1.0, 1.0)).L(1) == 0.0
 
     def test_power_law_value(self):
-        got = eval_L(EigenSeq(PowerLaw(2.0)), 10)
+        got = EigenSeq(PowerLaw(2.0)).L(10)
         assert got == 2.0 * math.log(10.0)
 
     def test_triple_exp_saturates(self):
-        assert math.isinf(eval_L(EigenSeq(TripleExp(1.0)), 8))
+        assert math.isinf(EigenSeq(TripleExp(1.0)).L(8))
 
     def test_constant_one_weight(self):
-        assert eval_G(WeightSeq(ConstantOne()), 17) == 0.0
+        assert WeightSeq(ConstantOne()).G(17) == 0.0
 
     def test_exp_weight_value(self):
         # gamma_k = exp(-(k-1)) so log(1/gamma_4) = 3
-        assert eval_G(WeightSeq(ExpPower(1.0, 1.0)), 4) == 3.0
+        assert WeightSeq(ExpPower(1.0, 1.0)).G(4) == 3.0
 
     def test_eventually_zero_tail(self):
         seq = WeightSeq(EventuallyZero(3, (0.0, math.log(2.0))))
-        assert math.isinf(eval_G(seq, 5))
-        assert eval_G(seq, 2) == math.log(2.0)
+        assert math.isinf(seq.G(5))
+        assert seq.G(2) == math.log(2.0)
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_invalid_index(self, bad):
         with pytest.raises(InvalidIndex):
-            eval_L(EigenSeq(PowerLaw(1.0)), bad)
+            EigenSeq(PowerLaw(1.0)).L(bad)
         with pytest.raises(InvalidIndex):
-            eval_G(WeightSeq(ConstantOne()), bad)
+            WeightSeq(ConstantOne()).G(bad)
 
     def test_non_integer_index_rejected(self):
         with pytest.raises(InvalidIndex):
@@ -277,7 +227,7 @@ class TestSerialization:
     def test_table_file_round_trip(self, tmp_path):
         values = (0.0, 0.1 + 0.2, math.pi, 1e300, math.inf)
         path = tmp_path / "table.txt"
-        dump_log_table(values, path)
+        path.write_text("".join(f"{i} {v!r}\n" for i, v in enumerate(values, start=1)))
         back = load_log_table(path)
         assert back == values  # bit-identical via repr round trip
 

@@ -23,7 +23,6 @@ from tensortract import (
     Tabulated,
     TripleExp,
     UnsupportedNotion,
-    VerdictMode,
     VerdictStatus,
     WeightSeq,
     b_qpt_estimate,
@@ -404,7 +403,6 @@ class TestClassifier:
     def test_strong_polynomial_holds_with_zero_exponent(self):
         v = classify(INTRO_LAM, WeightSeq(DoubleExpPower(1.0, 2.0)), Notion.spt())
         assert v.status is VerdictStatus.HOLDS
-        assert v.mode is VerdictMode.ANALYTIC
         assert v.exponent == 0.0
 
     def test_quasi_polynomial_with_unit_exponent(self):
@@ -422,7 +420,7 @@ class TestClassifier:
     def test_weak_tractability_iterated_log(self):
         pair = iterated_log_pair()
         v = classify(pair.lam, pair.gam, Notion.wt())
-        assert v.status is VerdictStatus.HOLDS and v.mode is VerdictMode.ANALYTIC
+        assert v.status is VerdictStatus.HOLDS
 
     def test_weak_fails_without_weight_decay(self):
         v = classify(EigenSeq(LogPower(2.0)), WeightSeq(ConstantOne()), Notion.wt())
@@ -431,7 +429,7 @@ class TestClassifier:
     def test_unit_multiplicity_needs_a_small_weight(self):
         lam = EigenSeq(IterLog((0.0, 0.0)))  # lambda_2 = 1
         v = classify(lam, WeightSeq(ConstantOne()), Notion.st_weak(2.0, 1.0))
-        assert v.status is VerdictStatus.FAILS and v.mode is VerdictMode.ANALYTIC
+        assert v.status is VerdictStatus.FAILS
         v2 = classify(lam, WeightSeq(ExpPower(1.0, 1.0)), Notion.st_weak(2.0, 1.0))
         assert v2.status is VerdictStatus.HOLDS
 
@@ -489,7 +487,7 @@ class TestClassifier:
 
     def test_super_polynomial_effective_dimension_fails(self):
         v = classify(EigenSeq(ExpPower(1.0, 1.0)), WeightSeq(LogPower(2.0)), Notion.spt())
-        assert v.status is VerdictStatus.FAILS and v.mode is VerdictMode.ANALYTIC
+        assert v.status is VerdictStatus.FAILS
         assert v.exponent is None
         assert [d.name for d in v.evidence] == [
             "limit_lambda_zero", "limit_gamma_zero", "threshold_growth", "b_spt_probes",
@@ -499,7 +497,7 @@ class TestClassifier:
 
     def test_bounded_effective_dimension_qpt_delegates(self):
         v = classify(EigenSeq(ExpPower(1.0, 1.0)), WeightSeq(Tabulated((0.2,))), Notion.qpt())
-        assert v.status is VerdictStatus.HOLDS and v.mode is VerdictMode.ANALYTIC
+        assert v.status is VerdictStatus.HOLDS
         assert v.exponent == 1.0
         assert [d.name for d in v.evidence] == [
             "limit_lambda_zero", "limit_gamma_zero", "b_qpt_growth", "b_spt_probes",
@@ -519,11 +517,11 @@ class TestClassifier:
         names = ["gamma_log_ratio[s=1]", "lambda_log_ratio[s=1]"]
         gam = WeightSeq(ExpPower(1.0, 1.0))
         v = classify(EigenSeq(LogPower(2.0)), gam, Notion.st_weak(1.0, 0.5))
-        assert v.status is VerdictStatus.HOLDS and v.mode is VerdictMode.ANALYTIC
+        assert v.status is VerdictStatus.HOLDS
         assert v.exponent is None and [d.name for d in v.evidence] == names
         assert [d.value.kind for d in v.evidence] == ["diverges", "diverges"]
         v = classify(EigenSeq(PowerLaw(2.0)), gam, Notion.st_weak(1.0, 0.5))
-        assert v.status is VerdictStatus.FAILS and v.mode is VerdictMode.ANALYTIC
+        assert v.status is VerdictStatus.FAILS
         assert v.exponent is None and [d.name for d in v.evidence] == names
         assert [d.value.kind for d in v.evidence] == ["diverges", "bounded"]
 
@@ -532,7 +530,7 @@ class TestClassifier:
         gam = WeightSeq(ExpPower(1.0, 1.0))
         # tabulated data is analytically divergent via the zero tail
         v = classify(lam, gam, Notion.wt())
-        assert v.status is VerdictStatus.HOLDS and v.mode is VerdictMode.ANALYTIC
+        assert v.status is VerdictStatus.HOLDS
 
 
 # The verdict pins: every call of classify over these axes, with its status,
