@@ -374,16 +374,18 @@ def _report_head(cfg: RunConfig, command: str) -> dict:
 
 def _write_rows(cols: dict, out_format: str, head: dict, **tail) -> str:
     """``cols`` (column name: list of cells) as CSV, or as one JSON document:
-    ``head``, the rows, then ``tail``.  Each row is one ``%`` of a template of
-    the columns' cell formats (``_column_cells``); with two or more columns the
-    CSV is the one ``csv.writer(lineterminator="\\n")`` writes from ``_cell`` values.
+    ``head``, the rows, then ``tail``.  Each column is first rendered to strings
+    (``_column_cells``).  A CSV row is those strings joined by commas, which
+    with two or more columns is the row ``csv.writer(lineterminator="\\n")``
+    writes from ``_cell`` values; a JSON row is one ``%`` of a template with a
+    ``%s`` field per column.
     """
-    fmts, cells = zip(*(_column_cells(col, out_format) for col in cols.values()))
+    cells = [_column_cells(col, out_format) for col in cols.values()]
     if out_format == "csv":
-        header = ",".join(_column_cells(list(cols), "csv")[1])
-        return "".join([header, "\n", *map((",".join(fmts) + "\n").__mod__, zip(*cells))])
+        return "\n".join([",".join(_column_cells(list(cols), "csv")),
+                          *map(",".join, zip(*cells))]) + "\n"
     keys = [json.dumps(str(c)).replace("%", "%%") for c in cols]
-    row_fmt = "    {\n" + ",\n".join(f"      {k}: {f}" for k, f in zip(keys, fmts)) + "\n    }"
+    row_fmt = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
     rows = ",\n".join(map(row_fmt.__mod__, zip(*cells)))
     # The rows fill the top-level empty "rows" array of the document without them.
     lead, trail = _dump_json({**head, "rows": [], **tail}).split('\n  "rows": []')
@@ -408,26 +410,50 @@ def _csv_quoted(cell: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _column_cells(col: list, out_format: str) -> tuple:
-    """(cell format, cells) of one report column.
+def _column_cells(col: list, out_format: str) -> list:
+    """The cells of one report column, as strings.
 
-    Floats take "%.17g", which spells inf and nan (in JSON, only a column of
-    finite floats does), and ints that are not bools "%d".  Other columns take
-    "%s": in CSV the ``_cell`` values, quoted by csv where a cell needs it; in
-    JSON ``json.dumps`` of strs and ``_dump_json`` of anything else.
+    Ints that are not bools print as "%d" and floats as "%.17g", which spells
+    inf and nan; in JSON a non-finite float is a string (``_dump_json``).
+    Other cells take ``_cell`` in CSV, quoted by csv where a cell needs it,
+    and in JSON ``json.dumps`` of strs and ``_dump_json`` of anything else.
+    A column of ints or of floats, or in JSON of strs, formats each distinct
+    value once (``_formatted``); a mixed column, where the equal cells 1, 1.0
+    and True print differently, goes cell by cell.
     """
     kinds = set(map(type, col))
     if kinds == {int}:
-        return "%d", col
-    if (all(map(issubclass, kinds, repeat(float)))
-            and (out_format == "csv" or all(map(math.isfinite, col)))):
-        return "%.17g", col
+        return _formatted(col, str)
+    if all(map(issubclass, kinds, repeat(float))):
+        return _formatted(col, "%.17g".__mod__ if out_format == "csv" else _dump_json)
     if out_format == "json":
-        return "%s", list(map(json.dumps if kinds == {str} else _dump_json, col))
+        return _formatted(col, json.dumps) if kinds == {str} else list(map(_dump_json, col))
     cells = col if kinds == {str} else list(map(_cell, col))
     if _CSV_SPECIAL.search("".join(cells)):
         cells = list(map(_csv_quoted, cells))
-    return "%s", cells
+    return cells
+
+
+def _formatted(col: list, fmt) -> list:
+    """``list(map(fmt, col))`` for a column whose equal cells format alike,
+    except the zeros 0.0 and -0.0.
+
+    Where values repeat, ``fmt`` runs once per distinct value and once per
+    zero cell, so each zero keeps its sign.  A NaN hashes by identity, so each
+    NaN object is its own distinct value.  A column of distinct values is
+    mapped directly, since the lookups would cost more than they save.
+    """
+    distinct = set(col)
+    if len(distinct) == len(col):
+        return list(map(fmt, col))
+    memo = dict(zip(distinct, map(fmt, distinct)))
+    cells = list(map(memo.__getitem__, col))
+    if 0.0 in memo:
+        i = -1
+        for _ in range(col.count(0.0)):
+            i = col.index(0.0, i + 1)
+            cells[i] = fmt(col[i])
+    return cells
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -436,25 +436,32 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float
     G = gam.family.log_inv
     # The tuples (j, 1, ..., 1) with j <= K cost at most G(1) + L(K), and a
     # level j costs at least G(1) + L(j) on any coordinate.
-    g1 = G(1)
-    J = _last_level(L, g1, math.nextafter(g1 + L(K), math.inf), cap,
+    # A family whose log_inv drops below 0 (an eigenvalue or weight above 1)
+    # is rejected as it is read: _thresholds needs w >= 0, and no fold cost
+    # is then negative or NaN.
+    g1 = _check_cost(G(1))
+    J = _last_level(L, g1, math.nextafter(g1 + _check_cost(L(K)), math.inf), cap,
                     over.format(f"more than {cap}", 1))
     levels = log_inv_table(lam.family, 2, J + 1)
+    _check_cost(float(np.min(levels, initial=0.0)))  # NaN propagates
     L2 = float(levels[0]) if len(levels) else math.inf
     costs = np.zeros(1)
+    jw = ()  # rank bounds per kept cost, built on first need and grown with costs
     with np.errstate(over="ignore"):  # sums past the float range saturate to inf
         for k in range(1, d + 1):
-            g = G(k)
+            g = _check_cost(G(k))
             if g + L2 == math.inf or (len(costs) >= K and g + L2 > costs[-1]):
                 break
             w = g + levels
             w = np.concatenate(([0.0], w[:np.searchsorted(w, math.inf)]))  # finite only
             # The (i+1) * ceil(K/(i+1)) sums costs[:i+1] + w[:ceil(K/(i+1))]
-            # are all no larger than costs[i] + w[ceil(K/(i+1)) - 1].
-            i = np.arange(len(costs))
-            jw = (K + i) // (i + 1) - 1
-            fit = jw < len(w)
-            u = float(np.min(costs[fit] + w[jw[fit]], initial=math.inf))
+            # are all no larger than costs[i] + w[jw[i]], jw[i] = ceil(K/(i+1)) - 1.
+            # jw never increases, and jw[i] < len(w) exactly from i = (K-1) // len(w) on.
+            if len(jw) < len(costs):
+                i = np.arange(len(costs))
+                jw = (K + i) // (i + 1) - 1
+            i0 = (K - 1) // len(w)
+            u = float(np.min(costs[i0:] + w[jw[i0:len(costs)]], initial=math.inf))
             # cost + w <= u means cost + w is below the double after u, so
             # per level the costs kept are those below w's threshold against
             # that double; for u = inf, those whose sum stays finite.
@@ -468,11 +475,14 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float
             if len(cand) > K:
                 cand = cand[cand <= np.partition(cand, K - 1)[K - 1]]
             costs = np.sort(cand)
-    # A family whose log_inv drops below 0 (an eigenvalue above 1) shows here.
-    bad = costs[~(costs >= 0.0)]
-    if len(bad):
-        raise ValueError(f"log-magnitude must be >= 0 (or +inf), got {float(bad[0])!r}")
     return costs.tolist() + [math.inf] * (K - len(costs))
+
+
+def _check_cost(c: float) -> float:
+    """c, for a log-magnitude c >= 0 (or +inf); a negative or NaN c raises ValueError."""
+    if not c >= 0.0:
+        raise ValueError(f"log-magnitude must be >= 0 (or +inf), got {c!r}")
+    return c
 
 
 def nth_minimal_error(lam: EigenSeq, gam: WeightSeq, d: int, n: int) -> float:

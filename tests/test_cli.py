@@ -458,6 +458,29 @@ def reports(draw):
                                 min_size=n, max_size=n)) for name in names}
 
 
+#: Small pools, so that cells repeat: the signed zeros, the smallest
+#: subnormal, both infinities, the one NaN object math.nan and fresh NaN objects.
+_REPEATING = {
+    "float": st.sampled_from([0.0, -0.0, 5e-324, math.inf, -math.inf, 0.1, 2.5, 1e300, math.nan])
+    | st.builds(float, st.just("nan")),
+    "int": st.sampled_from([0, 1, -1, 7, 2**70]),
+    "bool": st.booleans(),
+    "str": st.sampled_from(["", "x", "a,b", 'q"t']),
+}
+_REPEATING["mixed"] = st.one_of(*_REPEATING.values())
+
+
+@st.composite
+def repeating_reports(draw):
+    """Columns of up to 60 cells drawn from ``_REPEATING``, each of one kind
+    (or of mixed cells)."""
+    names = draw(st.lists(st.sampled_from(["a", "b,", "c", "d"]), min_size=2, max_size=4,
+                          unique=True))
+    n = draw(st.integers(0, 60))
+    return {name: draw(st.lists(_REPEATING[draw(st.sampled_from(sorted(_REPEATING)))],
+                                min_size=n, max_size=n)) for name in names}
+
+
 class TestCsvColumns:
     """One column, twice over, through the report writer against csv.writer
     over ``_cell`` values."""
@@ -486,9 +509,9 @@ class TestCsvColumns:
 
 
 class TestReportWriter:
-    """The one-template writer against a row-at-a-time rendering of the same cells."""
+    """The column-wise writer against a row-at-a-time rendering of the same cells."""
 
-    @given(reports())
+    @given(reports() | repeating_reports())
     def test_csv_matches_csv_writer(self, cols):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -496,7 +519,7 @@ class TestReportWriter:
         writer.writerows(zip(*([_cell(v) for v in col] for col in cols.values())))
         assert _write_rows(cols, "csv", {}) == buf.getvalue()
 
-    @given(reports())
+    @given(reports() | repeating_reports())
     def test_json_matches_dump_json(self, cols):
         rows = [dict(zip(cols, row)) for row in zip(*cols.values())]
         head = {"schema": 1, "command": "x"}

@@ -40,6 +40,10 @@ CASES = [
     # Two positive eigenvalues padded with inf costs to k = 5.
     ("topk", "topk_padded", [], "topk_padded.csv", EXIT_OK),
     ("topk", "topk_padded", ["--format", "json"], "topk_padded.json", EXIT_OK),
+    # Tie classes: at d = 10 the 1006 rows hold 426 distinct costs, rank 1
+    # at cost 0.
+    ("topk", "topk_ties", [], "topk_ties.csv", EXIT_OK),
+    ("topk", "topk_ties", ["--format", "json"], "topk_ties.json", EXIT_OK),
     ("audit", "audit_sandwich", ["--format", "csv"], "audit_sandwich.csv", EXIT_OK),
     ("audit", "audit_sandwich", ["--format", "json"], "audit_sandwich.json", EXIT_OK),
     # The only output that prints summed tables (partial sums and tail bounds).

@@ -567,17 +567,33 @@ class TestSpectrum:
         assert float(nth_minimal_error(DYADIC, ONES, 2, 3)) == LN2
 
     @pytest.mark.parametrize("K", [1, 100])  # 100: the level table is built in blocks
-    def test_negative_cost_rejected(self, K):
-        # log_inv(j) = j - 3 from j = 2 on goes below zero: no eigenvalue
-        # may exceed lambda_1 = 1.
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("bad", ["eigenvalues", "weights", "nan-eigenvalues", "nan-weights"])
+    def test_negative_cost_rejected(self, bad, d, K):
+        # log_inv(j) = j - 3 goes below zero: no eigenvalue may exceed
+        # lambda_1 = 1, and no weight may exceed 1.  The eigenvalue family
+        # starts at j = 2, the weight family at k = 1, and the NaN family at
+        # index 1.  With d >= 2 the fold once looped for ever in _thresholds
+        # before it reached a check.
         class Rising(_FamilyBase):
             name = "rising"
 
             def _formula(self, j, m):
                 return j - 3.0
 
+        class Falling(Rising):
+            _formula_start = 1
+
+        class Undefined(Falling):
+            def _formula(self, j, m):
+                return math.nan
+
+        lam, gam = {"eigenvalues": (EigenSeq(Rising()), ONES),
+                    "weights": (DYADIC, WeightSeq(Falling())),
+                    "nan-eigenvalues": (EigenSeq(Undefined()), ONES),
+                    "nan-weights": (DYADIC, WeightSeq(Undefined()))}[bad]
         with pytest.raises(ValueError, match="log-magnitude must be >= 0"):
-            top_eigenvalues(EigenSeq(Rising()), ONES, 1, K)
+            top_eigenvalues(lam, gam, d, K)
 
     def test_frontier_cap(self):
         # all 50**6 tuples cost 0, so the tie class of the top eigenvalue runs away

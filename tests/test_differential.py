@@ -31,7 +31,10 @@ from tensortract import (
     nth_minimal_error,
     top_eigenvalues,
 )
-from tensortract.seqcore import _BLOCK_MIN
+from tensortract.complexity import _last_level, _thresholds
+from tensortract.errors import BudgetExceeded
+from tensortract.goldens import GOLDEN_PAIRS
+from tensortract.seqcore import _BLOCK_MIN, log_inv_table
 
 #: Largest level box (box**d cells) the oracle enumerates per example.
 BOX_CELLS = 200_000
@@ -308,3 +311,57 @@ def test_top_stops_at_active_dimension(monkeypatch, fam, wfam, K):
     assert m < 200 and max(read) <= m + 1
     assert all(type(c) is float for c in top)
     assert top == top_eigenvalues(lam, gam, m, K) == reference_top(lam, gam, m, K)
+
+
+def frozen_top_eigenvalues(lam, gam, d, K):
+    """The top-K fold as it stood before its rank bounds were cached: the
+    rank-bound table is rebuilt on every coordinate and read through boolean
+    masks.  Kept as the reference for ``test_fold_bits_match_the_frozen_fold``.
+    """
+    cap = max(4096, 32 * K * max(d, 2))
+    L, G = lam.family.log_inv, gam.family.log_inv
+    g1 = G(1)
+    J = _last_level(L, g1, math.nextafter(g1 + L(K), math.inf), cap, "cap")
+    levels = log_inv_table(lam.family, 2, J + 1)
+    L2 = float(levels[0]) if len(levels) else math.inf
+    costs = np.zeros(1)
+    with np.errstate(over="ignore"):
+        for k in range(1, d + 1):
+            g = G(k)
+            if g + L2 == math.inf or (len(costs) >= K and g + L2 > costs[-1]):
+                break
+            w = g + levels
+            w = np.concatenate(([0.0], w[:np.searchsorted(w, math.inf)]))
+            i = np.arange(len(costs))
+            jw = (K + i) // (i + 1) - 1
+            fit = jw < len(w)
+            u = float(np.min(costs[fit] + w[jw[fit]], initial=math.inf))
+            w = w[w <= u]
+            next_u = math.nextafter(u, math.inf)
+            n = np.searchsorted(costs, _thresholds(w, np.full(len(w), next_u)))
+            total = int(n.sum())
+            if total > cap:
+                raise BudgetExceeded("cap")
+            cand = costs[np.arange(total) - np.repeat(np.cumsum(n) - n, n)] + np.repeat(w, n)
+            if len(cand) > K:
+                cand = cand[cand <= np.partition(cand, K - 1)[K - 1]]
+            costs = np.sort(cand)
+    return costs.tolist() + [math.inf] * (K - len(costs))
+
+
+@pytest.mark.parametrize("pair", GOLDEN_PAIRS, ids=[p.name for p in GOLDEN_PAIRS])
+def test_fold_bits_match_the_frozen_fold(pair):
+    """Every golden pair at d in (1, 2, 5, 12) and K in (1, 7, 500, 3000):
+    the same costs, bit for bit, as the frozen fold, and the same
+    ``nth_minimal_error`` at rank K - 1."""
+    overshoot = 0
+    for d in (1, 2, 5, 12):
+        for K in (1, 7, 500, 3000):
+            top = top_eigenvalues(pair.lam, pair.gam, d, K)
+            ref = frozen_top_eigenvalues(pair.lam, pair.gam, d, K)
+            assert list(map(float.hex, top)) == list(map(float.hex, ref)), (d, K)
+            err = nth_minimal_error(pair.lam, pair.gam, d, K - 1)
+            assert err.hex() == (0.5 * ref[K - 1]).hex()
+            overshoot += len(top) > K
+    # Each pair has a tie class that some K cuts: results longer than K are covered.
+    assert overshoot
