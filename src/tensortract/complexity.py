@@ -274,21 +274,17 @@ def _extend_head_array(head: np.ndarray, g: float, reach_next: float, levels: np
     comes back unchanged, before the new one is allocated.
     """
     with np.errstate(over="ignore"):  # sums past the float range saturate to inf
-        w = g + levels  # the same float sums as the scalar g + L
+        # Level 1 is the zero entry: a cost that stays open is its own child.
+        w = np.concatenate(([0.0], g + levels))  # the same float sums as the scalar g + L
         T = 0.0
         if reach_next < B:
             T = float(_thresholds(np.array([reach_next]), np.array([B]))[0])
-        par = head[head < T]
-        n = _fits(par, w, T)
-        kids = int(n.sum())
-        new = len(par) + kids
+        n = _fits(head, w, T)
+        new = int(n.sum())
         if new > room:
             return 0, new, head
-        done = len(head) - len(par) + int(_fits(head, w, B).sum()) - kids
-        out = np.empty(new)
-        out[:len(par)] = par
-        lev = np.arange(kids) - np.repeat(np.cumsum(n) - n, n)
-        np.add(np.repeat(par, n), w[lev], out=out[len(par):])
+        done = int(_fits(head, w, B).sum()) - new
+        out = np.repeat(head, n) + w[np.arange(new) - np.repeat(np.cumsum(n) - n, n)]
     return done, new, out
 
 
@@ -320,10 +316,13 @@ def active_prefix(lam: EigenSeq, gam: WeightSeq, q: Query) -> int:
     """Largest m <= d with G(m) + L(2) < 2E; 0 when no coordinate can leave level 1.
 
     The weights are non-increasing, so the coordinates that can take a level
-    form a prefix, and every d >= m has the count of d = m.
+    form a prefix, and every d >= m has the count of d = m.  A negative or
+    NaN G(1) or L(2) raises ValueError, as in ``top_eigenvalues``: the
+    counter's thresholds need costs >= 0, and a NaN L(2) would read as m = 0.
     """
-    L2 = lam.family.log_inv(2)
+    L2 = _check_cost(lam.family.log_inv(2))
     G = gam.family.log_inv
+    _check_cost(G(1))
     return _last_below(lambda k: G(k) + L2, 2.0 * q.E, 0, q.d + 1)
 
 
@@ -363,7 +362,7 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     # Every index below is generated here, so the tables read the families
     # directly rather than through the validating accessors L and G.
     L = lam.family.log_inv
-    Gs = list(map(gam.family.log_inv, range(1, m + 1)))
+    Gs = list(map(_check_cost, map(gam.family.log_inv, range(1, m + 1))))
     # Level table shared by all coordinates: levels j >= 2 usable anywhere
     # satisfy G(1) + L(j) < B (coordinate 1 has the most slack); m > 0 puts
     # L(2) in it.  The Python head reads it as a list of floats, which a

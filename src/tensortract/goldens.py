@@ -91,8 +91,7 @@ GOLDEN_PAIRS = (DYADIC_EXP, DYADIC_TAB, DOUBLE_EXP_SHARP, DOUBLE_EXP_SMOOTH,
                 DOUBLE_TRIPLE, ZERO_TAIL)
 
 
-def iterated_log_pair(table_len: int = 32) -> GoldenPair:
-    """Slowly decaying eigenvalues j**(-loglog j) with weights 1/log(k+2)."""
-    gam = WeightSeq(Tabulated(tuple(
-        math.log(math.log(k + 2.0)) for k in range(1, table_len + 1))))
+def iterated_log_pair() -> GoldenPair:
+    """Slowly decaying eigenvalues j**(-loglog j) with 32 weights 1/log(k+2)."""
+    gam = WeightSeq(Tabulated(tuple(math.log(math.log(k + 2.0)) for k in range(1, 33))))
     return GoldenPair("iterated_log_decay", EigenSeq(IterLog()), gam, (0.5, 1.0), (2, 4))

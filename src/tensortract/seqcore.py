@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import repeat
@@ -153,13 +154,15 @@ class _FamilyBase:
     its nearest double, ``alpha * j`` multiplies by it, and a table is
     constant past its end), so the search bisects over doubles there.
 
-    A closed form gives log_inv as data for the shared ``log_inv`` below:
-    its arithmetic, once, as ``_formula(j, m)``; ``_head``, the values below
-    index ``_formula_start`` (copied onto each instance by ``_set``, where
-    ``log_inv`` reads it faster); and ``_overflowed(j)``, the value where a
-    math call overflows.  ``log_inv_table`` slices the same ``_head`` and
-    runs the same formula on blocks of indices, whose log(j) it may read
-    from a shared table, so ``_formula`` must not write into ``m.log(j)``.
+    A closed form, tables included, gives log_inv as data for the shared
+    ``log_inv`` below: its arithmetic, once, as ``_formula(j, m)``;
+    ``_head``, the values below index ``_formula_start`` (copied onto each
+    instance by ``_set``, where ``log_inv`` reads it faster; a table's
+    entries, whose formula is infinite); and ``_overflowed(j)``, the value
+    where a math call overflows.  ``log_inv_table`` slices the same
+    ``_head`` and runs the same formula on blocks of indices, whose log(j)
+    it may read from a shared table, so ``_formula`` must not write into
+    ``m.log(j)``.
     """
 
     name: ClassVar[str]
@@ -433,26 +436,21 @@ class IterLog(_FamilyBase):
 
 
 class _TableFamily(_FamilyBase):
-    """A finite non-decreasing table ``_table`` of log(1/x_j); x_j = 0 past its end.
+    """A finite non-decreasing table of log(1/x_j); x_j = 0 past its end.
 
-    The zero tail makes the family limit_zero and summable.  Subclasses set
-    ``_table`` from their own field in ``__post_init__``.
+    Subclasses set the table as the shared ``log_inv``'s ``_head``, with
+    ``_formula_start`` one past its end; the formula past it is infinite,
+    for a scalar j and for a block alike.  The zero tail makes the family
+    limit_zero and summable.
     """
 
-    _table: tuple
-
-    def log_inv(self, j: int) -> float:
-        if j <= len(self._table):
-            return self._table[j - 1]
-        return math.inf
+    def _formula(self, j, m):
+        return j * math.inf
 
     @property
     def effective_len(self) -> int:
         """Number of leading finite entries (positive underlying values)."""
-        for i, v in enumerate(self._table):
-            if math.isinf(v):
-                return i
-        return len(self._table)
+        return bisect_left(self._head, math.inf)
 
     def threshold_growth(self) -> Growth:
         return Growth(float(max(self.effective_len, 1)))
@@ -461,9 +459,9 @@ class _TableFamily(_FamilyBase):
         return DIVERGES
 
     def tail_bound(self, c: float, J: int) -> float:
-        if J >= len(self._table):
+        if J >= len(self._head):
             return 0.0
-        return float(np.exp(-c * np.asarray(self._table[J:], dtype=float)).sum())
+        return float(np.exp(-c * np.asarray(self._head[J:], dtype=float)).sum())
 
 
 @dataclass(frozen=True)
@@ -478,7 +476,7 @@ class Tabulated(_TableFamily):
         if not vals:
             raise SequenceError("table must be non-empty")
         _validate_table(vals, allow_inf=True)
-        self._set(values=vals, _table=vals)
+        self._set(values=vals, _head=vals, _formula_start=len(vals) + 1)
 
 
 @dataclass(frozen=True)
@@ -512,7 +510,7 @@ class EventuallyZero(_TableFamily):
             raise SequenceError("prefix length must be j_star - 1")
         if pref:
             _validate_table(pref, allow_inf=False)
-        self._set(prefix=pref, _table=pref)
+        self._set(prefix=pref, _head=pref, _formula_start=self.j_star)
 
 
 def _validate_table(values: tuple, *, allow_inf: bool) -> None:
@@ -586,23 +584,19 @@ class _BlockMath:
 def log_inv_table(fam, lo: int, hi: int) -> np.ndarray:
     """[fam.log_inv(j) for j in range(lo, hi)] as a float64 array, bit for bit.
 
-    The family's ``log_inv`` picks the path at call time.  ``_TableFamily``'s
-    slices the table.  The shared ``_FamilyBase.log_inv`` slices ``_head``
-    and runs ``_formula`` on the rest, block by block, with ``m`` a
-    ``_BlockMath`` that reads log(j) from the shared ``_index_logs``; a
+    The family's ``log_inv`` picks the path at call time.  The shared
+    ``_FamilyBase.log_inv``, also under a wrapper installed on it, slices
+    ``_head`` and runs ``_formula`` on the rest, block by block, with ``m``
+    a ``_BlockMath`` that reads log(j) from the shared ``_index_logs``; a
     block in which a math call overflows maps ``log_inv``, whose
-    ``_overflowed`` gives the value there.  Both keep their path under a
-    wrapper installed on them.  Any other ``log_inv`` (a subclass override,
-    a patch on one class) is mapped throughout, as are closed-form tables
-    shorter than ``_BLOCK_MIN`` or reaching past ``_EXACT_LIMIT``.
+    ``_overflowed`` gives the value there.  Any other ``log_inv``
+    (``ConstantOne``'s, a subclass override, a patch on one class) is
+    mapped throughout, as are tables shorter than ``_BLOCK_MIN`` or
+    reaching past ``_EXACT_LIMIT``.
     """
     n = hi - lo
-    method = type(fam).log_inv
-    if method is _TableFamily.log_inv:
-        head = fam._table[lo - 1:hi - 1]
-        return np.array(head + (math.inf,) * (n - len(head)), dtype=float)
     scalar = fam.log_inv
-    if method is not _FamilyBase.log_inv or n < _BLOCK_MIN or hi > _EXACT_LIMIT + 1:
+    if type(fam).log_inv is not _FamilyBase.log_inv or n < _BLOCK_MIN or hi > _EXACT_LIMIT + 1:
         return np.fromiter(map(scalar, range(lo, hi)), float, n)
     out = np.empty(n)
     start = min(max(lo, fam._formula_start), hi)

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .complexity import _INDEX_LIMIT, d_of_eps, j_of_eps
+from .complexity import _INDEX_LIMIT, _max_index_below, d_of_eps, j_of_eps
 from .errors import DivergentTail, NonCompact, UnsupportedNotion
 from .seqcore import (
     EigenSeq,
@@ -290,23 +290,17 @@ def _check_power_sum(cs, J) -> None:
 def _power_sums(seq, cs, J: int) -> list:
     """summability(seq, c, J) for each c in cs, divergent exponents included;
     all exponents sum over one ``log_inv_table``, bit for bit the scalar
-    log_inv, read up to the chunk where every term underflows."""
+    log_inv, up to the last index whose terms do not all underflow."""
     _check_power_sum(cs, J)
     fam = seq.family
-    # The table is read in order, in chunks that double from 1024 entries
-    # up to 8192.  log_inv never decreases, so once an entry reaches
-    # 800 / min(cs) every later c * log_inv is past 745.2, where exp(-x)
-    # underflows to exactly 0.0, for every c; so is exp(-inf) for the rest
-    # of the table.
-    stop = 800.0 / min(cs)
+    # log_inv never decreases, so past the last index n with log_inv below
+    # 800 / min(cs) every c * log_inv is past 745.2, where exp(-x) underflows
+    # to exactly 0.0, for every c; so is exp(-inf), which fills the rest.
+    # The array keeps its J entries, so numpy's pairwise sum keeps its bits.
+    n = _max_index_below(fam.log_inv, 800.0 / min(cs), J)
+    n = J if n is None else n
     ls = np.full(J, math.inf)
-    n = 0
-    while n < J:
-        end = min(max(2 * n, 1024), n + 8192, J)
-        ls[n:end] = log_inv_table(fam, n + 1, end + 1)
-        n = end
-        if ls[n - 1] >= stop:
-            break
+    ls[:n] = log_inv_table(fam, 1, n + 1)
     with np.errstate(over="ignore"):
         return [SummabilityResult(float(np.exp(-c * ls).sum()), fam.tail_bound(c, J), J)
                 for c in cs]

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import DEFAULT_NODE_BUDGET, Query, d_of_eps, info_complexity, j_of_eps
+from .complexity import (DEFAULT_NODE_BUDGET, _INDEX_LIMIT, Query, _max_index_below, d_of_eps,
+                         info_complexity, j_of_eps)
 from .errors import BoxTooSmall, GuardExceeded
 from .seqcore import EigenSeq, Tabulated, WeightSeq
 from .tractability import _power_sums
@@ -191,14 +192,9 @@ def oracle_equivalence_suite(instances: int = 200, seed: int = 20240,
     checks = []
     for i in range(instances):
         lam, gam, q = random_tabulated_instance(rng)
-        B = 2.0 * q.E
+        # One past the last level that fits on coordinate 1, level 1 at least.
         g1 = gam.G(1)
-        max_level = 1
-        j = 2
-        while not math.isinf(lam.L(j)) and g1 + lam.L(j) < B:
-            max_level = j
-            j += 1
-        box = max_level + 1
+        box = max(_max_index_below(lambda j: g1 + lam.L(j), 2.0 * q.E, _INDEX_LIMIT), 1) + 1
         res = info_complexity(lam, gam, q, node_budget=node_budget)
         bf = brute_force_count(lam, gam, q, box)
         checks.append(AuditCheck(

@@ -45,6 +45,28 @@ MAX = sys.float_info.max
 INF_BITS = 0x7FF0000000000000  # the bit pattern of +inf
 
 
+class Rising(_FamilyBase):
+    """log_inv(j) = j - 3 from j = 2: below zero at j = 2, against the contract."""
+
+    name = "rising"
+
+    def _formula(self, j, m):
+        return j - 3.0
+
+
+class Falling(Rising):
+    _formula_start = 1  # from j = 1 on
+
+
+class NaNFromTwo(Rising):
+    def _formula(self, j, m):
+        return math.nan
+
+
+class NaNFromOne(NaNFromTwo):
+    _formula_start = 1
+
+
 def to_bits(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", x))[0]
 
@@ -237,6 +259,27 @@ class TestInfoComplexity:
         assert info_complexity(DYADIC, gam, Query(0.1, 3), node_budget=1) == CountResult(1, 1, 0)
         with pytest.raises(BudgetExceeded):
             info_complexity(DYADIC, gam, Query(2.0, 3), node_budget=1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    @pytest.mark.parametrize("bad", ["eigenvalues", "weights", "nan-eigenvalues", "nan-weights"])
+    def test_negative_cost_rejected(self, bad, d):
+        """log_inv(j) = j - 3 goes below zero, from j = 2 as eigenvalues
+        (Rising) and from k = 1 as weights (Falling), and each returned a
+        count; a NaN L(2) made m = 0 and a count of 1."""
+        lam, gam = {"eigenvalues": (EigenSeq(Rising()), ONES),
+                    "weights": (DYADIC, WeightSeq(Falling())),
+                    "nan-eigenvalues": (EigenSeq(NaNFromTwo()), ONES),
+                    "nan-weights": (DYADIC, WeightSeq(NaNFromOne()))}[bad]
+        with pytest.raises(ValueError, match="log-magnitude must be >= 0"):
+            info_complexity(lam, gam, Query(10.0, d))
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_a_later_negative_weight_is_rejected(self, d):
+        """Rising as weights has G(1) = 0 but G(2) < 0, which every d >= 2
+        reads; d = 1 reads only G(1)."""
+        assert info_complexity(DYADIC, WeightSeq(Rising()), Query(10.0, 1)).count == 29
+        with pytest.raises(ValueError, match="log-magnitude must be >= 0"):
+            info_complexity(DYADIC, WeightSeq(Rising()), Query(10.0, d))
 
 
 class TestActivePrefix:
@@ -575,23 +618,10 @@ class TestSpectrum:
         # starts at j = 2, the weight family at k = 1, and the NaN family at
         # index 1.  With d >= 2 the fold once looped for ever in _thresholds
         # before it reached a check.
-        class Rising(_FamilyBase):
-            name = "rising"
-
-            def _formula(self, j, m):
-                return j - 3.0
-
-        class Falling(Rising):
-            _formula_start = 1
-
-        class Undefined(Falling):
-            def _formula(self, j, m):
-                return math.nan
-
         lam, gam = {"eigenvalues": (EigenSeq(Rising()), ONES),
                     "weights": (DYADIC, WeightSeq(Falling())),
-                    "nan-eigenvalues": (EigenSeq(Undefined()), ONES),
-                    "nan-weights": (DYADIC, WeightSeq(Undefined()))}[bad]
+                    "nan-eigenvalues": (EigenSeq(NaNFromOne()), ONES),
+                    "nan-weights": (DYADIC, WeightSeq(NaNFromOne()))}[bad]
         with pytest.raises(ValueError, match="log-magnitude must be >= 0"):
             top_eigenvalues(lam, gam, d, K)
 

@@ -29,7 +29,7 @@ from tensortract import (
     load_log_table,
 )
 from tensortract import seqcore
-from tensortract.seqcore import SUPER_POLYNOMIAL, _FamilyBase, _TableFamily, log_inv_table
+from tensortract.seqcore import SUPER_POLYNOMIAL, _FamilyBase, log_inv_table
 
 EIGEN_FAMILIES = [
     PowerLaw(2.0),
@@ -302,8 +302,8 @@ _TABLE_FAMILIES = [
     ConstantOne(),
 ]
 
-#: Ranges across index 1, the IterLog prefix junction (101), the power-sum
-#: chunk edges 1,024 and 2,048, the block edges 2,050 and 4,098 (blocks of
+#: Ranges across index 1, the IterLog prefix junction (101), the indices
+#: 1,024 and 2,048, the block edges 2,050 and 4,098 (blocks of
 #: 2,048 from index 2), each overflow edge above, the table ends, and
 #: 2**53, past which tables map the scalar log_inv; empty and short ones.
 _TABLE_RANGES = [(1, 70), (1, 5000), (3, 4200), (90, 200), (1000, 1100), (2000, 2100),
@@ -317,6 +317,10 @@ def _hex_table(fam, lo, hi):
 
 def _hex_scalar(fam, lo, hi):
     return [float.hex(fam.log_inv(j)) for j in range(lo, hi)]
+
+
+#: A table of 5,000 entries whose last ten are zeros (inf).
+_TABLE_VALUES = tuple(0.01 * j for j in range(4990)) + (math.inf,) * 10
 
 
 class TestLogInvTable:
@@ -347,17 +351,34 @@ class TestLogInvTable:
                 assert got[0] == want
                 assert got == _hex_scalar(fam, j, j + 100)
 
+    @pytest.mark.parametrize("fam, values", [
+        (Tabulated(_TABLE_VALUES), _TABLE_VALUES), (Tabulated(_TABLE_VALUES[:4990]), _TABLE_VALUES[:4990]),
+        (EventuallyZero(4991, _TABLE_VALUES[:4990]), _TABLE_VALUES[:4990])],
+        ids=["tabulated_zeros", "tabulated", "eventually_zero"])
+    @pytest.mark.parametrize("n", [40, 64, 3000])
+    @pytest.mark.parametrize("past", [-10, 0, 1, 2500])
+    def test_ranges_across_a_table_end(self, fam, values, n, past):
+        """A range of n entries whose last index lies ``past`` indices past the
+        table's end reads the entries, then inf: mapped below 64 entries, in
+        blocks from 64, and in more than one block past 2,048."""
+        hi = len(values) + past + 1
+        lo = hi - n
+        want = [float.hex(v) for v in (values + (math.inf,) * max(past, 0))[lo - 1:hi - 1]]
+        assert _hex_table(fam, lo, hi) == want == _hex_scalar(fam, lo, hi)
+
 
 class TestLogInvTablePath:
     """log_inv_table picks its path by the family's log_inv at call time: a
-    wrapper installed on a shared method keeps the blocks (or the table
-    slice), while a subclass override or a patch on one class is mapped."""
+    wrapper installed on the shared method keeps the blocks, tables
+    included, while a subclass override or a patch on one class is mapped."""
 
     @pytest.mark.parametrize("fam, head", [
         (PowerLaw(2.0), 0), (ExpPower(0.25, 0.5), 1), (LogPower(2.0), 1),
         (IterLog(tuple(0.07 * i for i in range(100))), 100), (DoubleExpPower(0.2, 0.5), 1),
-        (TripleExp(0.001), 1)],
-        ids=["power_law", "exp_power", "log_power", "iter_log_long_prefix", "double_exp", "triple_exp"])
+        (TripleExp(0.001), 1), (Tabulated(tuple(0.01 * j for j in range(600)) + (math.inf,) * 50), 650),
+        (EventuallyZero(500, tuple(0.01 * j for j in range(499))), 499), (EventuallyZero(1, ()), 0)],
+        ids=["power_law", "exp_power", "log_power", "iter_log_long_prefix", "double_exp", "triple_exp",
+             "tabulated", "eventually_zero", "eventually_zero_empty"])
     def test_a_wrapped_shared_method_keeps_the_blocks(self, fam, head, monkeypatch):
         want = _hex_table(fam, 1, 5000)
         shared, formula = _FamilyBase.log_inv, type(fam)._formula
@@ -381,12 +402,6 @@ class TestLogInvTablePath:
                             lambda self, j: scalar.append(j) or shared(self, j))
         assert _hex_table(fam, 2, 3000) == want
         assert scalar == list(range(2, 3000))
-
-    def test_a_wrapped_table_method_keeps_the_slice(self, monkeypatch):
-        fam = Tabulated(tuple(0.01 * j for j in range(3000)))
-        want = _hex_table(fam, 1, 5000)
-        monkeypatch.setattr(_TableFamily, "log_inv", lambda self, j: pytest.fail("mapped"))
-        assert _hex_table(fam, 1, 5000) == want
 
     def test_a_subclass_override_is_mapped(self):
         class Shifted(PowerLaw):

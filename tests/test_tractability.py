@@ -179,6 +179,16 @@ class TestDivergence:
         assert res.evidence.tail_sup == math.inf
 
 
+def _assert_power_sum_reads(calls, J, n):
+    """The log_inv reads of one _power_sums call: at most 2 log2(J) + 2 by
+    the stop search, then indices 1..n once and in order (the table), then
+    only indices from J on (the tail bounds).  Each reads index 1 once."""
+    k = len(calls) - 1 - calls[::-1].index(1)
+    assert k <= 2 * math.log2(J) + 2
+    assert calls[k:k + n] == list(range(1, n + 1))
+    assert all(j >= J for j in calls[k + n:])
+
+
 class TestSummability:
     def test_basel_value_with_integral_tail(self):
         res = summability(EigenSeq(PowerLaw(2.0)), 1.0, 10**6)
@@ -271,9 +281,8 @@ class TestSummability:
         monkeypatch.setattr(type(fam), "log_inv",
                             lambda self, j: calls.append(j) or scalar(self, j))
         sums = _power_sums(seq, cs, J)
-        # One table of J terms; the tail bounds then read only indices past it.
-        assert calls[:J] == list(range(1, J + 1))
-        assert all(j >= J for j in calls[J:])
+        # The stop search, one table of J terms, then the tail bounds from J on.
+        _assert_power_sum_reads(calls, J, J)
         monkeypatch.undo()
         for c, res in zip(cs, sums):
             if fam.summable(c):
@@ -286,17 +295,16 @@ class TestSummability:
 
 
     def test_power_sums_stop_where_every_term_underflows(self, monkeypatch):
-        """Once log_inv reaches 800 / min(cs), every later term is 0.0: the
-        table stops at that block and the sums keep their bits."""
+        """Past the last index whose log_inv is below 800 / min(cs), every
+        term is 0.0: the table stops at that index and the sums keep their
+        bits."""
         fam, J, cs = ExpPower(1.0, 1.0), 2**17, (2.0, 1.0, 0.5, 0.1)
         seq, calls = EigenSeq(fam), []
         monkeypatch.setattr(ExpPower, "log_inv",
                             lambda self, j, scalar=ExpPower.log_inv: calls.append(j) or scalar(self, j))
         sums = _power_sums(seq, cs, J)
-        # log_inv(j) = j - 1 first reaches 800 / 0.1 in the block ending at 8192.
-        n = sum(j <= J for j in calls)
-        assert n == 8192
-        assert calls[:n] == list(range(1, n + 1)) and all(j > J for j in calls[n:])
+        # log_inv(j) = j - 1 stays below 800 / 0.1 up to j = 8000.
+        _assert_power_sum_reads(calls, J, 8000)
         monkeypatch.undo()
         ls = np.array([fam.log_inv(j) for j in range(1, J + 1)])
         for c, res in zip(cs, sums):
@@ -307,24 +315,29 @@ class TestSummability:
         monkeypatch.setattr(PowerLaw, "log_inv",
                             lambda self, j, scalar=PowerLaw.log_inv: calls.append(j) or scalar(self, j))
         _power_sums(seq, (2.0, 1.0, 0.5, 0.1), J)
-        assert calls == list(range(1, J + 1))
+        _assert_power_sum_reads(calls, J, J)
 
     @pytest.mark.parametrize("fam,J,read", [
         (PowerLaw(2.0), 5000, 5000), (LogPower(2.0), 2**17, 2**17), (IterLog(), 3000, 3000),
-        (ExpPower(1.0, 1.0), 2**17, 8192)], ids=["power_law", "log_power", "iter_log", "exp_power"])
+        (ExpPower(1.0, 1.0), 2**17, 8000)], ids=["power_law", "log_power", "iter_log", "exp_power"])
     def test_power_sums_read_blocks_of_the_formula(self, fam, J, read, monkeypatch):
         """On a family whose log_inv is not patched, the table comes from
         _formula on blocks of indices: each index from _formula_start up to
         the stop is read once and in order, the guarded ones by log_inv
-        alone, and scalar _formula calls (the tail bounds) read past J."""
+        alone.  Scalar _formula calls come from the stop search before the
+        blocks and from the tail bounds, past J, after them."""
         seq, calls = EigenSeq(fam), []
         formula = type(fam)._formula
         monkeypatch.setattr(type(fam), "_formula",
                             lambda self, j, m: calls.append((j, m)) or formula(self, j, m))
         sums = _power_sums(seq, (2.0, 1.0, 0.5, 0.1), J)
-        blocks = [j for j, m in calls if m is not math]
-        assert np.concatenate(blocks).tolist() == list(range(fam._formula_start, read + 1))
-        assert all(j > J for j, m in calls if m is math)
+        is_block = [m is not math for j, m in calls]
+        first, last = is_block.index(True), len(calls) - is_block[::-1].index(True)
+        assert all(is_block[first:last])
+        assert np.concatenate([j for j, m in calls[first:last]]).tolist() == list(
+            range(fam._formula_start, read + 1))
+        assert first <= 2 * math.log2(J) + 2
+        assert all(j > J for j, m in calls[last:])
         monkeypatch.undo()
         ls = np.array([fam.log_inv(j) for j in range(1, J + 1)])
         for c, res in zip((2.0, 1.0, 0.5, 0.1), sums):
