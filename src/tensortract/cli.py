@@ -20,6 +20,8 @@ from dataclasses import dataclass, is_dataclass, fields as dc_fields
 from itertools import repeat
 from pathlib import Path
 
+import numpy as np
+
 from .complexity import (DEFAULT_NODE_BUDGET, Query, active_prefix, d_of_eps, info_complexity,
                          j_of_eps, top_eigenvalues)
 from .errors import (BoxTooSmall, BudgetExceeded, ConfigError, DivergentTail, GuardExceeded,
@@ -417,15 +419,19 @@ def _column_cells(col: list, out_format: str) -> list:
     inf and nan; in JSON a non-finite float is a string (``_dump_json``).
     Other cells take ``_cell`` in CSV, quoted by csv where a cell needs it,
     and in JSON ``json.dumps`` of strs and ``_dump_json`` of anything else.
-    A column of ints or of floats, or in JSON of strs, formats each distinct
-    value once (``_formatted``); a mixed column, where the equal cells 1, 1.0
-    and True print differently, goes cell by cell.
+    Floats are formatted once per bit pattern, so -0.0 keeps its sign, and
+    ints, and strs in JSON, once per value (``_formatted``); a mixed column,
+    where the equal cells 1, 1.0 and True print differently, goes cell by cell.
     """
     kinds = set(map(type, col))
     if kinds == {int}:
         return _formatted(col, str)
     if all(map(issubclass, kinds, repeat(float))):
-        return _formatted(col, "%.17g".__mod__ if out_format == "csv" else _dump_json)
+        fmt = "%.17g".__mod__ if out_format == "csv" else _dump_json
+        bits, where = np.unique(np.array(col, np.float64).view(np.int64), return_inverse=True)
+        if len(bits) == len(col):
+            return list(map(fmt, col))
+        return np.array(list(map(fmt, bits.view(np.float64).tolist())), object)[where].tolist()
     if out_format == "json":
         return _formatted(col, json.dumps) if kinds == {str} else list(map(_dump_json, col))
     cells = col if kinds == {str} else list(map(_cell, col))
@@ -435,25 +441,14 @@ def _column_cells(col: list, out_format: str) -> list:
 
 
 def _formatted(col: list, fmt) -> list:
-    """``list(map(fmt, col))`` for a column whose equal cells format alike,
-    except the zeros 0.0 and -0.0.
-
-    Where values repeat, ``fmt`` runs once per distinct value and once per
-    zero cell, so each zero keeps its sign.  A NaN hashes by identity, so each
-    NaN object is its own distinct value.  A column of distinct values is
-    mapped directly, since the lookups would cost more than they save.
-    """
+    """``list(map(fmt, col))`` for a column whose equal cells format alike, with
+    ``fmt`` run once per distinct value; a column of distinct values is mapped
+    directly, since the lookups would cost more than they save."""
     distinct = set(col)
     if len(distinct) == len(col):
         return list(map(fmt, col))
     memo = dict(zip(distinct, map(fmt, distinct)))
-    cells = list(map(memo.__getitem__, col))
-    if 0.0 in memo:
-        i = -1
-        for _ in range(col.count(0.0)):
-            i = col.index(0.0, i + 1)
-            cells[i] = fmt(col[i])
-    return cells
+    return list(map(memo.__getitem__, col))
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -317,13 +317,14 @@ def active_prefix(lam: EigenSeq, gam: WeightSeq, q: Query) -> int:
 
     The weights are non-increasing, so the coordinates that can take a level
     form a prefix, and every d >= m has the count of d = m.  A negative or
-    NaN G(1) or L(2) raises ValueError, as in ``top_eigenvalues``: the
-    counter's thresholds need costs >= 0, and a NaN L(2) would read as m = 0.
+    NaN L(2), G(1) or G(k) read by the search, which reads G(m + 1) when
+    m < d, raises ValueError, as in ``top_eigenvalues``: the counter's
+    thresholds need costs >= 0, and a NaN would read as the end of the prefix.
     """
     L2 = _check_cost(lam.family.log_inv(2))
     G = gam.family.log_inv
     _check_cost(G(1))
-    return _last_below(lambda k: G(k) + L2, 2.0 * q.E, 0, q.d + 1)
+    return _last_below(lambda k: _check_cost(G(k)) + L2, 2.0 * q.E, 0, q.d + 1)
 
 
 def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
@@ -411,13 +412,23 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     return CountResult(total, entries, m)
 
 
+def _rank_starts(K: int) -> tuple:
+    """The first i of each run of jw[i] = ceil(K/(i+1)) - 1 over i >= 0, and jw there:
+    each i < r = isqrt(K), then one i per value q, from i + 1 = ceil(K/q)."""
+    r = math.isqrt(K)
+    n = -(-K // np.arange(-(-K // (r + 1)), 0, -1))
+    i = np.concatenate((np.arange(r), n[n > r] - 1))
+    return i, (K + i) // (i + 1) - 1
+
+
 def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float]:
     """K largest tensor eigenvalues as non-decreasing log(1/value) costs.
 
     Folds the coordinates in order, keeping the ascending partial costs no
     larger than the K-th cheapest: a partial tuple completes at the same cost
     with level 1 on every later coordinate, so no tuple among the K cheapest
-    is dropped.  Each cost is the counter's left fold ``cost + (G_k + L_j)``.
+    is dropped.  Each cost is the counter's left fold ``cost + (G_k + L_j)``;
+    coordinate 1 folds onto the one cost 0, so its costs are its level row.
     The fold stops at the first coordinate whose cheapest level, G_k + L(2),
     is infinite or, once K costs are kept, exceeds the K-th of them; weights
     only grow, so no later coordinate can add a tuple or a tie.  Cost ties
@@ -431,13 +442,11 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float
     over = f"top-{K} search needs {{}} candidates on coordinate {{}}, over the cap of {cap}"
 
     # Indices are generated here, so the families are read directly.
-    L = lam.family.log_inv
-    G = gam.family.log_inv
+    L, G = lam.family.log_inv, gam.family.log_inv
     # The tuples (j, 1, ..., 1) with j <= K cost at most G(1) + L(K), and a
-    # level j costs at least G(1) + L(j) on any coordinate.
-    # A family whose log_inv drops below 0 (an eigenvalue or weight above 1)
-    # is rejected as it is read: _thresholds needs w >= 0, and no fold cost
-    # is then negative or NaN.
+    # level j costs at least G(1) + L(j) on any coordinate.  A log_inv below 0
+    # (an eigenvalue or weight above 1) is rejected as it is read: _thresholds
+    # needs w >= 0, and no fold cost is then negative or NaN.
     g1 = _check_cost(G(1))
     J = _last_level(L, g1, math.nextafter(g1 + _check_cost(L(K)), math.inf), cap,
                     over.format(f"more than {cap}", 1))
@@ -445,35 +454,32 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float
     _check_cost(float(np.min(levels, initial=0.0)))  # NaN propagates
     L2 = float(levels[0]) if len(levels) else math.inf
     costs = np.zeros(1)
-    jw = ()  # rank bounds per kept cost, built on first need and grown with costs
+    starts, jw = _rank_starts(K)
     with np.errstate(over="ignore"):  # sums past the float range saturate to inf
         for k in range(1, d + 1):
-            g = _check_cost(G(k))
+            g = g1 if k == 1 else _check_cost(G(k))
             if g + L2 == math.inf or (len(costs) >= K and g + L2 > costs[-1]):
                 break
             w = g + levels
             w = np.concatenate(([0.0], w[:np.searchsorted(w, math.inf)]))  # finite only
-            # The (i+1) * ceil(K/(i+1)) sums costs[:i+1] + w[:ceil(K/(i+1))]
-            # are all no larger than costs[i] + w[jw[i]], jw[i] = ceil(K/(i+1)) - 1.
-            # jw never increases, and jw[i] < len(w) exactly from i = (K-1) // len(w) on.
-            if len(jw) < len(costs):
-                i = np.arange(len(costs))
-                jw = (K + i) // (i + 1) - 1
-            i0 = (K - 1) // len(w)
-            u = float(np.min(costs[i0:] + w[jw[i0:len(costs)]], initial=math.inf))
-            # cost + w <= u means cost + w is below the double after u, so
-            # per level the costs kept are those below w's threshold against
-            # that double; for u = inf, those whose sum stays finite.
-            w = w[w <= u]
-            next_u = math.nextafter(u, math.inf)
-            n = np.searchsorted(costs, _thresholds(w, np.full(len(w), next_u)))
-            total = int(n.sum())
-            if total > cap:
-                raise BudgetExceeded(over.format(total, k))
-            cand = costs[np.arange(total) - np.repeat(np.cumsum(n) - n, n)] + np.repeat(w, n)
-            if len(cand) > K:
-                cand = cand[cand <= np.partition(cand, K - 1)[K - 1]]
-            costs = np.sort(cand)
+            if k == 1:  # folded onto the one cost 0, with zeros as +0.0
+                cand = 0.0 + w
+            else:
+                # The (i+1) * (jw[i]+1) sums costs[:i+1] + w[:jw[i]+1] are at most
+                # costs[i] + w[jw[i]], least at a run start: u bounds the K-th cost.
+                # A sum <= u is below the double after u, so per level the costs
+                # kept are those below w's threshold against it (finite sums for inf).
+                keep = (starts < len(costs)) & (jw < len(w))
+                u = float(np.min(costs[starts[keep]] + w[jw[keep]], initial=math.inf))
+                w = w[w <= u]
+                next_u = math.nextafter(u, math.inf)
+                n = np.searchsorted(costs, _thresholds(w, np.full(len(w), next_u)))
+                total = int(n.sum())
+                if total > cap:
+                    raise BudgetExceeded(over.format(total, k))
+                cand = np.sort(costs[np.arange(total) - np.repeat(np.cumsum(n) - n, n)]
+                               + np.repeat(w, n))
+            costs = cand[:np.searchsorted(cand, cand[K - 1], "right")] if len(cand) > K else cand
     return costs.tolist() + [math.inf] * (K - len(costs))
 
 
@@ -488,5 +494,4 @@ def nth_minimal_error(lam: EigenSeq, gam: WeightSeq, d: int, n: int) -> float:
     """log(1/e(n)): half the cost of the (n+1)-th largest tensor eigenvalue."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    ev = top_eigenvalues(lam, gam, d, n + 1)
-    return 0.5 * ev[n]
+    return 0.5 * top_eigenvalues(lam, gam, d, n + 1)[n]

@@ -458,10 +458,12 @@ def reports(draw):
                                 min_size=n, max_size=n)) for name in names}
 
 
-#: Small pools, so that cells repeat: the signed zeros, the smallest
-#: subnormal, both infinities, the one NaN object math.nan and fresh NaN objects.
+#: Small pools, so that cells repeat: the signed zeros and smallest subnormals,
+#: both infinities, the one NaN object math.nan and fresh NaN objects, and
+#: NaNs of another sign or payload, whose bits differ but whose text does not.
 _REPEATING = {
-    "float": st.sampled_from([0.0, -0.0, 5e-324, math.inf, -math.inf, 0.1, 2.5, 1e300, math.nan])
+    "float": st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, 0.1, 2.5, 1e300,
+                              math.nan, -math.nan, _float_from_bits(0x7FF0000000000001)])
     | st.builds(float, st.just("nan")),
     "int": st.sampled_from([0, 1, -1, 7, 2**70]),
     "bool": st.booleans(),

@@ -281,6 +281,16 @@ class TestInfoComplexity:
         with pytest.raises(ValueError, match="log-magnitude must be >= 0"):
             info_complexity(DYADIC, WeightSeq(Rising()), Query(10.0, d))
 
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_a_nan_weight_past_the_prefix_is_rejected(self, d):
+        """NaNFromTwo as weights has G(1) = 0 and a NaN G(2), which reads as
+        "does not fit" and so ended the active prefix at m = 1, with a count
+        of 29; every d >= 2 now reads G(m + 1) and rejects it.  d = 1 reads
+        only G(1)."""
+        assert info_complexity(DYADIC, WeightSeq(NaNFromTwo()), Query(10.0, 1)).count == 29
+        with pytest.raises(ValueError, match="log-magnitude must be >= 0"):
+            info_complexity(DYADIC, WeightSeq(NaNFromTwo()), Query(10.0, d))
+
 
 class TestActivePrefix:
     """active_prefix against a linear scan of G(k) + L(2) < 2E over k <= d."""

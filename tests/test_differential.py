@@ -31,9 +31,9 @@ from tensortract import (
     nth_minimal_error,
     top_eigenvalues,
 )
-from tensortract.complexity import _last_level, _thresholds
+from tensortract.complexity import _last_level, _rank_starts, _thresholds
 from tensortract.errors import BudgetExceeded
-from tensortract.goldens import GOLDEN_PAIRS
+from tensortract.goldens import GOLDEN_PAIRS, GoldenPair
 from tensortract.seqcore import _BLOCK_MIN, log_inv_table
 
 #: Largest level box (box**d cells) the oracle enumerates per example.
@@ -316,12 +316,16 @@ def test_top_stops_at_active_dimension(monkeypatch, fam, wfam, K):
 def frozen_top_eigenvalues(lam, gam, d, K):
     """The top-K fold as it stood before its rank bounds were cached: the
     rank-bound table is rebuilt on every coordinate and read through boolean
-    masks.  Kept as the reference for ``test_fold_bits_match_the_frozen_fold``.
+    masks, coordinate 1 goes through the same pairing as the others, and the
+    cut is a partition.  Kept as the reference for
+    ``test_fold_bits_match_the_frozen_fold``, with the same budget messages.
     """
     cap = max(4096, 32 * K * max(d, 2))
+    over = f"top-{K} search needs {{}} candidates on coordinate {{}}, over the cap of {cap}"
     L, G = lam.family.log_inv, gam.family.log_inv
     g1 = G(1)
-    J = _last_level(L, g1, math.nextafter(g1 + L(K), math.inf), cap, "cap")
+    J = _last_level(L, g1, math.nextafter(g1 + L(K), math.inf), cap,
+                    over.format(f"more than {cap}", 1))
     levels = log_inv_table(lam.family, 2, J + 1)
     L2 = float(levels[0]) if len(levels) else math.inf
     costs = np.zeros(1)
@@ -341,7 +345,7 @@ def frozen_top_eigenvalues(lam, gam, d, K):
             n = np.searchsorted(costs, _thresholds(w, np.full(len(w), next_u)))
             total = int(n.sum())
             if total > cap:
-                raise BudgetExceeded("cap")
+                raise BudgetExceeded(over.format(total, k))
             cand = costs[np.arange(total) - np.repeat(np.cumsum(n) - n, n)] + np.repeat(w, n)
             if len(cand) > K:
                 cand = cand[cand <= np.partition(cand, K - 1)[K - 1]]
@@ -349,19 +353,68 @@ def frozen_top_eigenvalues(lam, gam, d, K):
     return costs.tolist() + [math.inf] * (K - len(costs))
 
 
-@pytest.mark.parametrize("pair", GOLDEN_PAIRS, ids=[p.name for p in GOLDEN_PAIRS])
+#: Pairs at the fold's edges, each with a tie class that some K cuts.
+EDGE_PAIRS = (
+    # Zero entries of both signs: every zero cost in the output is +0.0.
+    GoldenPair("signed_zeros", EigenSeq(Tabulated((-0.0, -0.0, -0.0, 1.0, 2.0, 2.0, 3.0))),
+               WeightSeq(Tabulated((-0.0, -0.0, 0.5, 1.0))), (), ()),
+    # A tie class of zero costs that grows threefold per coordinate, past the
+    # candidate cap at K = 1 and 7 by d = 12 (and at K = 500 on coordinate 12).
+    GoldenPair("zero_tie_class", EigenSeq(Tabulated((0.0, 0.0, 0.0, 1.0))),
+               WeightSeq(Tabulated((0.0,) * 12)), (), ()),
+    # Two levels on two coordinates: 9 finite costs, padded with inf to K.
+    GoldenPair("short_row", EigenSeq(Tabulated((0.0, 1.0, 2.0))),
+               WeightSeq(Tabulated((0.0, 0.5))), (), ()),
+    # Sums past the float range saturate to inf, a zero eigenvalue.
+    GoldenPair("saturating", EigenSeq(Tabulated((0.0, 1e308, 1e308, 1.5e308))),
+               WeightSeq(Tabulated((0.0, 5e307, 6e307))), (), ()),
+)
+
+
+@pytest.mark.parametrize("pair", GOLDEN_PAIRS + EDGE_PAIRS,
+                         ids=[p.name for p in GOLDEN_PAIRS + EDGE_PAIRS])
 def test_fold_bits_match_the_frozen_fold(pair):
-    """Every golden pair at d in (1, 2, 5, 12) and K in (1, 7, 500, 3000):
-    the same costs, bit for bit, as the frozen fold, and the same
-    ``nth_minimal_error`` at rank K - 1."""
+    """Every golden and edge pair at d in (1, 2, 5, 12) and K in (1, 7, 500,
+    3000): the same costs, bit for bit, as the frozen fold, and the same
+    ``nth_minimal_error`` at rank K - 1; or, where the frozen fold overruns
+    its cap, the same BudgetExceeded message."""
     overshoot = 0
     for d in (1, 2, 5, 12):
         for K in (1, 7, 500, 3000):
+            try:
+                ref = frozen_top_eigenvalues(pair.lam, pair.gam, d, K)
+            except BudgetExceeded as exc:
+                with pytest.raises(BudgetExceeded) as got:
+                    top_eigenvalues(pair.lam, pair.gam, d, K)
+                assert str(got.value) == str(exc), (d, K)
+                continue
             top = top_eigenvalues(pair.lam, pair.gam, d, K)
-            ref = frozen_top_eigenvalues(pair.lam, pair.gam, d, K)
             assert list(map(float.hex, top)) == list(map(float.hex, ref)), (d, K)
             err = nth_minimal_error(pair.lam, pair.gam, d, K - 1)
             assert err.hex() == (0.5 * ref[K - 1]).hex()
             overshoot += len(top) > K
     # Each pair has a tie class that some K cuts: results longer than K are covered.
     assert overshoot
+
+
+def test_rank_bound_reads_only_run_starts():
+    """The rank bound read at the run starts of jw[i] = ceil(K/(i+1)) - 1
+    equals the bound over every i, bit for bit, for every K < 300 and
+    len(w) < 320, on ascending costs and levels with ties, and on cost
+    counts that cut the runs."""
+    rng = np.random.default_rng(3)
+    i = np.arange(400)
+    lw = np.arange(1, 320)[:, None]  # one row per len(w)
+    for K in range(1, 300):
+        starts, jw = _rank_starts(K)
+        full = (K + i) // (i + 1) - 1
+        assert jw.tolist() == full[starts].tolist()
+        assert starts.tolist() == [j for j in range(K) if j == 0 or full[j] < full[j - 1]]
+        costs = np.sort(rng.integers(0, 50, 400) / 8.0)
+        w = np.sort(rng.integers(0, 50, 319) / 8.0)
+        for n in (K, int(rng.integers(1, 401)), 400):
+            want = np.where(full[:n] < lw, costs[:n] + w[np.minimum(full[:n], 318)], math.inf)
+            keep = (starts < n) & (jw < lw)
+            got = np.where(keep, costs[np.minimum(starts, n - 1)] + w[np.minimum(jw, 318)],
+                           math.inf)
+            assert got.min(axis=1).tobytes() == want.min(axis=1).tobytes(), (K, n)
