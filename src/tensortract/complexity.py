@@ -32,8 +32,8 @@ _INF_BITS = _BITS.unpack(_DOUBLE.pack(math.inf))[0]
 #: step (about 60 us, against 0.2-0.3 us per head entry).
 _TAIL_STEP_ENTRIES = 256
 #: Fewest active coordinates for which the counter starts a tail.  With fewer,
-#: the head reaches the last coordinate within a few steps; a split saved
-#: about 0.1 ms per call on the largest d <= 4 tabulated draws.
+#: the head reaches the last coordinate within a few steps and grows alone;
+#: it still becomes an array past ``_TAIL_STEP_ENTRIES`` entries.
 _SPLIT_MIN_COORDS = 5
 
 
@@ -343,7 +343,7 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     (``_extend_tail``).  The smaller side grows next, with the tail's fixed
     numpy cost counted as ``_TAIL_STEP_ENTRIES`` head entries, and cells of
     fewer than ``_SPLIT_MIN_COORDS`` active coordinates never start a tail.
-    On the other cells, a head of more than ``_TAIL_STEP_ENTRIES`` entries
+    On every cell, a head of more than ``_TAIL_STEP_ENTRIES`` entries
     becomes a float64 array and grows in numpy from then on
     (``_extend_head_array``); smaller heads stay in pure Python, where a
     step costs less than numpy's fixed cost.
@@ -366,12 +366,13 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     Gs = list(map(_check_cost, map(gam.family.log_inv, range(1, m + 1))))
     # Level table shared by all coordinates: levels j >= 2 usable anywhere
     # satisfy G(1) + L(j) < B (coordinate 1 has the most slack); m > 0 puts
-    # L(2) in it.  The Python head reads it as a list of floats, which a
-    # short table maps from L directly, below numpy's fixed cost.
+    # L(2) in it.  It is one array, kept for the numpy steps, with a list
+    # view for the Python head; a short table maps its list from L directly,
+    # below numpy's fixed cost, and becomes an array only if the head does.
     J = _last_level(L, Gs[0], B, node_budget,
                     f"admissible level range exceeds the node budget ({node_budget})")
-    Ltab = (list(map(L, range(2, J + 1))) if J <= _BLOCK_MIN
-            else log_inv_table(lam.family, 2, J + 1).tolist())
+    table = log_inv_table(lam.family, 2, J + 1) if J > _BLOCK_MIN else None
+    Ltab = list(map(L, range(2, J + 1))) if table is None else table.tolist()
     L2 = Ltab[0]
     # reach[k]: the cheapest cost a level adds on coordinate k (none past m).
     reach = [g + L2 for g in Gs] + [math.inf]
@@ -379,15 +380,15 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     total = 0
     head = [0.0]
     taus = ()  # thresholds of the nonempty tails; none until the tail starts
-    levels = None  # Ltab as an array, once the head is one
+    levels = None  # the level table as an array, once the head is one
     entries = 1
     k, t = 0, m  # the head covers coordinates [0, k), the tail [t, m)
     while k < t:
         room = node_budget - entries
-        if levels is None and m >= _SPLIT_MIN_COORDS and len(head) > _TAIL_STEP_ENTRIES:
-            levels = np.array(Ltab)
+        if levels is None and len(head) > _TAIL_STEP_ENTRIES:
+            levels = np.array(Ltab) if table is None else table
             head = np.array(head)
-        if levels is None or len(head) <= _TAIL_STEP_ENTRIES + len(taus):
+        if levels is None or m < _SPLIT_MIN_COORDS or len(head) <= _TAIL_STEP_ENTRIES + len(taus):
             if levels is None:
                 done, head = _extend_head(head, Gs[k], reach[k + 1], Ltab, B, room)
                 new = len(head)

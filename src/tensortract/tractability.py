@@ -293,17 +293,20 @@ def _power_sums(seq, cs, J: int) -> list:
     log_inv, up to the last index whose terms do not all underflow."""
     _check_power_sum(cs, J)
     fam = seq.family
-    # log_inv never decreases, so past the last index n with log_inv below
-    # 800 / min(cs) every c * log_inv is past 745.2, where exp(-x) underflows
-    # to exactly 0.0, for every c; so is exp(-inf), which fills the rest.
-    # The array keeps its J entries, so numpy's pairwise sum keeps its bits.
+    # log_inv never decreases, so past the last index with log_inv below
+    # 800 / c every c * log_inv is past 745.2, where exp(-x) underflows to
+    # exactly 0.0; the table stops there for the least c.  numpy's exp is
+    # slow on such inputs, so each c fills only its prefix of a zeroed array
+    # of J terms, and numpy's pairwise sum keeps its bits.
     n = _max_index_below(fam.log_inv, 800.0 / min(cs), J)
-    n = J if n is None else n
-    ls = np.full(J, math.inf)
-    ls[:n] = log_inv_table(fam, 1, n + 1)
-    with np.errstate(over="ignore"):
-        return [SummabilityResult(float(np.exp(-c * ls).sum()), fam.tail_bound(c, J), J)
-                for c in cs]
+    ls = log_inv_table(fam, 1, (J if n is None else n) + 1)
+    sums = []
+    for c in cs:
+        k = int(np.searchsorted(ls, 800.0 / c))
+        terms = np.zeros(J)
+        np.exp(-c * ls[:k], out=terms[:k])
+        sums.append(SummabilityResult(float(terms.sum()), fam.tail_bound(c, J), J))
+    return sums
 
 
 def summability(seq, c: float, J: int) -> SummabilityResult:

@@ -35,6 +35,7 @@ from tensortract import (
     nth_minimal_error,
     top_eigenvalues,
 )
+from tensortract.goldens import DYADIC_EXP, ZERO_TAIL
 from tensortract.seqcore import _FamilyBase
 from tensortract.verify import random_tabulated_instance
 
@@ -380,6 +381,9 @@ class TestSplitCounter:
         assert calls
 
     def test_small_draws_make_no_numpy_call(self, monkeypatch):
+        """A draw of at most _TAIL_STEP_ENTRIES + 1 entries has no head past
+        _TAIL_STEP_ENTRIES, so it stays in pure Python; the few larger draws
+        take the array head and are checked against the oracle."""
         class NoNumpy:
             def __getattr__(self, name):
                 raise AssertionError(f"numpy.{name} called on a small draw")
@@ -388,18 +392,43 @@ class TestSplitCounter:
         draws = [random_tabulated_instance(rng) for _ in range(300)]
         want = [brute_pairs(lam, gam, q.E, q.d, 21) if q.d <= 2 else None
                 for lam, gam, q in draws]
+        full = [info_complexity(lam, gam, q) for lam, gam, q in draws]
+        small = [res.nodes_visited <= complexity._TAIL_STEP_ENTRIES + 1 for res in full]
+        assert small.count(False) == 4
+        for (lam, gam, q), res, w, is_small in zip(draws, full, want, small):
+            assert w is None or res.count == w
+            if not is_small:
+                assert res.count == brute_force_count(lam, gam, q, 21)
         monkeypatch.setattr(complexity, "np", NoNumpy())
-        for (lam, gam, q), w in zip(draws, want):
-            got = info_complexity(lam, gam, q).count
-            assert w is None or got == w
+        for (lam, gam, q), res, is_small in zip(draws, full, small):
+            if is_small:
+                assert info_complexity(lam, gam, q) == res
 
-    def test_budget_caps_enumerated_entries(self):
-        q = Query(3000.0, 10)
-        full = info_complexity(*DOUBLE_EXP, q)
-        again = info_complexity(*DOUBLE_EXP, q, node_budget=full.nodes_visited)
+    @pytest.mark.parametrize("pair,q,want", [
+        (DYADIC_EXP, Query(16.0, 4), CountResult(107_938, 10_202, 4)),
+        (ZERO_TAIL, Query(36.0, 3), CountResult(182_310, 5_255, 3)),
+    ], ids=["dyadic_exp-16", "zero_tail-36"])
+    def test_short_cells_grow_an_array_head(self, monkeypatch, pair, q, want):
+        # Fewer than _SPLIT_MIN_COORDS active coordinates: no tail starts,
+        # but a head past _TAIL_STEP_ENTRIES entries still becomes an array.
+        calls = []
+        for name in ("_extend_head_array", "_extend_tail"):
+            real = getattr(complexity, name)
+            monkeypatch.setattr(complexity, name,
+                                lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        assert info_complexity(pair.lam, pair.gam, q) == want
+        assert "_extend_head_array" in calls and "_extend_tail" not in calls
+
+    @pytest.mark.parametrize("pair,q", [
+        (DOUBLE_EXP, Query(3000.0, 10)),
+        ((DYADIC_EXP.lam, DYADIC_EXP.gam), Query(16.0, 4)),  # array head, no tail
+    ], ids=["double_exp-3000", "dyadic_exp-16"])
+    def test_budget_caps_enumerated_entries(self, pair, q):
+        full = info_complexity(*pair, q)
+        again = info_complexity(*pair, q, node_budget=full.nodes_visited)
         assert again == full
         with pytest.raises(BudgetExceeded) as exc:
-            info_complexity(*DOUBLE_EXP, q, node_budget=full.nodes_visited - 1)
+            info_complexity(*pair, q, node_budget=full.nodes_visited - 1)
         needed = int(re.search(r"needs at least (\d+) enumerated entries", str(exc.value))[1])
         assert full.nodes_visited - 1 < needed <= full.nodes_visited
 

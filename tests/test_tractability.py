@@ -294,21 +294,30 @@ class TestSummability:
                 assert res.value == float(np.exp(-c * ls).sum())
 
 
-    def test_power_sums_stop_where_every_term_underflows(self, monkeypatch):
+    @pytest.mark.parametrize("fam,read", [
+        (ExpPower(1.0, 1.0), 8000),  # log_inv(j) = j - 1
+        (ExpPower(0.3, 0.5), 2**17),  # no term underflows
+        (DoubleExpPower(1.0, 1.0), 8),
+        (TripleExp(1.0), 2),
+        # Sums below 1e-299 (0.0 at c = 2), subnormal and underflowing terms
+        # inside the table, then inf.
+        (Tabulated((690.0, 700.0, 740.0, 7400.0, 7999.0, math.inf)), 5),
+    ], ids=["exp_power", "exp_power_slow", "double_exp", "triple_exp", "table_to_inf"])
+    def test_power_sums_stop_where_every_term_underflows(self, fam, read, monkeypatch):
         """Past the last index whose log_inv is below 800 / min(cs), every
-        term is 0.0: the table stops at that index and the sums keep their
-        bits."""
-        fam, J, cs = ExpPower(1.0, 1.0), 2**17, (2.0, 1.0, 0.5, 0.1)
-        seq, calls = EigenSeq(fam), []
-        monkeypatch.setattr(ExpPower, "log_inv",
-                            lambda self, j, scalar=ExpPower.log_inv: calls.append(j) or scalar(self, j))
+        term is 0.0: the table stops at that index (``read``), and each
+        exponent's sum keeps the bits of numpy's sum over all J terms."""
+        J, cs = 2**17, (2.0, 1.0, 0.5, 0.1)
+        seq, calls, scalar = EigenSeq(fam), [], type(fam).log_inv
+        monkeypatch.setattr(type(fam), "log_inv",
+                            lambda self, j: calls.append(j) or scalar(self, j))
         sums = _power_sums(seq, cs, J)
-        # log_inv(j) = j - 1 stays below 800 / 0.1 up to j = 8000.
-        _assert_power_sum_reads(calls, J, 8000)
+        _assert_power_sum_reads(calls, J, read)
         monkeypatch.undo()
         ls = np.array([fam.log_inv(j) for j in range(1, J + 1)])
         for c, res in zip(cs, sums):
-            assert res.value == float(np.exp(-c * ls).sum())
+            with np.errstate(over="ignore"):
+                assert res.value == float(np.exp(-c * ls).sum())
 
     def test_power_sums_read_every_index_without_underflow(self, monkeypatch):
         seq, J, calls = EigenSeq(PowerLaw(2.0)), 5000, []
