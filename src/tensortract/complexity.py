@@ -294,15 +294,14 @@ def _extend_tail(taus, g: float, levels: np.ndarray, B: float, room: int):
     A tail tuple s is a choice of levels on the coordinates after the head,
     stored only as its threshold tau_s: the smallest head cost p whose fold
     through s reaches B.  Folding is monotone in p, so a head of cost p
-    completes with s exactly when p < tau_s.  The empty tail has tau = B.
-    A level of weight w fits in front of s when w < tau_s, and the new
-    tuple's threshold is the smallest p with p + w >= tau_s.  Returns (new
-    entries, grown thresholds); past ``room`` the thresholds come back
-    unchanged, before anything is allocated.
+    completes with s exactly when p < tau_s.  The empty tail has tau = B,
+    and no tau exceeds its parent's.  A level of weight w fits in front of
+    s when w < tau_s; the new tuple's threshold is the smallest p with
+    p + w >= tau_s.  Returns (new entries, grown thresholds); past ``room``
+    the thresholds come back unchanged, before anything is allocated.
     """
     with np.errstate(over="ignore"):
         w = g + levels  # the same float sums as the scalar g + L
-    w = w[:np.searchsorted(w, B)]
     src = np.concatenate(([B], taus))
     n = np.searchsorted(w, src)
     new = int(n.sum())
@@ -353,12 +352,16 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     families' scalar ``log_inv``, so counts are exact at every knife edge.
 
     ``nodes_visited`` is the number of head and tail entries enumerated, and
-    ``node_budget`` caps it before the merge.
+    ``node_budget`` caps it before the merge.  Every step but the last head
+    step adds one, so more active coordinates than the budget fail at once.
     """
     _check_positive_int("node_budget", node_budget)
     m = active_prefix(lam, gam, q)
     if m == 0:
         return CountResult(1, 1, 0)
+    if m > node_budget:
+        raise BudgetExceeded(f"node budget exceeded: the count needs at least {m} enumerated "
+                             f"entries, over the budget of {node_budget}")
     B = 2.0 * q.E
     # Every index below is generated here, so the tables read the families
     # directly rather than through the validating accessors L and G.
@@ -388,7 +391,7 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
         if levels is None and len(head) > _TAIL_STEP_ENTRIES:
             levels = np.array(Ltab) if table is None else table
             head = np.array(head)
-        if levels is None or m < _SPLIT_MIN_COORDS or len(head) <= _TAIL_STEP_ENTRIES + len(taus):
+        if m < _SPLIT_MIN_COORDS or len(head) <= _TAIL_STEP_ENTRIES + len(taus):
             if levels is None:
                 done, head = _extend_head(head, Gs[k], reach[k + 1], Ltab, B, room)
                 new = len(head)

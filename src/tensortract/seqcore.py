@@ -142,11 +142,14 @@ SUPER_POLYNOMIAL = SuperPolynomial()
 class _FamilyBase:
     """Shared defaults for sequence families.
 
-    A family defines only what cannot be derived from its other facts:
-    log_inv(j) = log(1/x_j) and ``ratio_class`` always; ``threshold_growth``,
-    the growth of the index count above a threshold, when ``limit_zero``; and
-    ``log_threshold_growth`` only when that growth is super-polynomial, since
-    otherwise it is the leading term of the log of ``threshold_growth``.
+    A family's dataclass fields are parameters, positive finite floats that
+    the base ``__post_init__`` checks, so a family adds only its own rules
+    (a table family checks its tables itself).  A family defines only what
+    cannot be derived from its other facts: log_inv(j) = log(1/x_j) and
+    ``ratio_class`` always; ``threshold_growth``, the growth of the index
+    count above a threshold, when ``limit_zero``; and ``log_threshold_growth``
+    only when that growth is super-polynomial, since otherwise it is the
+    leading term of the log of ``threshold_growth``.
     Threshold indices are searched on ``log_inv`` alone, and that search
     terminates exactly when ``limit_zero``.  ``log_inv`` never decreases,
     and for j from 2**53 to ``int(sys.float_info.max)`` it reads j only
@@ -179,6 +182,10 @@ class _FamilyBase:
             return self._formula(j, math)
         except OverflowError:
             return self._overflowed(j)
+
+    def __post_init__(self):
+        self._set(**{f.name: _positive_param(f.name, getattr(self, f.name))
+                     for f in fields(self)})
 
     def _overflowed(self, j: int) -> float:
         """log_inv(j) where a math call of ``_formula`` overflows."""
@@ -251,9 +258,6 @@ class PowerLaw(_FamilyBase):
     _formula_start: ClassVar[int] = 1
     _head: ClassVar[tuple] = ()
 
-    def __post_init__(self):
-        self._set(a=_positive_param("a", self.a))
-
     def _formula(self, j, m):
         return self.a * m.log(j)
 
@@ -278,10 +282,6 @@ class ExpPower(_FamilyBase):
     alpha: float
     beta: float
     name: ClassVar[str] = "exp_power"
-
-    def __post_init__(self):
-        self._set(alpha=_positive_param("alpha", self.alpha),
-                  beta=_positive_param("beta", self.beta))
 
     def _formula(self, j, m):
         return self.alpha * (m.pow(j, self.beta) - 1.0)
@@ -323,10 +323,6 @@ class DoubleExpPower(_FamilyBase):
     name: ClassVar[str] = "double_exp_power"
     _geometric_tail: ClassVar[bool] = True
 
-    def __post_init__(self):
-        self._set(alpha=_positive_param("alpha", self.alpha),
-                  beta=_positive_param("beta", self.beta))
-
     def _formula(self, j, m):
         return m.exp(self.alpha * m.pow(j, self.beta)) - math.exp(self.alpha)
 
@@ -344,9 +340,6 @@ class TripleExp(_FamilyBase):
     alpha: float
     name: ClassVar[str] = "triple_exp"
     _geometric_tail: ClassVar[bool] = True
-
-    def __post_init__(self):
-        self._set(alpha=_positive_param("alpha", self.alpha))
 
     def _formula(self, j, m):
         return m.exp(m.exp(self.alpha * j)) - math.exp(math.exp(self.alpha))
@@ -366,10 +359,10 @@ class LogPower(_FamilyBase):
     name: ClassVar[str] = "log_power"
 
     def __post_init__(self):
-        b = _positive_param("beta", self.beta)
-        if b <= 1.0:
-            raise SequenceError(f"beta must exceed 1, got {self.beta!r}")
-        self._set(beta=b)
+        raw = self.beta  # the message shows beta as given, not as a float
+        super().__post_init__()
+        if self.beta <= 1.0:
+            raise SequenceError(f"beta must exceed 1, got {raw!r}")
 
     def _formula(self, j, m):
         return m.pow(m.log(j), self.beta)
@@ -447,13 +440,9 @@ class _TableFamily(_FamilyBase):
     def _formula(self, j, m):
         return j * math.inf
 
-    @property
-    def effective_len(self) -> int:
-        """Number of leading finite entries (positive underlying values)."""
-        return bisect_left(self._head, math.inf)
-
     def threshold_growth(self) -> Growth:
-        return Growth(float(max(self.effective_len, 1)))
+        # The number of leading finite entries (positive underlying values).
+        return Growth(float(max(bisect_left(self._head, math.inf), 1)))
 
     def ratio_class(self, s: float) -> RatioClass:
         return DIVERGES
@@ -508,8 +497,7 @@ class EventuallyZero(_TableFamily):
         pref = _table_entries("prefix", self.prefix)
         if len(pref) != self.j_star - 1:
             raise SequenceError("prefix length must be j_star - 1")
-        if pref:
-            _validate_table(pref, allow_inf=False)
+        _validate_table(pref, allow_inf=False)
         self._set(prefix=pref, _head=pref, _formula_start=self.j_star)
 
 

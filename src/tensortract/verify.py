@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import (DEFAULT_NODE_BUDGET, _INDEX_LIMIT, Query, _max_index_below, d_of_eps,
-                         info_complexity, j_of_eps)
+from .complexity import (DEFAULT_NODE_BUDGET, _INDEX_LIMIT, Query, _check_positive_int,
+                         _max_index_below, d_of_eps, info_complexity, j_of_eps)
 from .errors import BoxTooSmall, GuardExceeded
 from .seqcore import EigenSeq, Tabulated, WeightSeq
 from .tractability import _power_sums
@@ -49,8 +49,7 @@ def brute_force_count(lam: EigenSeq, gam: WeightSeq, q: Query, box: int,
     (so levels above the box could qualify too), and GuardExceeded when the
     enumeration is too large.
     """
-    if isinstance(box, bool) or not isinstance(box, int) or box < 1:
-        raise ValueError(f"box must be a positive integer, got {box!r}")
+    _check_positive_int("box", box)
     if box**q.d > guard:
         raise GuardExceeded(f"box**d = {box**q.d} exceeds the guard ({guard})")
     B = 2.0 * q.E

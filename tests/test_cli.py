@@ -57,6 +57,14 @@ CONFIG_ERRORS = [
     ("param-str", {"lambda": {"family": "power_law", "a": "2"}}),
     ("table-entries-str", {"lambda": {"family": "tabulated", "values": ["0", "1.5"]}}),
     ("table-str", {"lambda": {"family": "tabulated", "values": "123"}}),
+    # Each closed-form parameter is checked by the family base class; LogPower
+    # adds beta > 1.
+    ("exp_power-beta-zero", {"lambda": {"family": "exp_power", "alpha": 1.0, "beta": 0}}),
+    ("double_exp_power-alpha-bool",
+     {"lambda": {"family": "double_exp_power", "alpha": True, "beta": 1.0}}),
+    ("triple_exp-alpha-negative", {"lambda": {"family": "triple_exp", "alpha": -1}}),
+    ("log_power-beta-one", {"lambda": {"family": "log_power", "beta": 1}}),
+    ("log_power-beta-str", {"lambda": {"family": "log_power", "beta": "x"}}),
     # Audit settings are parsed with the rest of the config, before any suite runs.
     ("audit-draws", {"audit": {"suites": ["sandwich", "power_sum"], "power_sum_draws": 2.5}}),
     # An audit size below 1 would run an empty suite that passes.

@@ -436,6 +436,18 @@ class TestSplitCounter:
         with pytest.raises(BudgetExceeded, match="needs at least"):
             info_complexity(*DOUBLE_EXP, Query(1e6, 10), node_budget=1000)
 
+    def test_budget_fails_on_the_active_prefix_alone(self, monkeypatch):
+        # Every step but the last head step adds an entry, so a count of m
+        # active coordinates needs at least m entries; the counter rejects
+        # m > node_budget from active_prefix's bisection reads alone.
+        reads = []
+        monkeypatch.setattr(ConstantOne, "log_inv", lambda self, k: reads.append(k) or 0.0)
+        with pytest.raises(BudgetExceeded, match=re.escape(
+                "needs at least 2000000 enumerated entries, over the budget of 1000")):
+            info_complexity(EigenSeq(ExpPower(1.0, 1.0)), ONES, Query(1.0, 2 * 10**6),
+                            node_budget=1000)
+        assert 0 < len(reads) < 64
+
 
 class TestArrayHead:
     """_extend_head_array against the pure-Python _extend_head, on knife-edge heads."""

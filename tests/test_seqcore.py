@@ -162,6 +162,21 @@ class TestInvariants:
         assert vals[0] == 0.0
 
 
+#: (family, parameter under test, every parameter as a valid int).
+_CLOSED_FORM_PARAMS = [
+    (PowerLaw, "a", {"a": 2}),
+    (ExpPower, "alpha", {"alpha": 1, "beta": 2}),
+    (ExpPower, "beta", {"alpha": 1, "beta": 2}),
+    (DoubleExpPower, "alpha", {"alpha": 1, "beta": 2}),
+    (DoubleExpPower, "beta", {"alpha": 1, "beta": 2}),
+    (TripleExp, "alpha", {"alpha": 1}),
+    (LogPower, "beta", {"beta": 2}),
+]
+#: Values no closed-form parameter takes, with their repr in the message.
+_NOT_POSITIVE_FINITE = [(True, "True"), ("2", "'2'"), (None, "None"), (math.nan, "nan"),
+                        (math.inf, "inf"), (-math.inf, "-inf"), (0.0, "0.0"), (-1.0, "-1.0")]
+
+
 class TestConstruction:
     def test_rejects_nonmonotone_table(self):
         with pytest.raises(SequenceError):
@@ -184,6 +199,21 @@ class TestConstruction:
             PowerLaw(True)
         with pytest.raises(SequenceError):
             ExpPower(1.0, False)
+
+    @pytest.mark.parametrize("cls, name, ints", _CLOSED_FORM_PARAMS,
+                             ids=[f"{cls.name}.{name}" for cls, name, _ in _CLOSED_FORM_PARAMS])
+    def test_parameter_messages_are_pinned(self, cls, name, ints):
+        # Integer parameters are stored, and described, as floats.
+        want = {"family": cls.name, **{k: float(v) for k, v in ints.items()}}
+        assert json.dumps(cls(**ints).descriptor()) == json.dumps(want)
+        cases = [(bad, f"{name} must be a positive finite number, got {text}")
+                 for bad, text in _NOT_POSITIVE_FINITE]
+        if cls is LogPower:
+            cases += [(1, "beta must exceed 1, got 1"), (0.5, "beta must exceed 1, got 0.5")]
+        for bad, message in cases:
+            with pytest.raises(SequenceError) as exc:
+                cls(**{**ints, name: bad})
+            assert str(exc.value) == message
 
     def test_eigen_rejects_weight_only_families(self):
         with pytest.raises(SequenceError):
