@@ -72,4 +72,5 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Public classes, functions and constants; submodules stay importable, but unlisted.
+__all__ = [n for n in dir() if n[0] != "_" and not isinstance(globals()[n], type(errors))]

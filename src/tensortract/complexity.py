@@ -276,9 +276,7 @@ def _extend_head_array(head: np.ndarray, g: float, reach_next: float, levels: np
     with np.errstate(over="ignore"):  # sums past the float range saturate to inf
         # Level 1 is the zero entry: a cost that stays open is its own child.
         w = np.concatenate(([0.0], g + levels))  # the same float sums as the scalar g + L
-        T = 0.0
-        if reach_next < B:
-            T = float(_thresholds(np.array([reach_next]), np.array([B]))[0])
+        T = float(_thresholds(np.array([reach_next]), np.array([B]))[0])  # 0 once reach_next >= B
         n = _fits(head, w, T)
         new = int(n.sum())
         if new > room:
@@ -375,7 +373,9 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     J = _last_level(L, Gs[0], B, node_budget,
                     f"admissible level range exceeds the node budget ({node_budget})")
     table = log_inv_table(lam.family, 2, J + 1) if J > _BLOCK_MIN else None
-    Ltab = list(map(L, range(2, J + 1))) if table is None else table.tolist()
+    if table is not None:
+        _check_cost(float(np.min(table)))  # NaN propagates
+    Ltab = list(map(_check_cost, map(L, range(2, J + 1)))) if table is None else table.tolist()
     L2 = Ltab[0]
     # reach[k]: the cheapest cost a level adds on coordinate k (none past m).
     reach = [g + L2 for g in Gs] + [math.inf]
@@ -383,24 +383,23 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     total = 0
     head = [0.0]
     taus = ()  # thresholds of the nonempty tails; none until the tail starts
-    levels = None  # the level table as an array, once the head is one
     entries = 1
     k, t = 0, m  # the head covers coordinates [0, k), the tail [t, m)
     while k < t:
         room = node_budget - entries
-        if levels is None and len(head) > _TAIL_STEP_ENTRIES:
-            levels = np.array(Ltab) if table is None else table
+        if isinstance(head, list) and len(head) > _TAIL_STEP_ENTRIES:
+            table = np.array(Ltab) if table is None else table
             head = np.array(head)
         if m < _SPLIT_MIN_COORDS or len(head) <= _TAIL_STEP_ENTRIES + len(taus):
-            if levels is None:
+            if isinstance(head, list):
                 done, head = _extend_head(head, Gs[k], reach[k + 1], Ltab, B, room)
                 new = len(head)
             else:
-                done, new, head = _extend_head_array(head, Gs[k], reach[k + 1], levels, B, room)
+                done, new, head = _extend_head_array(head, Gs[k], reach[k + 1], table, B, room)
             total += done
             k += 1
         else:
-            new, taus = _extend_tail(taus, Gs[t - 1], levels, B, room)
+            new, taus = _extend_tail(taus, Gs[t - 1], table, B, room)
             t -= 1
         entries += new
         if entries > node_budget:
@@ -410,7 +409,7 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     # Each open head tuple completes with the empty tail and with every tail
     # whose threshold lies above its cost.
     total += len(head)
-    if len(taus) and len(head):
+    if len(taus):  # no numpy call on a count done in Python
         taus.sort()
         total += len(taus) * len(head) - int(np.searchsorted(taus, head, side="right").sum())
     return CountResult(total, entries, m)

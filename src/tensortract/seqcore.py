@@ -537,8 +537,8 @@ def _mapped(f, x: np.ndarray, *consts) -> np.ndarray:
 
 
 #: math.log(j) for j = 1, 2, ..., len, shared by every table: a read-only
-#: view of one buffer of 2**17 entries (1 MB, the summability audit's
-#: default J), filled up to the highest index asked for so far.
+#: view of one buffer of 2**17 entries (1 MB, the summability audit's J),
+#: filled up to the highest index asked for so far.
 _index_logs = np.empty(0)
 _INDEX_LOGS_CAP = 2**17
 
@@ -627,6 +627,10 @@ class _SeqView:
 
     family: object
 
+    def __post_init__(self):
+        if not isinstance(self.family, _FamilyBase):
+            raise SequenceError(f"not a sequence family: {self.family!r}")
+
     def log_inv(self, j: int) -> float:
         """log(1/x_j) as a raw float (saturated to +inf); InvalidIndex unless j is an int >= 1."""
         if isinstance(j, bool) or not isinstance(j, int):
@@ -654,8 +658,7 @@ class EigenSeq(_SeqView):
         if isinstance(self.family, _WEIGHT_ONLY):
             raise SequenceError(
                 f"family {self.family.name!r} is weight-only and cannot serve as eigenvalues")
-        if not isinstance(self.family, _FamilyBase):
-            raise SequenceError(f"not a sequence family: {self.family!r}")
+        super().__post_init__()
         if math.isinf(self.family.log_inv(2)):
             raise SequenceError("the second eigenvalue must be positive")
 
@@ -667,10 +670,6 @@ class WeightSeq(_SeqView):
     """Non-increasing product weights in log(1/x) form (all values <= 1)."""
 
     family: object
-
-    def __post_init__(self):
-        if not isinstance(self.family, _FamilyBase):
-            raise SequenceError(f"not a sequence family: {self.family!r}")
 
     G = _SeqView.log_inv  #: log(1/gamma_k), +inf for zero weights
 

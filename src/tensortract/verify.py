@@ -16,10 +16,11 @@ import numpy as np
 from .complexity import (DEFAULT_NODE_BUDGET, _INDEX_LIMIT, Query, _check_positive_int,
                          _max_index_below, d_of_eps, info_complexity, j_of_eps)
 from .errors import BoxTooSmall, GuardExceeded
-from .seqcore import EigenSeq, Tabulated, WeightSeq
+from .seqcore import _INDEX_LOGS_CAP, EigenSeq, Tabulated, WeightSeq
 from .tractability import _power_sums
 
 _CHUNK_ELEMS = 4_000_000
+_GUARD = 10**8  # most tuples in the brute-force box
 
 
 @dataclass(frozen=True)
@@ -41,17 +42,17 @@ class AuditReport:
         return all(c.passed for c in self.checks)
 
 
-def brute_force_count(lam: EigenSeq, gam: WeightSeq, q: Query, box: int,
-                      guard: int = 10**8) -> int:
+def brute_force_count(lam: EigenSeq, gam: WeightSeq, q: Query, box: int) -> int:
     """Exhaustive count over the level box {1..box}**d.
 
     Raises BoxTooSmall when a qualifying tuple would touch the box boundary
     (so levels above the box could qualify too), and GuardExceeded when the
-    enumeration is too large.
+    box holds more than ``_GUARD`` tuples; every prefix enumerated then
+    holds at most box**(d-1) of them.
     """
     _check_positive_int("box", box)
-    if box**q.d > guard:
-        raise GuardExceeded(f"box**d = {box**q.d} exceeds the guard ({guard})")
+    if box**q.d > _GUARD:
+        raise GuardExceeded(f"box**d = {box**q.d} exceeds the guard ({_GUARD})")
     B = 2.0 * q.E
     levels = [lam.L(j) for j in range(2, box + 1)]
     cols = []
@@ -68,8 +69,6 @@ def brute_force_count(lam: EigenSeq, gam: WeightSeq, q: Query, box: int,
     prefix = cols[0]
     for col in cols[1:-1]:
         prefix = (prefix[:, None] + col).ravel()
-        if prefix.size > guard:
-            raise GuardExceeded("intermediate enumeration exceeds the guard")
     if q.d == 1:
         return int(np.count_nonzero(prefix < B))
     last = cols[-1]
@@ -143,23 +142,24 @@ def power_sum_split(s: float, a) -> float:
     return alpha
 
 
-def power_sum_bounds_ok(s: float, m: int, alpha: float, rel_tol: float = 1e-9) -> bool:
+def power_sum_bounds_ok(s: float, m: int, alpha: float) -> bool:
     lo, hi = (1.0, math.pow(m, s - 1.0)) if s >= 1.0 else (math.pow(m, s - 1.0), 1.0)
-    slack = rel_tol * max(1.0, hi)
+    slack = 1e-9 * max(1.0, hi)
     return lo - slack <= alpha <= hi + slack
 
 
-def check_summability_equivalence(seq, c_list, J: int = 1 << 17) -> AuditReport:
+def check_summability_equivalence(seq, c_list) -> AuditReport:
     """Cross-check power-sum convergence against the analytic log-ratio class.
 
     A divergent log-ratio class means the sum converges for every exponent; a
     bounded class with limit ell splits convergence at c = 1/ell.  Every
-    exponent is summed, and a tail bound on the computed sum reads convergent.
+    exponent is summed over ``_INDEX_LOGS_CAP`` terms, and a tail bound on
+    the computed sum reads convergent.
     """
     rc = seq.family.ratio_class(1.0)
     cs = tuple(c_list)
     checks = []
-    for c, res in zip(cs, _power_sums(seq, cs, J)):
+    for c, res in zip(cs, _power_sums(seq, cs, _INDEX_LOGS_CAP)):
         got = "convergent" if res.tail_bound is not None else "divergent"
         expected = "convergent" if seq.family.summable(c) else "divergent"
         note = (f"class={rc.kind}({rc.limit:g}); expected {expected}; "

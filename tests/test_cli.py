@@ -3,6 +3,7 @@ import io
 import json
 import math
 import struct
+from types import ModuleType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -79,7 +80,23 @@ CONFIG_ERRORS = [
     ("E_grid-decreasing", {"probes": {"E_grid": [100, 10]}}),
     # An integer probe index past the float range, which float(j) cannot read.
     ("j_grid-past-float-range", {"probes": {"j_grid": [4, 10**400]}}),
+    ("E-and-log10_inv_eps", {"queries": {"E": [1.0], "log10_inv_eps": [1.0], "d": [2]}}),
+    # The notion is parsed with the rest of the config, whichever subcommand runs.
+    ("notion-kind-unknown", {"notion": {"kind": "exp_nope"}}),
 ]
+
+
+def test_public_names_are_not_submodules():
+    # The submodules stay importable by name, as `from tensortract import cli`
+    # above, but are not public names: "public names" counts the API only.
+    import tensortract
+
+    star = {}
+    exec("from tensortract import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(tensortract.__all__)
+    assert not [n for n, v in star.items() if isinstance(v, ModuleType)]
+    assert {"cli", "complexity", "errors", "seqcore", "tractability", "verify"}.isdisjoint(star)
 
 
 class TestCount:
@@ -242,6 +259,15 @@ class TestAudit:
         assert budget and all((r["check"], r["passed"], r["lhs"], r["rhs"])
                               == ("count_sandwich", "false", "", "") for r in budget)
 
+    def test_oracle_suite_past_the_node_budget(self, tmp_path, capsys):
+        # The oracle suite does not turn BudgetExceeded into a row: the audit
+        # stops with main's runtime error and writes no partial report.
+        cfg = write_config(tmp_path, "a.json", dyadic_config(audit={"suites": ["oracle"]}))
+        assert main(["audit", "--config", cfg, "--node-budget", "1"]) == EXIT_RUNTIME
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("runtime error: BudgetExceeded: node budget exceeded")
+
     def test_unknown_suite_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "a.json", dyadic_config(audit={"suites": ["nope"]}))
         assert main(["audit", "--config", cfg]) == EXIT_CONFIG
@@ -342,16 +368,19 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "must be an integer" in err
 
-    @pytest.mark.parametrize("case", ["utf16-config", "directory-config", "utf16-table"])
+    @pytest.mark.parametrize("case", ["utf16-config", "directory-config", "utf16-table",
+                                      "not-json"])
     def test_unreadable_files(self, tmp_path, capsys, case):
         utf16 = b"\xff\xfe" + json.dumps(dyadic_config()).encode("utf-16-le")
         (tmp_path / "utf16.json").write_bytes(utf16)
+        (tmp_path / "broken.json").write_text('{"schema": 1,', encoding="utf-8")
         (tmp_path / "utf16.txt").write_bytes(b"\xff\xfe" + "1 0.0\n".encode("utf-16-le"))
         config, needle = {
             "utf16-config": (str(tmp_path / "utf16.json"), "config file unreadable"),
             "directory-config": (str(tmp_path), "config file unreadable"),
             "utf16-table": (write_config(tmp_path, "t.json", dyadic_config(
                 **{"lambda": {"family": "tabulated", "path": "utf16.txt"}})), "sequence rejected"),
+            "not-json": (str(tmp_path / "broken.json"), "config is not valid JSON"),
         }[case]
         assert main(["count", "--config", config]) == EXIT_CONFIG
         err = capsys.readouterr().err

@@ -292,6 +292,32 @@ class TestInfoComplexity:
         with pytest.raises(ValueError, match="log-magnitude must be >= 0"):
             info_complexity(DYADIC, WeightSeq(NaNFromTwo()), Query(10.0, d))
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    @pytest.mark.parametrize("a, J", [(1.0, 403), (2.0, 20)], ids=["table", "list"])
+    def test_a_bad_later_level_is_rejected(self, a, J, bad):
+        """A NaN or negative L(5), a level the active prefix does not read,
+        was counted: 707 (a = 1) and 41 (a = 2) with NaN, 1,502 with -1.0 at
+        a = 1, where top-K raised.  J levels past _BLOCK_MIN take the numpy
+        table (a = 1); fewer are mapped in Python (a = 2)."""
+        class BadAtFive(PowerLaw):
+            def log_inv(self, j):
+                return bad if j == 5 else super().log_inv(j)
+
+        assert j_of_eps(EigenSeq(PowerLaw(a)), 3.0) == J
+        assert (J > complexity._BLOCK_MIN) == (a == 1.0)
+        lam, gam = EigenSeq(BadAtFive(a)), WeightSeq(ExpPower(1.0, 1.0))
+        with pytest.raises(ValueError, match="log-magnitude must be >= 0"):
+            info_complexity(lam, gam, Query(3.0, 2))
+        with pytest.raises(ValueError, match="log-magnitude must be >= 0"):
+            top_eigenvalues(lam, gam, 2, 10)
+
+    def test_dimension_past_the_machine_integers(self):
+        # The active prefix is bisected over Python ints: a bisect over
+        # range(d + 1) raises OverflowError once d passes 2**63.
+        exp = (EigenSeq(ExpPower(1.0, 1.0)), WeightSeq(ExpPower(1.0, 1.0)))
+        assert info_complexity(*exp, Query(5.0, 10**30)) == CountResult(217, 84, 9)
+        assert info_complexity(*exp, Query(5.0, 9)) == CountResult(217, 84, 9)
+
 
 class TestActivePrefix:
     """active_prefix against a linear scan of G(k) + L(2) < 2E over k <= d."""
@@ -659,6 +685,11 @@ class TestSpectrum:
         assert float(nth_minimal_error(DYADIC, ONES, 2, 0)) == 0.0
         assert float(nth_minimal_error(DYADIC, ONES, 2, 1)) == 0.5 * LN2
         assert float(nth_minimal_error(DYADIC, ONES, 2, 3)) == LN2
+
+    @pytest.mark.parametrize("n", [-1, True, 1.0])
+    def test_nth_minimal_error_rejects_a_bad_rank(self, n):
+        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+            nth_minimal_error(DYADIC, ONES, 2, n)
 
     @pytest.mark.parametrize("K", [1, 100])  # 100: the level table is built in blocks
     @pytest.mark.parametrize("d", [1, 2, 3])

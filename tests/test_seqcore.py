@@ -215,6 +215,21 @@ class TestConstruction:
                 cls(**{**ints, name: bad})
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: IterLog((0.0,)), "prefix must cover at least indices 1 and 2"),
+        (lambda: IterLog((0.0, math.inf)), "table entry 2 must be finite"),
+        (lambda: Tabulated(()), "table must be non-empty"),
+        (lambda: Tabulated([None, 1.0]), "table entry must be a number, got None"),
+        (lambda: EventuallyZero(0, ()), "j_star must be a positive integer, got 0"),
+        (lambda: EigenSeq(3.0), "not a sequence family: 3.0"),
+        (lambda: WeightSeq("x"), "not a sequence family: 'x'"),
+    ], ids=["iter_log-short", "iter_log-inf", "tabulated-empty", "tabulated-none",
+            "eventually_zero-j_star", "eigen-not-a-family", "weight-not-a-family"])
+    def test_construction_messages(self, make, message):
+        with pytest.raises(SequenceError) as exc:
+            make()
+        assert str(exc.value) == message
+
     def test_eigen_rejects_weight_only_families(self):
         with pytest.raises(SequenceError):
             EigenSeq(ConstantOne())
@@ -253,6 +268,28 @@ class TestSerialization:
     def test_unknown_family_rejected(self):
         with pytest.raises(SequenceError):
             family_from_descriptor({"family": "mystery"})
+
+    @pytest.mark.parametrize("desc, message", [
+        ([1], "family descriptor must be a dict with a 'family' key, got [1]"),
+        ({"family": "power_law", "a": 2.0, "b": 1},
+         "unknown parameters ['b'] for family 'power_law'"),
+        ({"family": "exp_power", "alpha": 1.0}, "bad parameters for family 'exp_power': "),
+    ], ids=["not-a-dict", "unknown-parameter", "missing-parameter"])
+    def test_malformed_descriptors_rejected(self, desc, message):
+        with pytest.raises(SequenceError) as exc:
+            family_from_descriptor(desc)
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("line, message", [
+        ("2 0.5 1.0", "expected 'index value'"), ("2", "expected 'index value'"),
+        ("two 0.5", "unparsable entry"), ("2 half", "unparsable entry"),
+    ])
+    def test_malformed_table_lines(self, tmp_path, line, message):
+        path = tmp_path / "t.txt"
+        path.write_text(f"1 0.0\n{line}\n")
+        with pytest.raises(SequenceError) as exc:
+            load_log_table(path)
+        assert str(exc.value).startswith(f"{path}:2: {message}")
 
     def test_table_file_round_trip(self, tmp_path):
         values = (0.0, 0.1 + 0.2, math.pi, 1e300, math.inf)

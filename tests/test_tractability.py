@@ -171,6 +171,11 @@ class TestDivergence:
         assert ratios == [math.pow(fam.log_inv(int(j)), s) / math.log(j)
                           for j, _ in res.evidence.probes]
 
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.inf])
+    def test_exponent_must_be_positive_and_finite(self, s):
+        with pytest.raises(ValueError, match="s must be positive and finite"):
+            divergence_check(EigenSeq(PowerLaw(2.0)), s)
+
     def test_overflowing_probe_power_saturates(self):
         # log(1/lambda_j) = 1e300 * log j: its square passes the float range.
         res = divergence_check(EigenSeq(PowerLaw(1e300)), 2.0)
@@ -233,6 +238,11 @@ class TestSummability:
         J = 1000
         ls = np.array([seq.family.log_inv(j) for j in range(1, J + 1)])
         assert summability(seq, c, J).value == float(np.exp(-c * ls).sum())
+
+    @pytest.mark.parametrize("c", [-1.0, 0.0, math.nan])
+    def test_exponent_must_be_positive_and_finite(self, c):
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            summability(EigenSeq(PowerLaw(2.0)), c, 100)
 
     @pytest.mark.parametrize("J", [True, 2.5, 3.0])
     def test_non_integer_truncation_rejected(self, J):
@@ -401,12 +411,19 @@ class TestBoundaryRatio:
         with pytest.raises(ValueError):
             wt_s_below_one_check(EigenSeq(PowerLaw(2.0)), WeightSeq(ConstantOne()),
                                  0.5, [(2, 3, 2)])
+        with pytest.raises(ValueError, match="triples require j >= 2"):
+            wt_s_below_one_check(EigenSeq(PowerLaw(2.0)), WeightSeq(ConstantOne()),
+                                 0.5, [(2, 1, 1)])
 
 
 class TestEta:
     def test_values(self):
         assert eta_exponent(0.5, 2.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert eta_exponent(0.5, 1.4) == pytest.approx(2.0 / 9.0, abs=1e-15)
+
+    def test_equal_exponents_rejected(self):
+        with pytest.raises(ValueError, match="eta requires t != s"):
+            eta_exponent(2.0, 2.0)
 
 
 class TestIntroCounts:
@@ -503,6 +520,12 @@ class TestClassifier:
         for s, t in ((0.5, 3.0), (2.0, 1.0), (1.0, None), (None, 1.0)):
             with pytest.raises(UnsupportedNotion, match="EXP-WT is EXP-"):
                 Notion(NotionKind.EXP_WT, s, t)
+        for kind in (NotionKind.EXP_SPT, NotionKind.EXP_PT, NotionKind.EXP_QPT):
+            with pytest.raises(UnsupportedNotion, match="takes no \\(s, t\\) parameters"):
+                Notion(kind, 1.0)
+        for s, t in ((2.0, None), (None, 2.0), (None, None)):
+            with pytest.raises(UnsupportedNotion, match="requires both s and t"):
+                Notion(NotionKind.EXP_ST_WT, s, t)
 
     def test_wt_alias(self):
         assert Notion.st_weak(1.0, 1.0) == Notion.wt() == Notion(NotionKind.EXP_WT, 1.0, 1.0)

@@ -122,6 +122,17 @@ class TestPowerSumSplit:
         assert power_sum_split(0.0, (0.0, 0.0, 0.0)) == pytest.approx(1.0 / 3.0)
         assert power_sum_split(2.0, (0.0, 0.0)) == 1.0
 
+    @pytest.mark.parametrize("s, a, message", [
+        (1.0, (), "need at least one summand"),
+        (-1.0, (1.0,), "s must be a nonnegative finite real"),
+        (math.inf, (1.0,), "s must be a nonnegative finite real"),
+        (1.0, (1.0, -1.0), "summands must be nonnegative finite reals"),
+        (1.0, (math.nan,), "summands must be nonnegative finite reals"),
+    ], ids=["empty", "s-negative", "s-inf", "summand-negative", "summand-nan"])
+    def test_rejected_inputs(self, s, a, message):
+        with pytest.raises(ValueError, match=message):
+            power_sum_split(s, a)
+
     def test_seeded_draws(self):
         report = power_sum_suite(draws=1000, seed=4711)
         assert report.passed
@@ -155,7 +166,7 @@ class TestSummabilityEquivalence:
 
         monkeypatch.setattr(LogPower, "log_inv", counted)
         J = 1 << 17
-        report = check_summability_equivalence(EigenSeq(LogPower(2.0)), (2.0, 1.0, 0.5, 0.1), J)
+        report = check_summability_equivalence(EigenSeq(LogPower(2.0)), (2.0, 1.0, 0.5, 0.1))
         assert report.passed
         assert J <= len(calls) < J + 100  # not J per exponent
 
