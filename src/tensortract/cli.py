@@ -412,6 +412,12 @@ def _csv_quoted(cell: str) -> str:
     return buf.getvalue()[:-2]
 
 
+#: Rows below which a float column is formatted cell by cell: there numpy's
+#: fixed cost (about 15 us) exceeds the formatting the dedupe saves, even
+#: when the column repeats a few values throughout.
+_DEDUPE_MIN_ROWS = 32
+
+
 def _column_cells(col: list, out_format: str) -> list:
     """The cells of one report column, as strings.
 
@@ -419,19 +425,22 @@ def _column_cells(col: list, out_format: str) -> list:
     inf and nan; in JSON a non-finite float is a string (``_dump_json``).
     Other cells take ``_cell`` in CSV, quoted by csv where a cell needs it,
     and in JSON ``json.dumps`` of strs and ``_dump_json`` of anything else.
-    Floats are formatted once per bit pattern, so -0.0 keeps its sign, and
-    ints, and strs in JSON, once per value (``_formatted``); a mixed column,
-    where the equal cells 1, 1.0 and True print differently, goes cell by cell.
+    Floats are formatted once per bit pattern, so -0.0 keeps its sign, in
+    columns of ``_DEDUPE_MIN_ROWS`` rows or more; ints, and strs in JSON, once
+    per value (``_formatted``).  A mixed column, where the equal cells 1, 1.0
+    and True print differently, goes cell by cell.
     """
     kinds = set(map(type, col))
     if kinds == {int}:
         return _formatted(col, str)
     if all(map(issubclass, kinds, repeat(float))):
         fmt = "%.17g".__mod__ if out_format == "csv" else _dump_json
-        bits, where = np.unique(np.array(col, np.float64).view(np.int64), return_inverse=True)
-        if len(bits) == len(col):
-            return list(map(fmt, col))
-        return np.array(list(map(fmt, bits.view(np.float64).tolist())), object)[where].tolist()
+        if len(col) >= _DEDUPE_MIN_ROWS:
+            bits, where = np.unique(np.array(col, np.float64).view(np.int64), return_inverse=True)
+            if len(bits) < len(col):
+                cells = np.array(list(map(fmt, bits.view(np.float64).tolist())), object)
+                return cells[where].tolist()
+        return list(map(fmt, col))
     if out_format == "json":
         return _formatted(col, json.dumps) if kinds == {str} else list(map(_dump_json, col))
     cells = col if kinds == {str} else list(map(_cell, col))

@@ -13,6 +13,7 @@ import struct
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -286,8 +287,19 @@ def _extend_head_array(head: np.ndarray, g: float, reach_next: float, levels: np
     return done, new, out
 
 
-def _extend_tail(taus, g: float, levels: np.ndarray, B: float, room: int):
-    """Prepend the coordinate of weight g to the tail.
+def _levels_below(g: float, levels: np.ndarray, B: float) -> np.ndarray:
+    """g + L for the ascending levels L with g + L < B.  Each such L is at
+    most the double nearest B - g, so the cut starts there and moves down
+    exactly; it is taken before g is added, so no sum reaches B or overflows,
+    and no full row is built."""
+    n = int(levels.searchsorted(B - g, "right"))
+    if n and not g + float(levels[n - 1]) < B:
+        n = _last_below(lambda j: g + float(levels[j]), B, -1, n - 1) + 1
+    return g + levels[:n]
+
+
+def _extend_tail(taus, w: np.ndarray, B: float, room: int):
+    """Prepend to the tail a coordinate whose ascending level row is w.
 
     A tail tuple s is a choice of levels on the coordinates after the head,
     stored only as its threshold tau_s: the smallest head cost p whose fold
@@ -298,8 +310,6 @@ def _extend_tail(taus, g: float, levels: np.ndarray, B: float, room: int):
     p + w >= tau_s.  Returns (new entries, grown thresholds); past ``room``
     the thresholds come back unchanged, before anything is allocated.
     """
-    with np.errstate(over="ignore"):
-        w = g + levels  # the same float sums as the scalar g + L
     src = np.concatenate(([B], taus))
     n = np.searchsorted(w, src)
     new = int(n.sum())
@@ -335,13 +345,15 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
 
     The count meets in the middle.  A head of open tuples grows forward one
     coordinate at a time (``_extend_head``); tuples that no later coordinate
-    fits are counted in bulk, never stored.  On larger cells a tail of
-    thresholds grows backward from the last coordinate in numpy
-    (``_extend_tail``).  The smaller side grows next, with the tail's fixed
-    numpy cost counted as ``_TAIL_STEP_ENTRIES`` head entries, and cells of
-    fewer than ``_SPLIT_MIN_COORDS`` active coordinates never start a tail.
-    On every cell, a head of more than ``_TAIL_STEP_ENTRIES`` entries
-    becomes a float64 array and grows in numpy from then on
+    fits are counted in bulk, never stored; it starts from coordinate 1's
+    level row.  On larger cells a tail of thresholds grows backward from the
+    last coordinate in numpy (``_extend_tail``); its first step folds the
+    far coordinates, where no tuple that counts leaves level 1 twice, as one.
+    The smaller side grows next, with the tail's fixed numpy cost counted as
+    ``_TAIL_STEP_ENTRIES`` head entries, and cells of fewer than
+    ``_SPLIT_MIN_COORDS`` active coordinates never start a tail.  On every
+    cell, a head of more than ``_TAIL_STEP_ENTRIES`` entries becomes a
+    float64 array and grows in numpy from then on
     (``_extend_head_array``); smaller heads stay in pure Python, where a
     step costs less than numpy's fixed cost.
     When the sides meet, a sorted merge counts the (head, tail) pairs whose
@@ -351,15 +363,15 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
 
     ``nodes_visited`` is the number of head and tail entries enumerated, and
     ``node_budget`` caps it before the merge.  Every step but the last head
-    step adds one, so more active coordinates than the budget fail at once.
+    step adds one, and each coordinate of the tail's first block adds at
+    least one, so more active coordinates than the budget fail at once.
     """
     _check_positive_int("node_budget", node_budget)
     m = active_prefix(lam, gam, q)
     if m == 0:
         return CountResult(1, 1, 0)
     if m > node_budget:
-        raise BudgetExceeded(f"node budget exceeded: the count needs at least {m} enumerated "
-                             f"entries, over the budget of {node_budget}")
+        raise _over_budget(m, node_budget)
     B = 2.0 * q.E
     # Every index below is generated here, so the tables read the families
     # directly rather than through the validating accessors L and G.
@@ -368,23 +380,40 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     # Level table shared by all coordinates: levels j >= 2 usable anywhere
     # satisfy G(1) + L(j) < B (coordinate 1 has the most slack); m > 0 puts
     # L(2) in it.  It is one array, kept for the numpy steps, with a list
-    # view for the Python head; a short table maps its list from L directly,
-    # below numpy's fixed cost, and becomes an array only if the head does.
+    # view built when a Python head step first reads it; a short table maps
+    # its list from L directly, below numpy's fixed cost, and becomes an
+    # array only if the head does.
     J = _last_level(L, Gs[0], B, node_budget,
                     f"admissible level range exceeds the node budget ({node_budget})")
-    table = log_inv_table(lam.family, 2, J + 1) if J > _BLOCK_MIN else None
-    if table is not None:
+    table, Ltab = None, None
+    if J > _BLOCK_MIN:
+        table = log_inv_table(lam.family, 2, J + 1)
         _check_cost(float(np.min(table)))  # NaN propagates
-    Ltab = list(map(_check_cost, map(L, range(2, J + 1)))) if table is None else table.tolist()
-    L2 = Ltab[0]
+    else:
+        Ltab = list(map(_check_cost, map(L, range(2, J + 1))))
+    if m == 1:  # the root and its J - 1 children on coordinate 1
+        return CountResult(J, 1, 1)
+    row = table if Ltab is None else Ltab
     # reach[k]: the cheapest cost a level adds on coordinate k (none past m).
-    reach = [g + L2 for g in Gs] + [math.inf]
+    reach = [g + float(row[0]) for g in Gs] + [math.inf]
 
-    total = 0
-    head = [0.0]
+    # Coordinate 1 folds onto the root's cost 0.0, and 0.0 + x == x for
+    # x >= 0, so the root's children are the level row g1 + L(j) itself.
+    # Every level fits (the definition of J); the open children are a
+    # prefix, and the root stays open, since coordinate 2 is active.
+    g1 = Gs[0]
+    n = _last_below(lambda j: (g1 + float(row[j])) + reach[1], B, -1, J - 1) + 1
+    total = J - 1 - n
+    entries = 2 + n
+    if entries > node_budget:
+        raise _over_budget(entries, node_budget)
+    if n + 1 > _TAIL_STEP_ENTRIES:
+        table = np.array(Ltab) if table is None else table
+        head = np.concatenate(([0.0], g1 + table[:n]))
+    else:
+        head = [0.0] + [g1 + lv for lv in (table[:n].tolist() if Ltab is None else Ltab[:n])]
     taus = ()  # thresholds of the nonempty tails; none until the tail starts
-    entries = 1
-    k, t = 0, m  # the head covers coordinates [0, k), the tail [t, m)
+    k, t = 1, m  # the head covers coordinates [0, k), the tail [t, m)
     while k < t:
         room = node_budget - entries
         if isinstance(head, list) and len(head) > _TAIL_STEP_ENTRIES:
@@ -392,6 +421,7 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
             head = np.array(head)
         if m < _SPLIT_MIN_COORDS or len(head) <= _TAIL_STEP_ENTRIES + len(taus):
             if isinstance(head, list):
+                Ltab = Ltab or table.tolist()
                 done, head = _extend_head(head, Gs[k], reach[k + 1], Ltab, B, room)
                 new = len(head)
             else:
@@ -399,13 +429,27 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
             total += done
             k += 1
         else:
-            new, taus = _extend_tail(taus, Gs[t - 1], table, B, room)
-            t -= 1
+            # While the tail is empty and reach[s - 1] + reach[s] >= B, no tail
+            # tuple from coordinate s - 1 on leaves level 1 twice: these
+            # coordinates fold as one, whose row is the sorted union of theirs,
+            # each adding the entries its own step would.  The block stops where
+            # the size rule or the budget would end the run of tail steps, so
+            # before the head: a head step on k - 1 with reach[k - 1] + reach[k]
+            # >= B opens no child, so it cannot have grown the head past the rule.
+            s = t - 1
+            rows = [_levels_below(Gs[s], table, B)]
+            grown = len(rows[0])
+            while (not len(taus) and not (reach[s - 1] + reach[s] < B)
+                   and len(head) > _TAIL_STEP_ENTRIES + grown and grown <= room):
+                s -= 1
+                rows.append(_levels_below(Gs[s], table, B))
+                grown += len(rows[-1])
+            w = rows[0] if len(rows) == 1 else np.sort(np.concatenate(rows))
+            new, taus = _extend_tail(taus, w, B, room)
+            t = s
         entries += new
         if entries > node_budget:
-            raise BudgetExceeded(
-                f"node budget exceeded: the count needs at least {entries} enumerated "
-                f"entries, over the budget of {node_budget}")
+            raise _over_budget(entries, node_budget)
     # Each open head tuple completes with the empty tail and with every tail
     # whose threshold lies above its cost.
     total += len(head)
@@ -413,6 +457,11 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
         taus.sort()
         total += len(taus) * len(head) - int(np.searchsorted(taus, head, side="right").sum())
     return CountResult(total, entries, m)
+
+
+def _over_budget(entries: int, node_budget: int) -> BudgetExceeded:
+    return BudgetExceeded(f"node budget exceeded: the count needs at least {entries} enumerated "
+                          f"entries, over the budget of {node_budget}")
 
 
 def _rank_starts(K: int) -> tuple:
@@ -434,7 +483,11 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float
     coordinate 1 folds onto the one cost 0, so its costs are its level row.
     The fold stops at the first coordinate whose cheapest level, G_k + L(2),
     is infinite or, once K costs are kept, exceeds the K-th of them; weights
-    only grow, so no later coordinate can add a tuple or a tie.  Cost ties
+    only grow, so no later coordinate can add a tuple or a tie.  Once the
+    cheapest levels of coordinates k and k + 1 sum above the K-th cost kept,
+    which only falls, no kept tuple leaves level 1 on two coordinates from
+    k on: those up to the stop fold as one step, whose level row is the
+    sorted union of theirs, so weights up to that stop are read.  Cost ties
     are emitted in full, so the result may exceed K entries; with fewer than
     K positive eigenvalues it is padded with +inf costs to K.  A fold that
     overflows to +inf is a zero eigenvalue, so it pads and is never a tie.
@@ -458,12 +511,27 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float
     L2 = float(levels[0]) if len(levels) else math.inf
     costs = np.zeros(1)
     starts, jw = _rank_starts(K)
+    g = g1
     with np.errstate(over="ignore"):  # sums past the float range saturate to inf
         for k in range(1, d + 1):
-            g = g1 if k == 1 else _check_cost(G(k))
             if g + L2 == math.inf or (len(costs) >= K and g + L2 > costs[-1]):
                 break
-            w = g + levels
+            g_next = _check_cost(G(k + 1)) if k < d else math.inf
+            block = len(costs) >= K and (g + L2) + (g_next + L2) > costs[-1]
+            if block:
+                # A second level from coordinate k on costs at least this pair
+                # sum, above a K-th cost that only falls: the coordinates up to
+                # the stop fold as one, whose row is the sorted union of theirs,
+                # each cut at the K-th cost and copied, so no full row stays.
+                top, rows = costs[-1], []
+                for gs in chain((g, g_next), map(_check_cost, map(G, range(k + 2, d + 1)))):
+                    if not gs + L2 <= top:  # the stop rule, against the K-th cost kept
+                        break
+                    w = gs + levels
+                    rows.append(w[:np.searchsorted(w, top, "right")].copy())
+                w = np.sort(np.concatenate(rows))
+            else:
+                w = g + levels
             w = np.concatenate(([0.0], w[:np.searchsorted(w, math.inf)]))  # finite only
             if k == 1:  # folded onto the one cost 0, with zeros as +0.0
                 cand = 0.0 + w
@@ -483,6 +551,9 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float
                 cand = np.sort(costs[np.arange(total) - np.repeat(np.cumsum(n) - n, n)]
                                + np.repeat(w, n))
             costs = cand[:np.searchsorted(cand, cand[K - 1], "right")] if len(cand) > K else cand
+            if block:
+                break
+            g = g_next
     return costs.tolist() + [math.inf] * (K - len(costs))
 
 

@@ -14,7 +14,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import repeat
+from itertools import repeat, starmap
 from typing import ClassVar
 
 import numpy as np
@@ -536,6 +536,12 @@ def _mapped(f, x: np.ndarray, *consts) -> np.ndarray:
     return np.fromiter(map(f, x.tolist(), *map(repeat, consts)), float, len(x))
 
 
+def _mapped_log(x: np.ndarray) -> np.ndarray:
+    """``_mapped(math.log, x)``.  math.log, whose base is optional, takes its
+    arguments as a tuple; starmap hands it zip's instead of a new one per call."""
+    return np.fromiter(starmap(math.log, zip(x.tolist())), float, len(x))
+
+
 #: math.log(j) for j = 1, 2, ..., len, shared by every table: a read-only
 #: view of one buffer of 2**17 entries (1 MB, the summability audit's J),
 #: filled up to the highest index asked for so far.
@@ -560,10 +566,10 @@ class _BlockMath:
         global _index_logs
         logs, n = _index_logs, self._b - 1
         if x is not self.j or n > _INDEX_LOGS_CAP:
-            return _mapped(math.log, x)
+            return _mapped_log(x)
         if n > len(logs):
             buf = np.empty(_INDEX_LOGS_CAP) if logs.base is None else logs.base
-            buf[len(logs):n] = _mapped(math.log, np.arange(len(logs) + 1, n + 1, dtype=float))
+            buf[len(logs):n] = _mapped_log(np.arange(len(logs) + 1, n + 1, dtype=float))
             logs = _index_logs = buf[:n]
             logs.flags.writeable = False
         return logs[self._a - 1:n]

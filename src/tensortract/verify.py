@@ -66,16 +66,18 @@ def brute_force_count(lam: EigenSeq, gam: WeightSeq, q: Query, box: int) -> int:
         if col[box - 1] < B:
             raise BoxTooSmall(
                 f"level {box} on coordinate {k + 1} still qualifies; enlarge the box")
+    # The long prefix runs along numpy's inner loop; IEEE addition commutes,
+    # so each sum is still the left fold in coordinate order.
     prefix = cols[0]
     for col in cols[1:-1]:
-        prefix = (prefix[:, None] + col).ravel()
+        prefix = (col[:, None] + prefix).ravel()
     if q.d == 1:
         return int(np.count_nonzero(prefix < B))
     last = cols[-1]
     count = 0
     chunk = max(1, _CHUNK_ELEMS // box)
     for i in range(0, prefix.size, chunk):
-        total = prefix[i:i + chunk, None] + last
+        total = last[:, None] + prefix[i:i + chunk]
         count += int(np.count_nonzero(total < B))
     return count
 

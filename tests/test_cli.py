@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tensortract import EigenSeq, Query, WeightSeq, cli, family_from_descriptor, info_complexity
-from tensortract.cli import (EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _cell, _dump_json,
-                             _write_rows, main)
+from tensortract.cli import (_DEDUPE_MIN_ROWS, EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
+                             _cell, _dump_json, _write_rows, main)
 from tensortract.verify import AuditReport
 
 LN2 = math.log(2.0)
@@ -538,6 +538,16 @@ class TestCsvColumns:
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1))
     def test_floats_from_bit_patterns(self, bits):
         self.check(list(map(_float_from_bits, bits)))
+
+    @pytest.mark.parametrize("rows", [_DEDUPE_MIN_ROWS - 1, _DEDUPE_MIN_ROWS])
+    def test_repeating_floats_either_side_of_the_dedupe(self, rows):
+        # Short columns are formatted cell by cell, longer ones once per bit
+        # pattern; both keep the sign of -0.0 and spell nan and inf.
+        cells = [0.0, -0.0, math.nan, 0.1, -math.inf]
+        column = [cells[i % len(cells)] for i in range(rows)]
+        self.check(column)
+        for got, v in zip(_write_rows({"a": column}, "json", {}).split('"a": ')[1:], column):
+            assert got.split("\n")[0] == _dump_json(v)
 
     @pytest.mark.parametrize("column", [
         [1, 2, 10**30], ["", "budget_exceeded", "a,b", 'q"t'], [1, "", 3],

@@ -42,6 +42,7 @@ from tensortract.verify import random_tabulated_instance
 LN2 = math.log(2.0)
 DYADIC = EigenSeq(ExpPower(LN2, 1.0))  # lambda_j = 2**-(j-1)
 ONES = WeightSeq(ConstantOne())
+INTEGER_LEVELS = EigenSeq(Tabulated(tuple(map(float, range(30)))))  # L(j) = j - 1
 MAX = sys.float_info.max
 INF_BITS = 0x7FF0000000000000  # the bit pattern of +inf
 
@@ -372,7 +373,11 @@ class TestSplitCounter:
         # The cell where the tail thresholds cost the most.
         ((EigenSeq(ExpPower(1.0, 1.0)), WeightSeq(ExpPower(1.0, 1.0))), 30.0, 40,
          CountResult(2_299_709_390, 12_635_545, 40)),
-    ], ids=["double_exp-1e8", "power_law-exp_power-12", "exp_power-30"])
+        # The size rule ends the far block after coordinate 40; folding
+        # coordinate 39 into it would enumerate 6,337 entries.
+        ((EigenSeq(PowerLaw(1.0)), WeightSeq(PowerLaw(0.7))), 3.0, 40,
+         CountResult(23_516, 6_869, 40)),
+    ], ids=["double_exp-1e8", "power_law-exp_power-12", "exp_power-30", "power_law-power_law-3"])
     def test_reach_cells_are_pinned(self, pair, E, d, want):
         # Large heads and tails on both sides of the split; nodes_visited
         # pins the split decisions as well as the count.
@@ -397,6 +402,46 @@ class TestSplitCounter:
             q = Query(E, d)
             got = info_complexity(lam, gam, q).count
             assert got == (want if want is not None else brute_force_count(lam, gam, q, 10))
+
+    @staticmethod
+    def first_tail_step(monkeypatch, gam, q):
+        """The count, and (thresholds, row entries) of the first tail step."""
+        steps = []
+        real = complexity._extend_tail
+        monkeypatch.setattr(complexity, "_extend_tail", lambda taus, w, B, room: (
+            steps.append((len(taus), len(w))) or real(taus, w, B, room)))
+        got = info_complexity(INTEGER_LEVELS, gam, q)
+        monkeypatch.undo()
+        return got, steps[0]
+
+    def test_far_block_across_pairs_on_the_budget(self, monkeypatch):
+        # Levels 0, 1, 2, ... and B = 20.  On coordinates 6 to 11 the cheapest
+        # level costs 9, 10, 10, 10, 11, 11, so the pairs (7, 8) and (8, 9)
+        # cost exactly B: no tail tuple leaves level 1 twice on 7 to 11, which
+        # fold as one step of 10 + 10 + 10 + 9 + 9 entries.  The pair (6, 7)
+        # costs 19 and ends the block.
+        gam = WeightSeq(Tabulated((0.0, 0.0, 0.0, 1.0, 2.0, 8.0, 9.0, 9.0, 9.0, 10.0, 10.0)))
+        q = Query(10.0, 11)
+        assert self.first_tail_step(monkeypatch, gam, q) == (CountResult(36_666, 2_139, 11),
+                                                             (0, 48))
+        # The block starts at 1,350 entries and adds 9, 9, 10, 10 and 10.  A
+        # budget inside it names the entries of the step that crossed it.
+        with pytest.raises(BudgetExceeded, match="needs at least 1378 enumerated entries"):
+            info_complexity(INTEGER_LEVELS, gam, q, node_budget=1370)
+        monkeypatch.setattr(complexity, "_TAIL_STEP_ENTRIES", 10**9)  # a Python head alone
+        assert info_complexity(INTEGER_LEVELS, gam, q).count == 36_666
+
+    def test_far_block_stops_at_the_size_rule(self, monkeypatch):
+        # The pair (5, 6) costs exactly B = 20, so coordinates 5 to 7 could
+        # fold as one.  After 7 and 6 (19 entries) the head of 267 entries no
+        # longer exceeds _TAIL_STEP_ENTRIES + 19, and coordinate 5 goes to the
+        # head, as it did one coordinate at a time; folding it into the block
+        # would enumerate 537 entries.
+        gam = WeightSeq(Tabulated((0.0, 1.0, 3.0, 5.0, 9.0, 9.0, 10.0)))
+        q = Query(10.0, 7)
+        assert self.first_tail_step(monkeypatch, gam, q) == (CountResult(2_678, 628, 7), (0, 19))
+        monkeypatch.setattr(complexity, "_TAIL_STEP_ENTRIES", 10**9)
+        assert info_complexity(INTEGER_LEVELS, gam, q).count == 2_678
 
     def test_merge_path_is_taken(self, monkeypatch):
         calls = []
@@ -473,6 +518,26 @@ class TestSplitCounter:
             info_complexity(EigenSeq(ExpPower(1.0, 1.0)), ONES, Query(1.0, 2 * 10**6),
                             node_budget=1000)
         assert 0 < len(reads) < 64
+
+
+class TestLevelsBelow:
+    def test_exact_cut_at_rounded_ties(self):
+        # Levels a few ulp either side of B - g, where B - g can round the
+        # other way from g + L, with ties: the row is g + L for exactly the
+        # levels with g + L < B.
+        rng = random.Random(13)
+        for _ in range(600):
+            B = rng.uniform(0.5, 60.0)
+            g = rng.uniform(0.0, 0.5 * B)
+            levels = [rng.uniform(0.0, B - g) for _ in range(rng.randint(0, 4))]
+            for _ in range(rng.randint(1, 6)):
+                lv = B - g
+                for _ in range(rng.randint(0, 3)):
+                    lv = math.nextafter(lv, rng.choice([0.0, math.inf]))
+                levels += [lv] * rng.randint(1, 2)
+            levels.sort()
+            got = complexity._levels_below(g, np.array(levels), B).tolist()
+            assert got == [g + lv for lv in levels if g + lv < B]
 
 
 class TestArrayHead:
@@ -706,6 +771,20 @@ class TestSpectrum:
                     "nan-weights": (DYADIC, WeightSeq(NaNFromOne()))}[bad]
         with pytest.raises(ValueError, match="log-magnitude must be >= 0"):
             top_eigenvalues(lam, gam, d, K)
+
+    def test_a_bad_weight_in_the_far_block_is_rejected(self):
+        # One coordinate at a time, this fold reads weights up to coordinate
+        # 6.  From there the far coordinates fold as one block, which reads on
+        # to coordinate 14, the first whose cheapest level exceeds the K-th
+        # cost kept before the block; so a NaN weight there now raises.
+        class NaNFromTen(ExpPower):
+            def log_inv(self, j):
+                return math.nan if j >= 10 else super().log_inv(j)
+
+        lam = EigenSeq(PowerLaw(1.0))
+        assert len(top_eigenvalues(lam, WeightSeq(ExpPower(0.3, 0.5)), 30, 7)) == 7
+        with pytest.raises(ValueError, match="log-magnitude must be >= 0"):
+            top_eigenvalues(lam, WeightSeq(NaNFromTen(0.3, 0.5)), 30, 7)
 
     def test_frontier_cap(self):
         # all 50**6 tuples cost 0, so the tie class of the top eigenvalue runs away

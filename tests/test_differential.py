@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensortract import (
+    ConstantOne,
     DoubleExpPower,
     EigenSeq,
     EventuallyZero,
@@ -295,10 +296,13 @@ ACTIVE_CASES = [
 
 @pytest.mark.parametrize("fam, wfam, K", ACTIVE_CASES)
 def test_top_stops_at_active_dimension(monkeypatch, fam, wfam, K):
-    """Past the active dimension m the list is the list at m, and no weight past m + 1 is read.
+    """Past the active dimension m the list is the list at m, and on these
+    pairs no weight past m + 1 is read.
 
     m is the last coordinate that can hold a level within the K-th cost:
-    G(m) + L(2) <= cost_K < G(m + 1) + L(2).
+    G(m) + L(2) <= cost_K < G(m + 1) + L(2).  A far block can read further:
+    its stop is taken against the K-th cost kept before it, which can exceed
+    cost_K (``test_a_bad_weight_in_the_far_block_is_rejected``).
     """
     lam, gam = EigenSeq(fam), WeightSeq(wfam)
     read = []
@@ -368,6 +372,17 @@ EDGE_PAIRS = (
     # Sums past the float range saturate to inf, a zero eigenvalue.
     GoldenPair("saturating", EigenSeq(Tabulated((0.0, 1e308, 1e308, 1.5e308))),
                WeightSeq(Tabulated((0.0, 5e307, 6e307))), (), ()),
+    # At d = 12 and K = 500 the cheapest levels of two coordinates sum to
+    # exactly the K-th cost kept: a tuple with both ties with it, so those
+    # coordinates may not fold as one block.
+    GoldenPair("pair_on_the_kth_cost", EigenSeq(Tabulated((0.0, 0.0, 1.0, 2.0, 7.0, 10.0))),
+               WeightSeq(Tabulated((0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 2.5, 2.5, 2.5, 2.5))), (), ()),
+    # The far coordinates fold as one block that runs to d: coordinates 3 to
+    # 5 at d = 5 and K = 7, 9 to 12 at K = 500, 10 to 12 at K = 3000.
+    GoldenPair("block_to_the_last_coordinate",
+               EigenSeq(Tabulated((0.0, 1.0, 2.0, 2.0, 2.0, 3.0, 7.0, 9.0, 10.0))),
+               WeightSeq(Tabulated((0.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.5, 1.5, 1.5) + (3.0,) * 5)),
+               (), ()),
 )
 
 
@@ -395,6 +410,15 @@ def test_fold_bits_match_the_frozen_fold(pair):
             overshoot += len(top) > K
     # Each pair has a tie class that some K cuts: results longer than K are covered.
     assert overshoot
+
+
+def test_constant_weights_match_the_frozen_fold():
+    """Equal weights on 3,000 coordinates: once two cheapest levels exceed the
+    K-th cost, every later coordinate joins one block, in one step."""
+    lam, gam = EigenSeq(ExpPower(1.0, 1.0)), WeightSeq(ConstantOne())
+    top = top_eigenvalues(lam, gam, 3000, 10)
+    ref = frozen_top_eigenvalues(lam, gam, 3000, 10)
+    assert list(map(float.hex, top)) == list(map(float.hex, ref))
 
 
 def test_rank_bound_reads_only_run_starts():
