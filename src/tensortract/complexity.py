@@ -473,6 +473,11 @@ def _rank_starts(K: int) -> tuple:
     return i, (K + i) // (i + 1) - 1
 
 
+def _with_level_one(w: np.ndarray) -> np.ndarray:
+    """0.0, the cost of level 1, then the finite entries of the ascending row w."""
+    return np.concatenate(([0.0], w[:np.searchsorted(w, math.inf)]))
+
+
 def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float]:
     """K largest tensor eigenvalues as non-decreasing log(1/value) costs.
 
@@ -487,7 +492,12 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float
     cheapest levels of coordinates k and k + 1 sum above the K-th cost kept,
     which only falls, no kept tuple leaves level 1 on two coordinates from
     k on: those up to the stop fold as one step, whose level row is the
-    sorted union of theirs, so weights up to that stop are read.  Cost ties
+    sorted union of theirs.  The block's stop is taken against a bound on
+    the K-th cost that each of its cheapest levels lowers, so it spans at
+    most K coordinates besides ties, and may read a few weights past the
+    stop of one coordinate at a time.  A block whose pairs exceed the cap
+    folds coordinate k alone instead, so the cap raises only where, and as,
+    one coordinate at a time does.  Cost ties
     are emitted in full, so the result may exceed K entries; with fewer than
     K positive eigenvalues it is padded with +inf costs to K.  A fold that
     overflows to +inf is a zero eigenvalue, so it pads and is never a tie.
@@ -521,31 +531,44 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float
             if block:
                 # A second level from coordinate k on costs at least this pair
                 # sum, above a K-th cost that only falls: the coordinates up to
-                # the stop fold as one, whose row is the sorted union of theirs,
-                # each cut at the K-th cost and copied, so no full row stays.
-                top, rows = costs[-1], []
+                # the stop fold as one, whose row is the sorted union of theirs.
+                # Each one's cheapest level, on the zero cost, is a candidate, so
+                # with r of them the K-th cost is at most b, the K-th of these and
+                # the costs kept: the least over i <= min(r, K) of max(i-th of
+                # them, costs[K-1-i] for i < K).  The block stops at the first
+                # cheapest level above b, and each row is cut at b and copied.
+                b, rows = float(costs[K - 1]), []
                 for gs in chain((g, g_next), map(_check_cost, map(G, range(k + 2, d + 1)))):
-                    if not gs + L2 <= top:  # the stop rule, against the K-th cost kept
+                    f = gs + L2
+                    if not f <= b:
                         break
+                    i = K - 2 - len(rows)
+                    b = min(b, max(f, float(costs[i]) if i >= 0 else 0.0))
                     w = gs + levels
-                    rows.append(w[:np.searchsorted(w, top, "right")].copy())
+                    rows.append(w[:np.searchsorted(w, b, "right")].copy())
                 w = np.sort(np.concatenate(rows))
             else:
                 w = g + levels
-            w = np.concatenate(([0.0], w[:np.searchsorted(w, math.inf)]))  # finite only
+            w = _with_level_one(w)
             if k == 1:  # folded onto the one cost 0, with zeros as +0.0
                 cand = 0.0 + w
             else:
-                # The (i+1) * (jw[i]+1) sums costs[:i+1] + w[:jw[i]+1] are at most
-                # costs[i] + w[jw[i]], least at a run start: u bounds the K-th cost.
-                # A sum <= u is below the double after u, so per level the costs
-                # kept are those below w's threshold against it (finite sums for inf).
-                keep = (starts < len(costs)) & (jw < len(w))
-                u = float(np.min(costs[starts[keep]] + w[jw[keep]], initial=math.inf))
-                w = w[w <= u]
-                next_u = math.nextafter(u, math.inf)
-                n = np.searchsorted(costs, _thresholds(w, np.full(len(w), next_u)))
-                total = int(n.sum())
+                while True:
+                    # The (i+1) * (jw[i]+1) sums costs[:i+1] + w[:jw[i]+1] are at most
+                    # costs[i] + w[jw[i]], least at a run start: u bounds the K-th cost.
+                    # A sum <= u is below the double after u, so per level the costs
+                    # kept are those below w's threshold against it (finite sums for inf).
+                    keep = (starts < len(costs)) & (jw < len(w))
+                    u = float(np.min(costs[starts[keep]] + w[jw[keep]], initial=math.inf))
+                    w = w[w <= u]
+                    next_u = math.nextafter(u, math.inf)
+                    n = np.searchsorted(costs, _thresholds(w, np.full(len(w), next_u)))
+                    total = int(n.sum())
+                    if not (block and total > cap):
+                        break
+                    # The block's pairs share one bound: past the cap, fold
+                    # coordinate k alone, as one coordinate at a time does.
+                    block, w = False, _with_level_one(g + levels)
                 if total > cap:
                     raise BudgetExceeded(over.format(total, k))
                 cand = np.sort(costs[np.arange(total) - np.repeat(np.cumsum(n) - n, n)]

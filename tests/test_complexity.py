@@ -774,17 +774,34 @@ class TestSpectrum:
 
     def test_a_bad_weight_in_the_far_block_is_rejected(self):
         # One coordinate at a time, this fold reads weights up to coordinate
-        # 6.  From there the far coordinates fold as one block, which reads on
-        # to coordinate 14, the first whose cheapest level exceeds the K-th
-        # cost kept before the block; so a NaN weight there now raises.
-        class NaNFromTen(ExpPower):
+        # 3.  From coordinate 3 the far coordinates fold as one block, whose
+        # stop is taken against a bound on the K-th cost that holds before the
+        # block is folded; it reads coordinate 4, so a NaN weight there raises.
+        class NaNFromFour(ExpPower):
             def log_inv(self, j):
-                return math.nan if j >= 10 else super().log_inv(j)
+                return math.nan if j >= 4 else super().log_inv(j)
 
-        lam = EigenSeq(PowerLaw(1.0))
-        assert len(top_eigenvalues(lam, WeightSeq(ExpPower(0.3, 0.5)), 30, 7)) == 7
+        lam = EigenSeq(PowerLaw(2.0))
+        assert len(top_eigenvalues(lam, WeightSeq(ExpPower(1.0, 1.0)), 30, 7)) == 7
         with pytest.raises(ValueError, match="log-magnitude must be >= 0"):
-            top_eigenvalues(lam, WeightSeq(NaNFromTen(0.3, 0.5)), 30, 7)
+            top_eigenvalues(lam, WeightSeq(NaNFromFour(1.0, 1.0)), 30, 7)
+
+    @pytest.mark.parametrize("a, K, last", [(0.1, 3, 3), (0.1, 50, 50)])
+    def test_far_block_reads_few_weights(self, monkeypatch, a, K, last):
+        # Slowly growing G(k) = a log k: after coordinate 1 the costs are
+        # (0, 1, 1.9), and from coordinate 2 every pair of cheapest levels
+        # exceeds 1.9, so the far coordinates fold as one block.  Each one's
+        # cheapest level is a candidate that lowers the bound on the K-th
+        # cost, so the block stops after about K coordinates, where one
+        # coordinate at a time stops, and not where a log k passes 0.9.
+        read = []
+        log_inv = PowerLaw.log_inv
+        monkeypatch.setattr(PowerLaw, "log_inv", lambda self, j: read.append(j) or log_inv(self, j))
+        top = top_eigenvalues(EigenSeq(Tabulated((0.0, 1.0, 1.9))), WeightSeq(PowerLaw(a)),
+                              10**8, K)
+        monkeypatch.undo()
+        assert read == list(range(1, last + 1))
+        assert top[:2] == [0.0, 1.0] and top[2] == 1.0 + PowerLaw(a).log_inv(2)
 
     def test_frontier_cap(self):
         # all 50**6 tuples cost 0, so the tie class of the top eigenvalue runs away

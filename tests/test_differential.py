@@ -301,8 +301,8 @@ def test_top_stops_at_active_dimension(monkeypatch, fam, wfam, K):
 
     m is the last coordinate that can hold a level within the K-th cost:
     G(m) + L(2) <= cost_K < G(m + 1) + L(2).  A far block can read further:
-    its stop is taken against the K-th cost kept before it, which can exceed
-    cost_K (``test_a_bad_weight_in_the_far_block_is_rejected``).
+    its stop is taken against a bound on cost_K, which can exceed it
+    (``test_a_bad_weight_in_the_far_block_is_rejected``).
     """
     lam, gam = EigenSeq(fam), WeightSeq(wfam)
     read = []
@@ -383,6 +383,14 @@ EDGE_PAIRS = (
                EigenSeq(Tabulated((0.0, 1.0, 2.0, 2.0, 2.0, 3.0, 7.0, 9.0, 10.0))),
                WeightSeq(Tabulated((0.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.5, 1.5, 1.5) + (3.0,) * 5)),
                (), ()),
+    # Tie classes that grow eightfold per coordinate, up to the cap: a block
+    # whose pairs exceed the cap (d = 5 at K = 1 and 7, d = 12 at K = 3000)
+    # folds coordinate k alone instead, so it raises only where, and with
+    # the message that, one coordinate at a time raises.
+    GoldenPair("block_over_the_cap",
+               EigenSeq(Tabulated((0.0,) * 8 + (0.25,) + (0.5,) * 3 + (0.75,) * 3 + (1.0,) * 4
+                                  + (1.25,) * 3 + (1.5,) * 2)),
+               WeightSeq(Tabulated((0.0,) * 7 + (0.25,) * 2 + (0.75,) * 3 + (1.0,) * 2)), (), ()),
 )
 
 
