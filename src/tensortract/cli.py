@@ -17,7 +17,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass, is_dataclass, fields as dc_fields
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -298,19 +297,37 @@ def run_count(cfg: RunConfig) -> tuple:
 
 
 def run_topk(cfg: RunConfig) -> tuple:
-    """The TOPK_COLUMNS of the report: per d in increasing order, the K largest
-    eigenvalues or one budget_exceeded row; returns (columns, any_runtime_error)."""
-    cols = {c: [] for c in TOPK_COLUMNS}
+    """The rows of the TOPK_COLUMNS report as ``_write_rows`` renders them: per
+    d in increasing order, (d, rank, cost, exp(-cost), "") for each of the K
+    largest eigenvalues, or one budget_exceeded row; returns (rows,
+    any_runtime_error).  Equal costs are adjacent, so each run of one bit
+    pattern (an int64 compare finds the starts) takes one ``math.exp`` and
+    one format of its cost and eigenvalue as a single piece, repeated over
+    its rows; each d has a row template with a ``%d`` rank and a ``%s`` piece.
+    """
+    csv_out = cfg.out_format == "csv"
+    cell, cost_fmt = (_cell, "%.17g") if csv_out else (_dump_json, "%s")
+    row_fmt = _row_format(TOPK_COLUMNS, cfg.out_format)
+    rows, had_error = [], False
     for d in sorted(cfg.d_list):
         try:
             costs = top_eigenvalues(cfg.lam, cfg.gam, d, cfg.k)
-            block = ([d] * len(costs), range(1, len(costs) + 1), costs,
-                     map(math.exp, map(float.__neg__, costs)), [""] * len(costs))
         except BudgetExceeded:
-            block = ([d], [""], [""], [""], ["budget_exceeded"])
-        for col, cells in zip(cols.values(), block):
-            col.extend(cells)
-    return cols, any(cols["error"])
+            rows.append(row_fmt % tuple(map(cell, (d, "", "", "", "budget_exceeded"))))
+            had_error = True
+            continue
+        # TOPK_COLUMNS hold no "%", so the filled template has no escapes.
+        lead, sep, trail = (row_fmt % (cell(d), "%d", "%s", "%s", cell(""))).split("%s")
+        bits = np.array(costs).view(np.int64)
+        starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+        run_costs = [costs[i] for i in starts.tolist()]
+        eigs = map(math.exp, map(float.__neg__, run_costs))
+        # An eigenvalue is finite, so its JSON is its "%.17g" too.
+        pieces = list(map(f"{cost_fmt}{sep}%.17g".__mod__,
+                          zip(run_costs if csv_out else map(_dump_json, run_costs), eigs)))
+        cells = np.repeat(np.array(pieces, object), np.diff(starts, append=len(costs)))
+        rows += map(f"{lead}%s{trail}".__mod__, zip(range(1, len(costs) + 1), cells.tolist()))
+    return rows, had_error
 
 
 def run_classify(cfg: RunConfig) -> dict:
@@ -374,26 +391,32 @@ def _report_head(cfg: RunConfig, command: str) -> dict:
             "lambda": cfg.lam.descriptor(), "gamma": cfg.gam.descriptor()}
 
 
-def _write_rows(cols: dict, out_format: str, head: dict, **tail) -> str:
-    """``cols`` (column name: list of cells) as CSV, or as one JSON document:
-    ``head``, the rows, then ``tail``.  Each column is first rendered to strings
-    (``_column_cells``).  A CSV row is those strings joined by commas, which
-    with two or more columns is the row ``csv.writer(lineterminator="\\n")``
-    writes from ``_cell`` values; a JSON row is one ``%`` of a template with a
-    ``%s`` field per column.
-    """
-    cells = [_column_cells(col, out_format) for col in cols.values()]
+def _row_format(names, out_format: str) -> str:
+    """The row template of a report with columns ``names``: one ``%s`` field
+    per column, between commas in CSV and after its key in JSON."""
     if out_format == "csv":
-        return "\n".join([",".join(_column_cells(list(cols), "csv")),
-                          *map(",".join, zip(*cells))]) + "\n"
-    keys = [json.dumps(str(c)).replace("%", "%%") for c in cols]
-    row_fmt = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
-    rows = ",\n".join(map(row_fmt.__mod__, zip(*cells)))
+        return ",".join(["%s"] * len(names))
+    keys = [json.dumps(str(c)).replace("%", "%%") for c in names]
+    return "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
+
+
+def _write_rows(cols, out_format: str, head: dict, rows: list | None = None, **tail) -> str:
+    """``cols`` (column name: list of cells) as CSV, or as one JSON document:
+    ``head``, the rows, then ``tail``.  Each column is rendered to strings
+    (``_column_cells``) and each row is one ``%`` of ``_row_format``'s
+    template; with two or more columns, a CSV row is the one ``csv.writer(
+    lineterminator="\\n")`` writes from ``_cell`` values.  Given ``rows``
+    rendered already (``run_topk``), ``cols`` only names the columns."""
+    if rows is None:
+        cells = [_column_cells(col, out_format) for col in cols.values()]
+        rows = list(map(_row_format(cols, out_format).__mod__, zip(*cells)))
+    if out_format == "csv":
+        return "\n".join([",".join(_column_cells(list(cols), "csv")), *rows]) + "\n"
     # The rows fill the top-level empty "rows" array of the document without them.
     lead, trail = _dump_json({**head, "rows": [], **tail}).split('\n  "rows": []')
     if not rows:
         return f'{lead}\n  "rows": []{trail}\n'
-    return "".join([lead, '\n  "rows": [\n', rows, "\n  ]", trail, "\n"])
+    return "".join([lead, '\n  "rows": [\n', ",\n".join(rows), "\n  ]", trail, "\n"])
 
 
 def _cell(v) -> str:
@@ -412,52 +435,27 @@ def _csv_quoted(cell: str) -> str:
     return buf.getvalue()[:-2]
 
 
-#: Rows below which a float column is formatted cell by cell: there numpy's
-#: fixed cost (about 15 us) exceeds the formatting the dedupe saves, even
-#: when the column repeats a few values throughout.
-_DEDUPE_MIN_ROWS = 32
-
-
 def _column_cells(col: list, out_format: str) -> list:
     """The cells of one report column, as strings.
 
     Ints that are not bools print as "%d" and floats as "%.17g", which spells
-    inf and nan; in JSON a non-finite float is a string (``_dump_json``).
-    Other cells take ``_cell`` in CSV, quoted by csv where a cell needs it,
-    and in JSON ``json.dumps`` of strs and ``_dump_json`` of anything else.
-    Floats are formatted once per bit pattern, so -0.0 keeps its sign, in
-    columns of ``_DEDUPE_MIN_ROWS`` rows or more; ints, and strs in JSON, once
-    per value (``_formatted``).  A mixed column, where the equal cells 1, 1.0
-    and True print differently, goes cell by cell.
+    inf and nan and keeps the sign of -0.0; in JSON a non-finite float is a
+    string (``_dump_json``).  Other cells take ``_cell`` in CSV, quoted by csv
+    where a cell needs it, and in JSON ``json.dumps`` of strs and
+    ``_dump_json`` of anything else.  A mixed column, where the equal cells 1,
+    1.0 and True print differently, goes cell by cell.
     """
     kinds = set(map(type, col))
     if kinds == {int}:
-        return _formatted(col, str)
-    if all(map(issubclass, kinds, repeat(float))):
-        fmt = "%.17g".__mod__ if out_format == "csv" else _dump_json
-        if len(col) >= _DEDUPE_MIN_ROWS:
-            bits, where = np.unique(np.array(col, np.float64).view(np.int64), return_inverse=True)
-            if len(bits) < len(col):
-                cells = np.array(list(map(fmt, bits.view(np.float64).tolist())), object)
-                return cells[where].tolist()
-        return list(map(fmt, col))
+        return list(map(str, col))
+    if all(issubclass(k, float) for k in kinds):
+        return list(map("%.17g".__mod__ if out_format == "csv" else _dump_json, col))
     if out_format == "json":
-        return _formatted(col, json.dumps) if kinds == {str} else list(map(_dump_json, col))
+        return list(map(json.dumps if kinds == {str} else _dump_json, col))
     cells = col if kinds == {str} else list(map(_cell, col))
     if _CSV_SPECIAL.search("".join(cells)):
         cells = list(map(_csv_quoted, cells))
     return cells
-
-
-def _formatted(col: list, fmt) -> list:
-    """``list(map(fmt, col))`` for a column whose equal cells format alike, with
-    ``fmt`` run once per distinct value; a column of distinct values is mapped
-    directly, since the lookups would cost more than they save."""
-    distinct = set(col)
-    if len(distinct) == len(col):
-        return list(map(fmt, col))
-    memo = dict(zip(distinct, map(fmt, distinct)))
-    return list(map(memo.__getitem__, col))
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -505,14 +503,16 @@ def main(argv=None) -> int:
             head = {"schema": SCHEMA_VERSION, "command": "audit"}
             _emit(_write_rows(cols, cfg.out_format, head, passed=ok), cfg.out_path)
             return EXIT_OK if ok else EXIT_AUDIT
+        rows = None
         if command == "topk":
-            cols, had_error = run_topk(cfg)
+            cols = TOPK_COLUMNS
+            rows, had_error = run_topk(cfg)
         else:
             _require(bool(cfg.E_list), "count/sweep require an E grid")
             _require(command == "sweep" or (len(cfg.E_list) == 1 and len(cfg.d_list) == 1),
                      "count expects exactly one E value and one dimension; use sweep for grids")
             cols, had_error = run_count(cfg)
-        _emit(_write_rows(cols, cfg.out_format, _report_head(cfg, command)), cfg.out_path)
+        _emit(_write_rows(cols, cfg.out_format, _report_head(cfg, command), rows), cfg.out_path)
         return EXIT_RUNTIME if had_error else EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,15 +1,19 @@
+import contextlib
 import csv
 import io
 import json
 import math
 import struct
+import tempfile
+from pathlib import Path
 from types import ModuleType
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tensortract import EigenSeq, Query, WeightSeq, cli, family_from_descriptor, info_complexity
-from tensortract.cli import (_DEDUPE_MIN_ROWS, EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
+from tensortract import (BudgetExceeded, EigenSeq, Query, Tabulated, WeightSeq, cli,
+                         family_from_descriptor, info_complexity, top_eigenvalues)
+from tensortract.cli import (EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, TOPK_COLUMNS,
                              _cell, _dump_json, _write_rows, main)
 from tensortract.verify import AuditReport
 
@@ -539,10 +543,11 @@ class TestCsvColumns:
     def test_floats_from_bit_patterns(self, bits):
         self.check(list(map(_float_from_bits, bits)))
 
-    @pytest.mark.parametrize("rows", [_DEDUPE_MIN_ROWS - 1, _DEDUPE_MIN_ROWS])
+    @pytest.mark.parametrize("rows", [31, 32])
     def test_repeating_floats_either_side_of_the_dedupe(self, rows):
-        # Short columns are formatted cell by cell, longer ones once per bit
-        # pattern; both keep the sign of -0.0 and spell nan and inf.
+        # Float columns are formatted cell by cell at every length; 31 and 32
+        # rows straddle the length from which the writer once formatted each
+        # bit pattern once.  Both keep the sign of -0.0 and spell nan and inf.
         cells = [0.0, -0.0, math.nan, 0.1, -math.inf]
         column = [cells[i % len(cells)] for i in range(rows)]
         self.check(column)
@@ -574,6 +579,47 @@ class TestReportWriter:
         head = {"schema": 1, "command": "x"}
         expected = _dump_json({**head, "rows": rows, "passed": True}) + "\n"
         assert _write_rows(cols, "json", head, passed=True) == expected
+
+    # Few distinct costs, so that eigenvalues tie within and across levels.
+    _TIED = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 2.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_TIED, min_size=2, max_size=12).map(sorted),
+           st.lists(_TIED, min_size=1, max_size=5).map(sorted),
+           st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
+           st.integers(1, 60))
+    # Fewer positive eigenvalues than K: the costs are padded with inf.
+    @example([0.0, 1.0], [0.5], [3, 2], 20)
+    # 12**4 zero costs at d = 4 exceed the candidate cap.
+    @example([0.0] * 12 + [1.0], [0.0] * 4, [4, 1], 5)
+    def test_topk_matches_rows_from_top_eigenvalues(self, lam, gam, ds, k):
+        # The top-K report against rows built one at a time from
+        # top_eigenvalues, through csv.writer over _cell and _dump_json.
+        seqs = EigenSeq(Tabulated(tuple(lam))), WeightSeq(Tabulated(tuple(gam)))
+        rows = []
+        for d in sorted(ds):
+            try:
+                costs = top_eigenvalues(*seqs, d, k)
+                rows += [(d, r, c, math.exp(-c), "") for r, c in enumerate(costs, 1)]
+            except BudgetExceeded:
+                rows.append((d, "", "", "", "budget_exceeded"))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [TOPK_COLUMNS] + [list(map(_cell, row)) for row in rows])
+        head = {"schema": 1, "command": "topk", "lambda": seqs[0].descriptor(),
+                "gamma": seqs[1].descriptor()}
+        expected = {"csv": buf.getvalue(), "json": _dump_json(
+            {**head, "rows": [dict(zip(TOPK_COLUMNS, row)) for row in rows]}) + "\n"}
+        code = EXIT_RUNTIME if any(row[4] for row in rows) else EXIT_OK
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), "t.json", {
+                "schema": 1, "lambda": {"family": "tabulated", "values": lam},
+                "gamma": {"family": "tabulated", "values": gam}, "queries": {"d": ds}, "k": k})
+            for out_format, text in expected.items():
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(["topk", "--config", cfg, "--format", out_format]) == code
+                assert out.getvalue() == text
 
     def test_topk_csv_and_json_carry_the_same_cells(self, tmp_path, capsys):
         # 50 zero costs, then distinct ones: d = 1 has 2000 rows, d = 2 a full
