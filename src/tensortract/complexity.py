@@ -221,8 +221,16 @@ def _extend_head(head, g: float, reach_next: float, Ltab: list, B: float, room: 
     return done, out
 
 
-def _thresholds(w: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Smallest double p >= 0 with ``p + w >= tau``, elementwise, for w >= 0.
+def _step(x: np.ndarray, k: int) -> np.ndarray:
+    """The doubles k steps above the doubles x >= 0 (below, for k < 0): these
+    order like their int64 bit patterns, +inf included.  The step below +0.0
+    and the step above +inf are NaNs, which compare false."""
+    return (x.view(np.int64) + k).view(np.float64)
+
+
+def _thresholds(w: np.ndarray, tau) -> np.ndarray:
+    """Smallest double p >= 0 with ``p + w >= tau``, elementwise, for w >= 0
+    and tau >= 0 either an array or one float.
 
     Under round-to-nearest, p + w reaches tau once the exact sum passes the
     midpoint tau - h between tau and the double below it, h being half their
@@ -231,24 +239,33 @@ def _thresholds(w: np.ndarray, tau: np.ndarray) -> np.ndarray:
     within a few ulp of the answer: tau - w is at least the gap 2h, so the
     answer is at least half of it, and each of the two roundings moves the
     estimate by at most one ulp of the answer.  The estimate then moves one
-    double at a time, up while the predicate fails and down, never below 0,
-    while the double below also satisfies it, so the result is exact.  p + w
-    is monotone in p.  Where w >= tau the answer is 0.
+    double at a time (``_step``), up while the predicate fails and down
+    while the double below also satisfies it, so the result is exact.  The
+    walk down stops at 0, whose step below is a NaN.  p + w is monotone in
+    p.  Where w >= tau the answer is 0.  One float tau keeps the gap and the
+    tau = inf case scalar, with no array of bounds.
     """
-    # inf - inf where tau is inf, replaced below; sums past MAX round to inf.
+    one = isinstance(tau, float)
+    at = (lambda i: tau) if one else tau.__getitem__
+    # Sums past MAX round to inf; fmax clamps a NaN estimate (tau = 0) to 0.
     with np.errstate(over="ignore", invalid="ignore"):
-        p = (tau - w) - 0.5 * (tau - np.nextafter(tau, 0.0))
-        big = np.flatnonzero(tau == math.inf)
-        p[big] = (sys.float_info.max - w[big]) + 2.0**970
-        np.maximum(p, 0.0, out=p)
-        todo = np.flatnonzero(p + w < tau)
+        if not one:
+            p = (tau - w) - 0.5 * (tau - _step(tau, -1))  # NaN where tau is 0 or inf
+            big = (tau == math.inf).nonzero()[0]
+            p[big] = (sys.float_info.max - w[big]) + 2.0**970
+        elif tau == math.inf:
+            p = (sys.float_info.max - w) + 2.0**970
+        else:
+            p = (tau - w) - 0.5 * (tau - math.nextafter(tau, 0.0))
+        np.fmax(p, 0.0, out=p)
+        todo = (p + w < tau).nonzero()[0]
         while todo.size:
-            p[todo] = np.nextafter(p[todo], math.inf)
-            todo = todo[p[todo] + w[todo] < tau[todo]]
-        todo = np.flatnonzero((p > 0.0) & (np.nextafter(p, 0.0) + w >= tau))
+            p[todo] = _step(p[todo], 1)
+            todo = todo[p[todo] + w[todo] < at(todo)]
+        todo = (_step(p, -1) + w >= tau).nonzero()[0]
         while todo.size:
-            p[todo] = np.nextafter(p[todo], 0.0)
-            todo = todo[(p[todo] > 0.0) & (np.nextafter(p[todo], 0.0) + w[todo] >= tau[todo])]
+            p[todo] = _step(p[todo], -1)
+            todo = todo[_step(p[todo], -1) + w[todo] >= at(todo)]
     return p
 
 
@@ -256,11 +273,12 @@ def _fits(costs: np.ndarray, w: np.ndarray, bound: float) -> np.ndarray:
     """Per cost c >= 0, the number of ascending w_j with c + w_j < bound.
 
     c + w_j < bound exactly when c lies below the threshold t_j of w_j
-    (``_thresholds``), and the thresholds do not increase as w_j grows; so
-    the count is the number of thresholds above c.
+    (``_thresholds``, against the one float bound), and the thresholds do
+    not increase as w_j grows; so the count is the number of thresholds
+    above c.
     """
     w = w[:np.searchsorted(w, bound)]
-    t = _thresholds(w, np.full(len(w), bound))[::-1]
+    t = _thresholds(w, bound)[::-1]
     return len(t) - np.searchsorted(t, costs, side="right")
 
 
@@ -277,7 +295,7 @@ def _extend_head_array(head: np.ndarray, g: float, reach_next: float, levels: np
     with np.errstate(over="ignore"):  # sums past the float range saturate to inf
         # Level 1 is the zero entry: a cost that stays open is its own child.
         w = np.concatenate(([0.0], g + levels))  # the same float sums as the scalar g + L
-        T = float(_thresholds(np.array([reach_next]), np.array([B]))[0])  # 0 once reach_next >= B
+        T = float(_thresholds(np.array([reach_next]), B)[0])  # 0 once reach_next >= B
         n = _fits(head, w, T)
         new = int(n.sum())
         if new > room:
@@ -562,7 +580,7 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float
                     u = float(np.min(costs[starts[keep]] + w[jw[keep]], initial=math.inf))
                     w = w[w <= u]
                     next_u = math.nextafter(u, math.inf)
-                    n = np.searchsorted(costs, _thresholds(w, np.full(len(w), next_u)))
+                    n = np.searchsorted(costs, _thresholds(w, next_u))
                     total = int(n.sum())
                     if not (block and total > cap):
                         break

@@ -594,8 +594,13 @@ class TestThresholds:
     def check(w, tau):
         got = complexity._thresholds(np.array(w), np.array(tau))
         for p, wi, ti in zip(got.tolist(), w, tau):
-            assert p >= 0.0 and p + wi >= ti
+            assert p >= 0.0 and p + wi >= ti and math.copysign(1.0, p) == 1.0
             assert p == 0.0 or not (math.nextafter(p, 0.0) + wi >= ti)
+        # Each tau, as one float bound for its w, gives the array form's bits.
+        for t in set(tau):
+            at = [i for i, ti in enumerate(tau) if ti == t]
+            one = complexity._thresholds(np.array([w[i] for i in at]), float(t))
+            assert one.view(np.int64).tolist() == got.view(np.int64)[at].tolist()
 
     def test_random_and_knife_edge(self):
         rng = random.Random(3)
@@ -701,6 +706,37 @@ class TestThresholds:
         # p + w overflows to inf once it passes the midpoint above MAX.
         got = complexity._thresholds(np.array([math.nextafter(MAX, 0.0)]), np.array([math.inf]))
         assert got.tolist() == [3.0 * 2.0 ** 970]
+
+    def test_zero_tau_and_signed_zero_w(self):
+        # The step below tau = +0.0 is a NaN, so is the estimate; it clamps to +0.0.
+        w = [0.0, -0.0, 5e-324, 1.0, math.inf]
+        got = complexity._thresholds(np.array(w), np.zeros(len(w)))
+        assert got.view(np.int64).tolist() == [0] * len(w)
+        self.check(w, [0.0] * len(w))
+        self.check([0.0, -0.0], [1.0, 5e-324])
+
+    @pytest.mark.parametrize("t", [5e-324, 3e-323, 1e-310, 2.0 ** -1022, MAX, math.inf])
+    def test_one_float_bound_at_the_ends(self, t):
+        # Subnormal taus, whose gap is the smallest double, and the largest
+        # finite and infinite taus, as one float bound (``check``) and as an
+        # array; w from 0 up past tau.
+        w = [0.0, -0.0, 5e-324, 1e-320, 2.0 ** -1022, 1.0, 1e300, MAX / 2,
+             math.nextafter(MAX, 0.0), MAX, math.inf]
+        w += [from_bits(to_bits(t) - k) for k in (1, 2, 3, 2**20, 2**52) if to_bits(t) >= k]
+        self.check(w, [t] * len(w))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, INF_BITS).map(from_bits)
+                    | st.sampled_from([0.0, 5e-324, MAX, math.inf]), min_size=1))
+    def test_bit_steps_are_nextafter(self, xs):
+        # One step of the bit pattern is math.nextafter, up and down; past
+        # the ends, below 0 and above inf, it is a NaN.
+        x = np.array(xs)
+        ups, downs = complexity._step(x, 1).tolist(), complexity._step(x, -1).tolist()
+        for xi, up, down in zip(xs, ups, downs):
+            want_up = math.nextafter(xi, math.inf) if xi < math.inf else math.nan
+            want_down = math.nextafter(xi, 0.0) if xi > 0.0 else math.nan
+            assert (up.hex(), down.hex()) == (want_up.hex(), want_down.hex())
 
     def test_w_at_or_above_tau_gives_zero(self):
         # 0 already meets p + w >= tau, and the walk down stops there.

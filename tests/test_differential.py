@@ -9,6 +9,7 @@ against ``reference_top``, which sorts the fold costs of the whole box.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -317,12 +318,67 @@ def test_top_stops_at_active_dimension(monkeypatch, fam, wfam, K):
     assert top == top_eigenvalues(lam, gam, m, K) == reference_top(lam, gam, m, K)
 
 
+def frozen_thresholds(w, tau):
+    """The threshold kernel as it stood before its steps went by bit pattern:
+    the smallest double p >= 0 with ``p + w >= tau``, for arrays w, tau >= 0,
+    by ``np.nextafter`` steps from the midpoint estimate.  Kept, apart from
+    ``src/``, as the frozen fold's kernel and as the reference for
+    ``test_thresholds_match_the_frozen_kernel``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = (tau - w) - 0.5 * (tau - np.nextafter(tau, 0.0))
+        big = np.flatnonzero(tau == math.inf)
+        p[big] = (sys.float_info.max - w[big]) + 2.0**970
+        np.maximum(p, 0.0, out=p)
+        todo = np.flatnonzero(p + w < tau)
+        while todo.size:
+            p[todo] = np.nextafter(p[todo], math.inf)
+            todo = todo[p[todo] + w[todo] < tau[todo]]
+        todo = np.flatnonzero((p > 0.0) & (np.nextafter(p, 0.0) + w >= tau))
+        while todo.size:
+            p[todo] = np.nextafter(p[todo], 0.0)
+            todo = todo[(p[todo] > 0.0) & (np.nextafter(p[todo], 0.0) + w[todo] >= tau[todo])]
+    return p
+
+
+INF_BITS = 0x7FF0000000000000  # the bit pattern of +inf
+#: Bit patterns of doubles in [0, inf], with 0, the two smallest positive
+#: doubles, MAX and inf drawn often.
+BIT_PATTERNS = st.integers(0, INF_BITS) | st.sampled_from([0, 1, 2, INF_BITS - 1, INF_BITS])
+
+
+def from_bits(bits):
+    return np.array(bits, dtype=np.int64).view(np.float64)
+
+
+def near(t):
+    """A bit pattern anywhere in [0, inf], or within 64 patterns below t."""
+    return BIT_PATTERNS | st.integers(max(0, t - 64), t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(BIT_PATTERNS.flatmap(lambda t: st.tuples(st.just(t), st.lists(near(t), min_size=1))),
+       st.lists(BIT_PATTERNS.flatmap(lambda t: st.tuples(near(t), st.just(t))), min_size=1))
+def test_thresholds_match_the_frozen_kernel(one, pairs):
+    """The bit-pattern kernel gives the frozen kernel's bits, against one
+    float bound and against an array of bounds, w >= tau included."""
+    t, ws = one
+    w, tau = from_bits(ws), from_bits([t] * len(ws))
+    want = frozen_thresholds(w, tau).view(np.int64).tolist()
+    assert _thresholds(w, float(tau[0])).view(np.int64).tolist() == want
+    assert _thresholds(w, tau).view(np.int64).tolist() == want
+    w, tau = from_bits([b for b, _ in pairs]), from_bits([b for _, b in pairs])
+    want = frozen_thresholds(w, tau).view(np.int64).tolist()
+    assert _thresholds(w, tau).view(np.int64).tolist() == want
+
+
 def frozen_top_eigenvalues(lam, gam, d, K):
     """The top-K fold as it stood before its rank bounds were cached: the
     rank-bound table is rebuilt on every coordinate and read through boolean
-    masks, coordinate 1 goes through the same pairing as the others, and the
-    cut is a partition.  Kept as the reference for
-    ``test_fold_bits_match_the_frozen_fold``, with the same budget messages.
+    masks, coordinate 1 goes through the same pairing as the others, the
+    cut is a partition, and the thresholds are ``frozen_thresholds``.  Kept
+    as the reference for ``test_fold_bits_match_the_frozen_fold``, with the
+    same budget messages.
     """
     cap = max(4096, 32 * K * max(d, 2))
     over = f"top-{K} search needs {{}} candidates on coordinate {{}}, over the cap of {cap}"
@@ -346,7 +402,7 @@ def frozen_top_eigenvalues(lam, gam, d, K):
             u = float(np.min(costs[fit] + w[jw[fit]], initial=math.inf))
             w = w[w <= u]
             next_u = math.nextafter(u, math.inf)
-            n = np.searchsorted(costs, _thresholds(w, np.full(len(w), next_u)))
+            n = np.searchsorted(costs, frozen_thresholds(w, np.full(len(w), next_u)))
             total = int(n.sum())
             if total > cap:
                 raise BudgetExceeded(over.format(total, k))
