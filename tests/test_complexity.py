@@ -3,6 +3,7 @@ import random
 import re
 import struct
 import sys
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -838,6 +839,20 @@ class TestSpectrum:
         monkeypatch.undo()
         assert read == list(range(1, last + 1))
         assert top[:2] == [0.0, 1.0] and top[2] == 1.0 + PowerLaw(a).log_inv(2)
+
+    def test_large_K_stays_near_K_candidates(self):
+        # The staircase bound cuts coordinate 2's 7.2 K candidates under the
+        # rank bound to 1.12 K, so the traced peak, the 100,008 result floats
+        # included, is 6.7 MiB; without the bound it is 13.9 MiB.
+        lam, gam = EigenSeq(PowerLaw(2.0)), WeightSeq(ExpPower(1.0, 1.0))
+        top_eigenvalues(lam, gam, 20, 1000)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            assert len(top_eigenvalues(lam, gam, 20, 10**5)) == 100_008
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak
 
     def test_frontier_cap(self):
         # all 50**6 tuples cost 0, so the tie class of the top eigenvalue runs away

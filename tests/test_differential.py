@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tensortract import (
     ConstantOne,
@@ -33,7 +33,8 @@ from tensortract import (
     nth_minimal_error,
     top_eigenvalues,
 )
-from tensortract.complexity import _last_level, _rank_starts, _thresholds
+from tensortract import complexity
+from tensortract.complexity import _last_level, _rank_starts, _staircase, _thresholds
 from tensortract.errors import BudgetExceeded
 from tensortract.goldens import GOLDEN_PAIRS, GoldenPair
 from tensortract.seqcore import _BLOCK_MIN, log_inv_table
@@ -483,6 +484,73 @@ def test_constant_weights_match_the_frozen_fold():
     top = top_eigenvalues(lam, gam, 3000, 10)
     ref = frozen_top_eigenvalues(lam, gam, 3000, 10)
     assert list(map(float.hex, top)) == list(map(float.hex, ref))
+
+
+def test_fold_bits_match_the_frozen_fold_at_gate_0(monkeypatch):
+    """The two tests above with the staircase bound taken on every coordinate
+    that has more than K candidates, down to a single one past K."""
+    monkeypatch.setattr(complexity, "_STAIRCASE_ENTRIES", 0)
+    for pair in GOLDEN_PAIRS + EDGE_PAIRS:
+        test_fold_bits_match_the_frozen_fold(pair)
+    test_constant_weights_match_the_frozen_fold()
+
+
+@pytest.mark.parametrize("d", [10, 20])
+def test_large_K_matches_the_frozen_fold(d):
+    """At the default gate and K = 10**4, coordinates 2 and 3 of this pair
+    hold 5.8 K and 2.0 K candidates under the rank bound, so both take the
+    staircase bound."""
+    lam, gam = EigenSeq(PowerLaw(2.0)), WeightSeq(ExpPower(1.0, 1.0))
+    top = top_eigenvalues(lam, gam, d, 10**4)
+    ref = frozen_top_eigenvalues(lam, gam, d, 10**4)
+    assert list(map(float.hex, top)) == list(map(float.hex, ref))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scale=st.sampled_from([1.0, 0.5, 0.1]),
+       levels=st.lists(st.just(0) | st.integers(0, 6), min_size=1, max_size=9),
+       weights=st.lists(st.just(0) | st.integers(0, 3), min_size=1, max_size=12),
+       d=st.integers(1, 12), K=st.integers(1, 20) | st.integers(1, 3000))
+def test_tie_heavy_tables_match_the_frozen_fold(scale, levels, weights, d, K):
+    """Small integer tables (scaled, so decimal ones round) with many zero
+    levels and weights: tie classes that the staircase bound must keep whole,
+    and that can run past the cap.  With the bound on every coordinate, the
+    costs are the frozen fold's bit for bit, or its BudgetExceeded message."""
+    lam = EigenSeq(Tabulated((0.0,) + tuple(scale * v for v in sorted(levels))))
+    gam = WeightSeq(Tabulated(tuple(scale * v for v in sorted(weights))))
+    try:
+        ref = frozen_top_eigenvalues(lam, gam, d, K)
+    except BudgetExceeded as exc:
+        ref = exc
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexity, "_STAIRCASE_ENTRIES", 0)
+        if isinstance(ref, BudgetExceeded):
+            with pytest.raises(BudgetExceeded) as got:
+                top_eigenvalues(lam, gam, d, K)
+            assert str(got.value) == str(ref)
+        else:
+            top = top_eigenvalues(lam, gam, d, K)
+            assert list(map(float.hex, top)) == list(map(float.hex, ref))
+
+
+@settings(max_examples=300, deadline=None)
+@given(costs=st.lists(st.integers(0, 40), min_size=1, max_size=60),
+       runs=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 60)), min_size=1, max_size=30),
+       scale=st.sampled_from([1.0, 0.1]), kfrac=st.floats(0.0, 1.0))
+@example(costs=list(range(10)), runs=[(0, 10)], scale=1.0, kfrac=0.5)
+def test_staircase_bound_covers_K_candidates(costs, runs, scale, kfrac):
+    """The staircase bound t is at or above the K-th least candidate: the
+    pairs costs[i] + w[j] with i < n[j], counted one by one, number at least
+    K at or below t, for any run lengths n and any K <= sum(n).  One run of
+    ten distinct costs at K = 5 has st = 2, so t must be the third sample,
+    costs[5], and not the second."""
+    costs = np.array(sorted(costs)) * scale
+    w = np.array(sorted(v for v, _ in runs)) * scale
+    n = np.array([min(r, len(costs)) for _, r in runs])
+    K = max(1, math.ceil(kfrac * n.sum()))
+    if K <= n.sum():
+        t = _staircase(costs, w, n, K)
+        assert sum(costs[i] + w[j] <= t for j in range(len(w)) for i in range(n[j])) >= K
 
 
 def test_rank_bound_reads_only_run_starts():
