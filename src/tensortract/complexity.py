@@ -309,10 +309,11 @@ def _extend_head_array(head: np.ndarray, g: float, reach_next: float, levels: np
 
 
 def _levels_below(g: float, levels: np.ndarray, B: float) -> np.ndarray:
-    """g + L for the ascending levels L with g + L < B.  Each such L is at
-    most the double nearest B - g, so the cut starts there and moves down
-    exactly; it is taken before g is added, so no sum reaches B or overflows,
-    and no full row is built."""
+    """g + L for the ascending levels L with g + L < B: the rows of the
+    counter's tail block, and every top-K row, whose B is the double after a
+    cost c, so that g + L <= c.  Each such L is at most the double nearest
+    B - g, so the cut starts there and moves down exactly; it is taken before
+    g is added, so no sum reaches B or overflows, and no full row is built."""
     n = int(levels.searchsorted(B - g, "right"))
     if n and not g + float(levels[n - 1]) < B:
         n = _last_below(lambda j: g + float(levels[j]), B, -1, n - 1) + 1
@@ -494,11 +495,6 @@ def _rank_starts(K: int) -> tuple:
     return i, (K + i) // (i + 1) - 1
 
 
-def _with_level_one(w: np.ndarray) -> np.ndarray:
-    """0.0, the cost of level 1, then the finite entries of the ascending row w."""
-    return np.concatenate(([0.0], w[:w.searchsorted(math.inf)]))
-
-
 def _staircase(costs: np.ndarray, w: np.ndarray, n: np.ndarray, K: int) -> float:
     """t >= the K-th least candidate costs[i] + w[j], i < n[j], given sum(n) >= K:
     the m-th least of every st-th candidate of each level's run, m = ceil(K/st).
@@ -520,7 +516,9 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float
     with level 1 on every later coordinate, so no tuple among the K cheapest
     is dropped.  Each cost is the counter's left fold ``cost + (G_k + L_j)``;
     coordinate 1 folds onto the one cost 0, so its costs are its level row.
-    Each level keeps the candidates <= a rank bound u on the K-th cost, and,
+    Each level row is cut at the K-th cost kept before the add, which drops no
+    candidate and no term of the rank bound u on the K-th cost: run start K-1
+    puts u at or below that cost.  Each level keeps the candidates <= u, and,
     past ``_STAIRCASE_ENTRIES`` more than K, those <= ``_staircase``'s bound,
     also at or above the K-th cost: the same costs and ties.  The fold stops
     at the first coordinate whose cheapest level, G_k + L(2), is infinite or,
@@ -560,10 +558,12 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float
     g = g1
     with np.errstate(over="ignore"):  # sums past the float range saturate to inf
         for k in range(1, d + 1):
-            if g + L2 == math.inf or (len(costs) >= K and g + L2 > costs[-1]):
+            c = float(costs[-1]) if len(costs) >= K else math.inf  # the K-th cost kept
+            if g + L2 == math.inf or g + L2 > c:
                 break
             g_next = _check_cost(G(k + 1)) if k < d else math.inf
-            block = len(costs) >= K and (g + L2) + (g_next + L2) > costs[-1]
+            top = math.nextafter(c, math.inf)  # g + L <= c: finite sums for c = inf
+            block = (g + L2) + (g_next + L2) > c
             if block:
                 # A second level from coordinate k on costs at least this pair
                 # sum, above a K-th cost that only falls: the coordinates up to
@@ -572,20 +572,19 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float
                 # with r of them the K-th cost is at most b, the K-th of these and
                 # the costs kept: the least over i <= min(r, K) of max(i-th of
                 # them, costs[K-1-i] for i < K).  The block stops at the first
-                # cheapest level above b, and each row is cut at b and copied.
-                b, rows = float(costs[K - 1]), []
+                # cheapest level above b, and each row is cut at b.
+                b, rows = c, []
                 for gs in chain((g, g_next), map(_check_cost, map(G, range(k + 2, d + 1)))):
                     f = gs + L2
                     if not f <= b:
                         break
                     i = K - 2 - len(rows)
                     b = min(b, max(f, float(costs[i]) if i >= 0 else 0.0))
-                    w = gs + levels
-                    rows.append(w[:w.searchsorted(b, "right")].copy())
+                    rows.append(_levels_below(gs, levels, math.nextafter(b, math.inf)))
                 w = np.sort(np.concatenate(rows))
             else:
-                w = g + levels
-            w = _with_level_one(w)
+                w = _levels_below(g, levels, top)
+            w = np.concatenate(([0.0], w))  # level 1
             if k == 1:  # folded onto the one cost 0, with zeros as +0.0
                 cand = 0.0 + w
             else:
@@ -596,18 +595,18 @@ def top_eigenvalues(lam: EigenSeq, gam: WeightSeq, d: int, K: int) -> list[float
                     # kept are those below w's threshold against it (finite sums for inf).
                     keep = (starts < len(costs)) & (jw < len(w))
                     u = float(np.min(costs[starts[keep]] + w[jw[keep]], initial=math.inf))
-                    w = w[w <= u]
+                    w = w[:w.searchsorted(u, "right")]
                     n = costs.searchsorted(_thresholds(w, math.nextafter(u, math.inf)))
                     total = int(n.sum())
                     if not (block and total > cap):
                         break
                     # The block's pairs share one bound: past the cap, fold
                     # coordinate k alone, as one coordinate at a time does.
-                    block, w = False, _with_level_one(g + levels)
+                    block, w = False, np.concatenate(([0.0], _levels_below(g, levels, top)))
                 if total > cap:
                     raise BudgetExceeded(over.format(total, k))
                 if total - K > _STAIRCASE_ENTRIES:
-                    w = w[w <= (t := _staircase(costs, w, n, K))]
+                    w = w[:w.searchsorted(t := _staircase(costs, w, n, K), "right")]
                     n = costs.searchsorted(_thresholds(w, math.nextafter(t, math.inf)))
                     total = int(n.sum())
                 cand = np.sort(costs[np.arange(total) - (n.cumsum() - n).repeat(n)] + w.repeat(n))

@@ -313,6 +313,18 @@ class TestInfoComplexity:
         with pytest.raises(ValueError, match="log-magnitude must be >= 0"):
             top_eigenvalues(lam, gam, 2, 10)
 
+    def test_budget_on_coordinate_1_entries(self):
+        # Coordinate 1's three levels all stay open, since coordinate 2 takes
+        # any level within the budget 2E = 3: its start alone makes 5 entries.
+        # With a third coordinate the next step would make 9, not 5.
+        lam, q = EigenSeq(Tabulated((0, 1, 1, 1))), Query(1.5, 3)
+        for weights in ((0, 0), (0, 0, 0)):
+            with pytest.raises(BudgetExceeded, match="at least 5 enumerated entries, over the budget of 4"):
+                info_complexity(lam, WeightSeq(Tabulated(weights)), q, node_budget=4)
+        gam = WeightSeq(Tabulated((0, 0)))
+        assert info_complexity(lam, gam, q, node_budget=5) == CountResult(16, 5, 2)
+        assert brute_force_count(lam, gam, q, 6) == 16
+
     def test_dimension_past_the_machine_integers(self):
         # The active prefix is bisected over Python ints: a bisect over
         # range(d + 1) raises OverflowError once d passes 2**63.
@@ -540,6 +552,42 @@ class TestLevelsBelow:
             got = complexity._levels_below(g, np.array(levels), B).tolist()
             assert got == [g + lv for lv in levels if g + lv < B]
 
+    def test_bound_after_a_cost_keeps_the_sums_up_to_it(self):
+        # The top-K rows: B the double after a cost c, with sums that land on
+        # c exactly (small integers) or round onto it from a few ulp either
+        # side of c - g; the row is g + L for exactly the levels with g + L <= c.
+        rng = random.Random(17)
+        for _ in range(600):
+            if rng.random() < 0.5:
+                c, g = float(rng.randint(0, 12)), float(rng.randint(0, 4))
+                levels = [float(rng.randint(0, 12)) for _ in range(rng.randint(0, 8))]
+            else:
+                c = rng.uniform(0.5, 60.0)
+                g = rng.uniform(0.0, 0.5 * c)
+                levels = []
+                for _ in range(rng.randint(1, 6)):
+                    lv = c - g
+                    for _ in range(rng.randint(0, 3)):
+                        lv = math.nextafter(lv, rng.choice([0.0, math.inf]))
+                    levels += [lv] * rng.randint(1, 2)
+            levels.sort()
+            got = complexity._levels_below(g, np.array(levels), math.nextafter(c, math.inf))
+            assert got.tolist() == [g + lv for lv in levels if g + lv <= c]
+
+    @pytest.mark.parametrize("B", [1e308, MAX, math.inf])
+    @pytest.mark.parametrize("g", [0.0, 1.0, 1e308])
+    def test_infinite_levels_and_sums_past_the_float_range(self, g, B):
+        # inf levels and sums that round past MAX to inf are cut, and with
+        # B = inf (a cost of MAX, or none kept yet) every finite sum is kept;
+        # no sum that overflows is taken, so numpy warns of none.
+        levels = [0.0, 1.0, 1e307, 7e307, 1e308, MAX, math.inf, math.inf]
+        got = complexity._levels_below(g, np.array(levels), B).tolist()
+        assert got == [g + lv for lv in levels if g + lv < B]
+
+    @pytest.mark.parametrize("B", [0.0, 1.0, math.inf])
+    def test_empty_table(self, B):
+        assert complexity._levels_below(0.5, np.array([]), B).tolist() == []
+
 
 class TestArrayHead:
     """_extend_head_array against the pure-Python _extend_head, on knife-edge heads."""
@@ -738,6 +786,13 @@ class TestThresholds:
             want_up = math.nextafter(xi, math.inf) if xi < math.inf else math.nan
             want_down = math.nextafter(xi, 0.0) if xi > 0.0 else math.nan
             assert (up.hex(), down.hex()) == (want_up.hex(), want_down.hex())
+
+    def test_up_walk_takes_a_second_step(self):
+        # tau - w = 1 + 2**-53 ties to 1.0, so the estimate is 1 - 2**-53;
+        # 1.0 + w ties back to 1.0, below tau, so the answer is a second step up.
+        w, tau = 2.0 ** -53, 1.0 + 2.0 ** -52
+        self.check([w], [tau])
+        assert complexity._thresholds(np.array([w]), tau).tolist() == [tau]
 
     def test_w_at_or_above_tau_gives_zero(self):
         # 0 already meets p + w >= tau, and the walk down stops there.
