@@ -17,6 +17,8 @@ import math
 import re
 import sys
 from dataclasses import dataclass, is_dataclass, fields as dc_fields
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -257,9 +259,9 @@ def _columns(names: tuple, rows: list) -> dict:
     return {c: [row[i] for row in rows] for i, c in enumerate(names)}
 
 
-def _count_row(cfg: RunConfig, E: float, d: int, memo: dict) -> list:
-    """One report row in COUNT_COLUMNS order; ``memo`` maps (E, active prefix) to the
-    count or its error."""
+def _count_row(cfg: RunConfig, E: float, d: int, memo: dict, heads: dict | None) -> list:
+    """One report row in COUNT_COLUMNS order; ``memo`` maps E's active prefixes
+    to the count or its error, and ``heads`` holds E's head steps, if shared."""
     row = [E, d, "", "", "", "", "", ""]
     try:
         row[2] = j_of_eps(cfg.lam, E, cap=cfg.search_cap)
@@ -267,10 +269,11 @@ def _count_row(cfg: RunConfig, E: float, d: int, memo: dict) -> list:
         # all that matters for the count
         row[3] = d_of_eps(cfg.gam, E, cap=d if cfg.search_cap is None else cfg.search_cap)
         q = Query(E, d)
-        key = (E, active_prefix(cfg.lam, cfg.gam, q))
+        key = active_prefix(cfg.lam, cfg.gam, q)
         if key not in memo:
             try:
-                memo[key] = info_complexity(cfg.lam, cfg.gam, q, node_budget=cfg.node_budget)
+                memo[key] = info_complexity(cfg.lam, cfg.gam, q, node_budget=cfg.node_budget,
+                                            _heads=heads)
             except BudgetExceeded:
                 memo[key] = "budget_exceeded"
         res = memo[key]
@@ -288,11 +291,19 @@ def run_count(cfg: RunConfig) -> tuple:
     any_runtime_error).
 
     Every d at or past a cell's active prefix m has the count of d = m, so
-    each (E, m) is counted once per call.
+    each (E, m) is counted once per call.  The cells are counted one E at a
+    time: the counter's head grows from coordinate 1 the same way at every
+    d, so the cells of one E share its head steps, which are dropped before
+    the next E (``info_complexity``'s ``_heads``).
     """
-    cells = sorted((d, E) for d in cfg.d_list for E in cfg.E_list)
-    memo: dict = {}
-    cols = _columns(COUNT_COLUMNS, [_count_row(cfg, E, d, memo) for d, E in cells])
+    rows = []
+    for _, cells in groupby(sorted((E, d) for E in cfg.E_list for d in cfg.d_list),
+                            key=itemgetter(0)):
+        cells = list(cells)
+        memo, heads = {}, ({} if len(cells) > 1 else None)  # a lone cell shares nothing
+        rows += [_count_row(cfg, E, d, memo, heads) for E, d in cells]
+    rows.sort(key=itemgetter(1, 0))  # report order (d, E); equal cells are equal rows
+    cols = _columns(COUNT_COLUMNS, rows)
     return cols, any(cols["error"])
 
 

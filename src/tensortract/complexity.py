@@ -190,7 +190,9 @@ def _extend_head(head, g: float, reach_next: float, Ltab: list, B: float, room: 
     when ``cost + reach_next < B``; the others are finished, since their only
     completion puts every later coordinate on level 1, and they are counted
     without being stored.  Stops early once more than ``room`` tuples are
-    open.  Returns (finished tuples, open costs of the extended head).
+    open.  Returns (finished tuples, new open entries, open costs of the
+    extended head), as ``_extend_head_array`` does; past
+    ``_TAIL_STEP_ENTRIES`` entries the costs are a float64 array.
     """
     out = []
     done = 0
@@ -221,7 +223,7 @@ def _extend_head(head, g: float, reach_next: float, Ltab: list, B: float, room: 
         done += n - j
         if len(out) > room:
             break
-    return done, out
+    return done, len(out), (np.array(out) if len(out) > _TAIL_STEP_ENTRIES else out)
 
 
 def _step(x: np.ndarray, k: int) -> np.ndarray:
@@ -357,7 +359,8 @@ def active_prefix(lam: EigenSeq, gam: WeightSeq, q: Query) -> int:
 
 
 def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
-                    node_budget: int = DEFAULT_NODE_BUDGET) -> CountResult:
+                    node_budget: int = DEFAULT_NODE_BUDGET, *, _heads: dict | None = None
+                    ) -> CountResult:
     """Exact count of tuples with cost strictly below 2E, in arbitrary precision.
 
     Coordinates whose cheapest nontrivial level already exhausts the budget
@@ -387,6 +390,15 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     ``node_budget`` caps it before the merge.  Every step but the last head
     step adds one, and each coordinate of the tail's first block adds at
     least one, so more active coordinates than the budget fail at once.
+
+    ``_heads``, passed only by the CLI's ``sweep``, holds one E's head steps
+    as (finished, new entries, open costs) under (B, k, reach[k + 1]).  A
+    head step reads only these, the weights, the level table and the head
+    it extends, and that head grows the same way from coordinate 1 in every
+    cell of the E.  A step is taken from it while every earlier step of the
+    call was, and only when its new entries fit the call's room; any other
+    step runs as above and is stored when it fits.  So the count,
+    ``nodes_visited`` and any budget error are those of a call without it.
     """
     _check_positive_int("node_budget", node_budget)
     m = active_prefix(lam, gam, q)
@@ -436,18 +448,23 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
         head = [0.0] + [g1 + lv for lv in (table[:n].tolist() if Ltab is None else Ltab[:n])]
     taus = ()  # thresholds of the nonempty tails; none until the tail starts
     k, t = 1, m  # the head covers coordinates [0, k), the tail [t, m)
+    chain = _heads is not None  # every head step so far came from _heads
     while k < t:
         room = node_budget - entries
-        if isinstance(head, list) and len(head) > _TAIL_STEP_ENTRIES:
-            table = np.array(Ltab) if table is None else table
-            head = np.array(head)
+        if table is None and not isinstance(head, list):
+            table = np.array(Ltab)
         if m < _SPLIT_MIN_COORDS or len(head) <= _TAIL_STEP_ENTRIES + len(taus):
-            if isinstance(head, list):
-                Ltab = Ltab or table.tolist()
-                done, head = _extend_head(head, Gs[k], reach[k + 1], Ltab, B, room)
-                new = len(head)
-            else:
-                done, new, head = _extend_head_array(head, Gs[k], reach[k + 1], table, B, room)
+            step = chain and _heads.get((B, k, reach[k + 1]))
+            if not step or step[1] > room:
+                chain = False
+                if isinstance(head, list):
+                    Ltab = Ltab or table.tolist()
+                    step = _extend_head(head, Gs[k], reach[k + 1], Ltab, B, room)
+                else:
+                    step = _extend_head_array(head, Gs[k], reach[k + 1], table, B, room)
+                if _heads is not None and step[1] <= room:
+                    _heads[B, k, reach[k + 1]] = step
+            done, new, head = step
             total += done
             k += 1
         else:

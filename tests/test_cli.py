@@ -5,19 +5,24 @@ import json
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tensortract import (BudgetExceeded, EigenSeq, Query, Tabulated, WeightSeq, cli,
-                         family_from_descriptor, info_complexity, top_eigenvalues)
+from tensortract import (BudgetExceeded, EigenSeq, Query, Tabulated, WeightSeq, cli, complexity,
+                         family_from_descriptor, top_eigenvalues)
 from tensortract.cli import (EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, TOPK_COLUMNS,
                              _cell, _dump_json, _write_rows, main)
+from tensortract.tractability import DEFAULT_POLICY
 from tensortract.verify import AuditReport
 
 LN2 = math.log(2.0)
+POWER_LAW = {"family": "power_law", "a": 2.0}
+EXP_POWER = {"family": "exp_power", "alpha": 1.0, "beta": 1.0}
+DOUBLE_EXP = {"family": "double_exp_power", "alpha": 1.0, "beta": 1.0}
 
 
 def write_config(tmp_path, name, payload):
@@ -156,30 +161,97 @@ class TestSweep:
         keys = [(line.split(",")[1], float(line.split(",")[0])) for line in lines[1:]]
         assert keys == sorted(keys)
 
-    @pytest.mark.parametrize("lam,gam,Es,ds,calls", [
+    @pytest.mark.parametrize("lam,gam,Es,ds,budget,calls", [
         # d = 20 and d = 30 share the active prefix at both E.
-        ({"family": "power_law", "a": 2.0}, {"family": "exp_power", "alpha": 1.0, "beta": 1.0},
-         [8.0, 9.0], [10, 20, 30], 4),
-        # The active prefix is 7 at d = 7 and 8 at d = 10: nothing to reuse.
-        ({"family": "double_exp_power", "alpha": 1.0, "beta": 1.0},
-         {"family": "double_exp_power", "alpha": 1.0, "beta": 1.0}, [3000.0], [7, 10], 2),
-    ], ids=["power_law-exp_power", "double_exp"])
+        (POWER_LAW, EXP_POWER, [8.0, 9.0], [10, 20, 30], None, 4),
+        # The active prefix is 7 at d = 7 and 8 at d = 10: two counts, which
+        # share the head steps before coordinate 7.
+        (DOUBLE_EXP, DOUBLE_EXP, [3000.0], [7, 10], None, 2),
+        # A budget between the cells' 7,411 and 7,452 entries, smaller cell
+        # first: the second cell finds a stored head step whose entries no
+        # longer fit after its tail steps, and counts it again to raise.
+        (POWER_LAW, EXP_POWER, [8.0], [10, 20], 7431, 2),
+        # Smaller cell last: d = 6 needs 7,599 entries and raises after its
+        # head steps; d = 7 needs 7,174 and reuses them.
+        (POWER_LAW, EXP_POWER, [8.0], [6, 7], 7400, 2),
+        # J = 54 <= _BLOCK_MIN: a level list and list heads, at m = 5 and 7.
+        (POWER_LAW, EXP_POWER, [4.0], [5, 10], None, 2),
+        # m = 3 < _SPLIT_MIN_COORDS grows its head alone, and m = 10 shares it.
+        (POWER_LAW, EXP_POWER, [9.0], [3, 10], None, 2),
+    ], ids=["power_law-exp_power", "double_exp", "budget-smaller-first",
+            "budget-smaller-last", "level-list", "head-only"])
     def test_count_is_reused_per_active_prefix(self, tmp_path, monkeypatch, lam, gam, Es, ds,
-                                               calls):
+                                               budget, calls):
+        limits = {} if budget is None else {"limits": {"node_budget": budget}}
         cfg = write_config(tmp_path, "m.json", {
-            "schema": 1, "lambda": lam, "gamma": gam, "queries": {"E": Es, "d": ds}})
-        seen = []
+            "schema": 1, "lambda": lam, "gamma": gam, "queries": {"E": Es, "d": ds}, **limits})
+        pair = EigenSeq(family_from_descriptor(lam)), WeightSeq(family_from_descriptor(gam))
+        seen, steps = [], []
         real = cli.info_complexity
         monkeypatch.setattr(cli, "info_complexity",
                             lambda *args, **kw: seen.append(args[2]) or real(*args, **kw))
+        for name in ("_extend_head", "_extend_head_array"):
+            step = getattr(complexity, name)
+            # (B, g, reach_next) names a head step; the head steps before it
+            # are the same in every cell of one E.
+            monkeypatch.setattr(complexity, name, lambda head, g, reach, levels, B, room, step=step:
+                                steps.append((B, g, reach)) or step(head, g, reach, levels, B, room))
         out = tmp_path / "m.csv"
-        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        code = main(["sweep", "--config", cfg, "--out", str(out)])
+        assert code == (EXIT_OK if budget is None else EXIT_RUNTIME)
         assert len(seen) == calls
-        pair = EigenSeq(family_from_descriptor(lam)), WeightSeq(family_from_descriptor(gam))
+        shared, steps[:] = list(steps), []
+        kw = {} if budget is None else {"node_budget": budget}
+        for q in seen:
+            with contextlib.suppress(BudgetExceeded):
+                real(*pair, q, **kw)
+        assert len(shared) < len(steps)
+        if budget is None:
+            assert len(shared) == len(set(shared)) == len(set(steps))
         for row in csv.DictReader(io.StringIO(out.read_text())):
-            res = info_complexity(*pair, Query(float(row["E"]), int(row["d"])))
-            assert (row["count"], row["nodes"], row["truncated_dimension"]) == (
-                str(res.count), str(res.nodes_visited), str(res.truncated_dimension))
+            got = (row["count"], row["nodes"], row["truncated_dimension"], row["error"])
+            try:
+                res = real(*pair, Query(float(row["E"]), int(row["d"])), **kw)
+            except BudgetExceeded:
+                assert got == ("", "", "", "budget_exceeded")
+            else:
+                assert got == (str(res.count), str(res.nodes_visited),
+                               str(res.truncated_dimension), "")
+
+    def test_lone_cells_share_no_heads(self, tmp_path, monkeypatch):
+        # count, and a sweep whose E rows hold one cell each, pass no _heads.
+        seen = []
+        real = cli.info_complexity
+        monkeypatch.setattr(cli, "info_complexity",
+                            lambda *args, **kw: seen.append(kw.get("_heads")) or real(*args, **kw))
+        for command, queries in (("count", {"E": [8.0], "d": [10]}),
+                                 ("sweep", {"E": [6.0, 8.0], "d": [10]})):
+            cfg = write_config(tmp_path, "c.json", {
+                "schema": 1, "lambda": POWER_LAW, "gamma": EXP_POWER, "queries": queries})
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "c.csv")]) == EXIT_OK
+        assert seen == [None, None, None]
+
+    def test_shared_heads_are_released_per_E(self):
+        """Four E rows peak no higher than the largest alone, plus 64 KiB: the
+        head steps an E row shares, 165 KiB here if kept, are dropped before
+        the next E is counted.  Each grid runs once untraced, as a warm-up."""
+        pair = EigenSeq(family_from_descriptor(POWER_LAW)), WeightSeq(
+            family_from_descriptor(EXP_POWER))
+
+        def peak(Es):
+            cfg = cli.RunConfig(*pair, E_list=Es, d_list=[10, 20, 30], notion=None,
+                                node_budget=10**8, search_cap=None, k=1, policy=DEFAULT_POLICY,
+                                audit={}, out_format="csv", out_path=None)
+            cli.run_count(cfg)
+            tracemalloc.start()
+            try:
+                cli.run_count(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        Es = [6.0, 8.0, 9.0, 9.5]
+        assert peak(Es) <= max(peak([E]) for E in Es) + 64 * 1024
 
     def test_generator_grid(self, tmp_path):
         cfg = write_config(tmp_path, "g.json", dyadic_config(

@@ -25,6 +25,11 @@ CASES = [
     # reused, and one budget_exceeded row is repeated.
     ("sweep", "sweep_memo", [], "sweep_memo.csv", EXIT_RUNTIME),
     ("sweep", "sweep_memo", ["--format", "json"], "sweep_memo.json", EXIT_RUNTIME),
+    # The cells of one E share the counter's head steps.  At E = 9 the
+    # budget of 23,500 passes d = 10 (23,487 entries) and stops d = 20 and 30
+    # (23,633), whose shared head step no longer fits after its tail steps.
+    ("sweep", "sweep_shared", [], "sweep_shared.csv", EXIT_RUNTIME),
+    ("sweep", "sweep_shared", ["--format", "json"], "sweep_shared.json", EXIT_RUNTIME),
     # The eigenvalue index at E = 1e308 exceeds the float range: a
     # non_compact row, not a traceback.
     ("count", "count_non_compact", [], "count_non_compact.csv", EXIT_RUNTIME),

@@ -325,6 +325,33 @@ class TestInfoComplexity:
         assert info_complexity(lam, gam, q, node_budget=5) == CountResult(16, 5, 2)
         assert brute_force_count(lam, gam, q, 6) == 16
 
+    def test_shared_heads_keep_only_steps_that_fit(self):
+        # At E = 7 and budget 1603, d = 5 raises in a head step after its tail
+        # steps; d = 4 grows its head alone, takes that step with room to
+        # spare, and counts 12120 from 1603 entries, not a truncated head.
+        pair = EigenSeq(PowerLaw(2.0)), WeightSeq(ExpPower(1.0, 1.0))
+        want = CountResult(12120, 1603, 4)
+        for order in ((5, 4), (4, 5)):
+            heads = {}
+            for d in order:
+                if d == 4:
+                    assert info_complexity(*pair, Query(7.0, d), 1603, _heads=heads) == want
+                else:
+                    with pytest.raises(BudgetExceeded, match="at least 2051 enumerated"):
+                        info_complexity(*pair, Query(7.0, d), 1603, _heads=heads)
+
+    def test_shared_heads_raise_as_alone(self):
+        # A list head step stops past its room with a partial entry count: a
+        # step stored under a larger budget is counted again, so the budget
+        # message names 150 entries, not the step's full 169.
+        pair, q = (EigenSeq(PowerLaw(2.0)), WeightSeq(ExpPower(1.0, 1.0))), Query(5.0, 6)
+        heads = {}
+        info_complexity(*pair, q, _heads=heads)
+        for shared in ({}, {"_heads": heads}):
+            with pytest.raises(BudgetExceeded, match="at least 150 enumerated entries, over the "
+                               "budget of 149"):
+                info_complexity(*pair, q, 149, **shared)
+
     def test_dimension_past_the_machine_integers(self):
         # The active prefix is bisected over Python ints: a bisect over
         # range(d + 1) raises OverflowError once d passes 2**63.
@@ -594,10 +621,11 @@ class TestArrayHead:
 
     @staticmethod
     def check(head, g, reach_next, levels, B):
-        done, out = complexity._extend_head(list(head), g, reach_next, list(levels), B, 10**9)
+        done, new, out = complexity._extend_head(list(head), g, reach_next, list(levels), B,
+                                                 10**9)
         got = complexity._extend_head_array(np.array(head), g, reach_next, np.array(levels), B,
                                             10**9)
-        assert got[:2] == (done, len(out))
+        assert got[:2] == (done, new) and new == len(out)
         assert sorted(got[2].tolist()) == sorted(out)
 
     def test_exact_ties(self):

@@ -34,10 +34,12 @@ from tensortract import (
     top_eigenvalues,
 )
 from tensortract import complexity
+from tensortract.cli import RunConfig, run_count
 from tensortract.complexity import _last_level, _rank_starts, _staircase, _thresholds
 from tensortract.errors import BudgetExceeded
 from tensortract.goldens import GOLDEN_PAIRS, GoldenPair
 from tensortract.seqcore import _BLOCK_MIN, log_inv_table
+from tensortract.tractability import DEFAULT_POLICY
 
 #: Largest level box (box**d cells) the oracle enumerates per example.
 BOX_CELLS = 200_000
@@ -189,6 +191,76 @@ def test_counter_uses_scalar_values_only():
     ]
     for fam, wfam, B, d in cases:
         check_against_oracle(EigenSeq(fam), WeightSeq(wfam), B, d)
+
+
+def count_or_message(lam, gam, q, node_budget, **shared):
+    try:
+        return info_complexity(lam, gam, q, node_budget=node_budget, **shared)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def check_sweep_rows(lam, gam, Es, ds, node_budget):
+    """Each row of one ``sweep`` call, whose cells of one E share the
+    counter's head steps, against a standalone count of its cell.  The cells
+    of each E also run in both orders of d with one shared ``_heads``, and
+    must give the standalone result or budget message."""
+    cfg = RunConfig(lam=lam, gam=gam, E_list=Es, d_list=ds, notion=None,
+                    node_budget=node_budget, search_cap=None, k=1, policy=DEFAULT_POLICY,
+                    audit={}, out_format="csv", out_path=None)
+    cols, _ = run_count(cfg)
+    rows = list(zip(cols["E"], cols["d"], cols["count"], cols["nodes"],
+                    cols["truncated_dimension"], cols["error"]))
+    assert [(d, E) for E, d, *_ in rows] == sorted((d, E) for d in ds for E in Es)
+    for E, d, *got in rows:
+        try:
+            res = info_complexity(lam, gam, Query(E, d), node_budget=node_budget)
+        except BudgetExceeded:
+            assert got == ["", "", "", "budget_exceeded"], (E, d)
+        else:
+            assert got == [res.count, res.nodes_visited, res.truncated_dimension, ""], (E, d)
+    for E in set(Es):
+        for order in (sorted(set(ds)), sorted(set(ds), reverse=True)):
+            heads = {}
+            for d in order:
+                q = Query(E, d)
+                assert (count_or_message(lam, gam, q, node_budget, _heads=heads)
+                        == count_or_message(lam, gam, q, node_budget)), (E, d, order)
+
+
+def repeating_grid(values):
+    """Lists of 1-6 values drawn from ``values``, repeats included."""
+    return st.lists(values, min_size=1, max_size=3, unique=True).flatmap(
+        lambda base: st.lists(st.sampled_from(base), min_size=1, max_size=6))
+
+
+D_GRIDS = st.lists(st.integers(1, 14), min_size=1, max_size=5)
+#: The golden cells below take at most 6,360 entries; on the tables a budget
+#: bounds the cells, and so the time and memory of an example.
+SWEEP_BUDGETS = st.integers(1, 20_000)
+
+
+@settings(max_examples=120, deadline=None)
+@given(pair=st.sampled_from(GOLDEN_PAIRS), frac=repeating_grid(st.sampled_from(
+       [0.0, 0.125, 0.25, 0.5, 0.75, 1.0])), ds=D_GRIDS, node_budget=SWEEP_BUDGETS)
+def test_sweep_rows_match_standalone_counts_on_golden_pairs(pair, frac, ds, node_budget):
+    """E from the pair's least audit E to three times its largest."""
+    lo, hi = min(pair.audit_E), 3.0 * max(pair.audit_E)
+    check_sweep_rows(pair.lam, pair.gam, [lo + f * (hi - lo) for f in frac], ds, node_budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scale=st.sampled_from([1.0, 0.5, 0.1]),
+       levels=st.lists(st.integers(1, 8), min_size=1, max_size=9),
+       weights=st.lists(st.integers(0, 4), min_size=1, max_size=14),
+       budgets=repeating_grid(st.integers(1, 24)), ds=D_GRIDS, node_budget=SWEEP_BUDGETS)
+def test_sweep_rows_match_standalone_counts_on_tables(scale, levels, weights, budgets, ds,
+                                                      node_budget):
+    """Integer tables, scaled by 1, 0.5 or 0.1, with E at 2E = scale * budget:
+    knife edges wherever the scaled sums are exact."""
+    lam = EigenSeq(Tabulated((0.0,) + tuple(scale * v for v in sorted(levels))))
+    gam = WeightSeq(Tabulated(tuple(scale * v for v in sorted(weights))))
+    check_sweep_rows(lam, gam, [scale * b / 2.0 for b in budgets], ds, node_budget)
 
 
 def reference_columns(lam, gam, d, K):
