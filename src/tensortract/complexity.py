@@ -191,8 +191,10 @@ def _extend_head(head, g: float, reach_next: float, Ltab: list, B: float, room: 
     completion puts every later coordinate on level 1, and they are counted
     without being stored.  Stops early once more than ``room`` tuples are
     open.  Returns (finished tuples, new open entries, open costs of the
-    extended head), as ``_extend_head_array`` does; past
-    ``_TAIL_STEP_ENTRIES`` entries the costs are a float64 array.
+    extended head), as ``_extend_head_array`` does.  Up to
+    ``_TAIL_STEP_ENTRIES`` entries the costs are a list, left in parent-major
+    order since nothing reads it; past it they are an ascending float64
+    array, as the array step and the merge need.
     """
     out = []
     done = 0
@@ -223,7 +225,7 @@ def _extend_head(head, g: float, reach_next: float, Ltab: list, B: float, room: 
         done += n - j
         if len(out) > room:
             break
-    return done, len(out), (np.array(out) if len(out) > _TAIL_STEP_ENTRIES else out)
+    return done, len(out), (np.sort(np.array(out)) if len(out) > _TAIL_STEP_ENTRIES else out)
 
 
 def _step(x: np.ndarray, k: int) -> np.ndarray:
@@ -274,39 +276,33 @@ def _thresholds(w: np.ndarray, tau) -> np.ndarray:
     return p
 
 
-def _fits(costs: np.ndarray, w: np.ndarray, bound: float) -> np.ndarray:
-    """Per cost c >= 0, the number of ascending w_j with c + w_j < bound.
-
-    c + w_j < bound exactly when c lies below the threshold t_j of w_j
-    (``_thresholds``, against the one float bound), and the thresholds do
-    not increase as w_j grows; so the count is the number of thresholds
-    above c.
-    """
-    w = w[:w.searchsorted(bound)]
-    t = _thresholds(w, bound)[::-1]
-    return len(t) - t.searchsorted(costs, "right")
-
-
 def _extend_head_array(head: np.ndarray, g: float, reach_next: float, levels: np.ndarray,
                        B: float, room: int):
-    """``_extend_head`` on a float64 array of open costs, in a few numpy passes.
+    """``_extend_head`` on an ascending float64 array of open costs, in a few
+    numpy passes, level by level as ``top_eigenvalues`` folds.
 
     A cost q stays open when q + reach_next < B, that is when q < T for the
-    smallest double T with T + reach_next >= B; so both the children that fit
-    and the children that stay open are counted by ``_fits``.  Returns
-    (finished tuples, new open entries, open costs); past ``room`` the head
-    comes back unchanged, before the new one is allocated.
+    smallest double T with T + reach_next >= B.  For a level row w_j,
+    c + w_j < T exactly when c lies below the threshold of w_j against T
+    (``_thresholds``), and c + w_j is monotone in c; so the costs with a child
+    on that level that stays open are a prefix of the head, found by one
+    search, and likewise against B for the children that fit.  Returns
+    (finished tuples, new open entries, ascending open costs); past ``room``
+    the head comes back unchanged, before the new one is allocated.
     """
     with np.errstate(over="ignore"):  # sums past the float range saturate to inf
         # Level 1 is the zero entry: a cost that stays open is its own child.
         w = np.concatenate(([0.0], g + levels))  # the same float sums as the scalar g + L
         T = float(_thresholds(np.array([reach_next]), B)[0])  # 0 once reach_next >= B
-        n = _fits(head, w, T)
+        wT = w[:w.searchsorted(T)]
+        n = head.searchsorted(_thresholds(wT, T))
         new = int(n.sum())
         if new > room:
             return 0, new, head
-        done = int(_fits(head, w, B).sum()) - new
-        out = head.repeat(n) + w[np.arange(new) - (n.cumsum() - n).repeat(n)]
+        wB = w[:w.searchsorted(B)]
+        done = int(head.searchsorted(_thresholds(wB, B)).sum()) - new
+        out = head[np.arange(new) - (n.cumsum() - n).repeat(n)] + wT.repeat(n)
+    out.sort()
     return done, new, out
 
 
@@ -377,12 +373,13 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     The smaller side grows next, with the tail's fixed numpy cost counted as
     ``_TAIL_STEP_ENTRIES`` head entries, and cells of fewer than
     ``_SPLIT_MIN_COORDS`` active coordinates never start a tail.  On every
-    cell, a head of more than ``_TAIL_STEP_ENTRIES`` entries becomes a
-    float64 array and grows in numpy from then on
-    (``_extend_head_array``); smaller heads stay in pure Python, where a
-    step costs less than numpy's fixed cost.
-    When the sides meet, a sorted merge counts the (head, tail) pairs whose
-    fold stays below 2E.  Each tuple's cost is the same left fold
+    cell, a head of more than ``_TAIL_STEP_ENTRIES`` entries becomes an
+    ascending float64 array and grows in numpy from then on, one threshold
+    search in it per level (``_extend_head_array``); smaller heads stay in
+    pure Python, where a step costs less than numpy's fixed cost.
+    When the sides meet, one search of the tail thresholds in the ascending
+    head counts the (head, tail) pairs whose fold stays below 2E.  Each
+    tuple's cost is the same left fold
     ``cost + (G_k + L_j)`` in coordinate order as in the oracle, from the
     families' scalar ``log_inv``, so counts are exact at every knife edge.
 
@@ -490,11 +487,12 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
         if entries > node_budget:
             raise _over_budget(entries, node_budget)
     # Each open head tuple completes with the empty tail and with every tail
-    # whose threshold lies above its cost.
+    # whose threshold lies above its cost.  A tail step needs a head of more
+    # than _TAIL_STEP_ENTRIES entries, and a list head holds at most that
+    # many, so with a tail the head is an ascending array.
     total += len(head)
     if len(taus):  # no numpy call on a count done in Python
-        taus.sort()
-        total += len(taus) * len(head) - int(taus.searchsorted(head, "right").sum())
+        total += int(head.searchsorted(taus).sum())
     return CountResult(total, entries, m)
 
 

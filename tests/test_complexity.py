@@ -623,10 +623,11 @@ class TestArrayHead:
     def check(head, g, reach_next, levels, B):
         done, new, out = complexity._extend_head(list(head), g, reach_next, list(levels), B,
                                                  10**9)
-        got = complexity._extend_head_array(np.array(head), g, reach_next, np.array(levels), B,
+        got = complexity._extend_head_array(np.sort(head), g, reach_next, np.array(levels), B,
                                             10**9)
         assert got[:2] == (done, new) and new == len(out)
-        assert sorted(got[2].tolist()) == sorted(out)
+        # The array step takes and returns an ascending head.
+        assert got[2].tolist() == sorted(out)
 
     def test_exact_ties(self):
         # Small integers: many folds and reach sums land exactly on B.
@@ -656,6 +657,68 @@ class TestArrayHead:
                     head.append(c)
             if head:
                 self.check(head, g, reach_next, levels, B)
+
+    @staticmethod
+    def threshold(w, tau):
+        """The smallest double p >= 0 with p + w >= tau, by a walk from tau - w."""
+        p = max(tau - w, 0.0)
+        while p + w < tau:
+            p = math.nextafter(p, math.inf)
+        while p > 0.0 and math.nextafter(p, 0.0) + w >= tau:
+            p = math.nextafter(p, 0.0)
+        return p
+
+    def test_heads_on_level_thresholds(self):
+        # Head costs exactly on each level's threshold against T (the child
+        # stays open below it) and against B (the child fits below it), one
+        # ulp either side, each many times over: a search that counts the
+        # costs on a threshold, or a head left unsorted, miscounts.
+        rng = random.Random(13)
+        for _ in range(300):
+            if rng.random() < 0.5:
+                B = float(rng.randint(2, 16))
+                g = float(rng.randint(0, 3))
+                levels = sorted(float(rng.randint(0, 8)) for _ in range(rng.randint(1, 6)))
+                reach_next = float(rng.randint(0, 18))
+            else:
+                B = rng.uniform(0.5, 60.0)
+                g = rng.uniform(0.0, 0.3 * B)
+                levels = sorted(rng.uniform(0.0, 0.6 * B) for _ in range(rng.randint(1, 12)))
+                reach_next = rng.uniform(0.0, 1.2 * B)
+            T = self.threshold(reach_next, B)
+            head = []
+            for w in [0.0] + [g + lv for lv in levels]:
+                for t in (self.threshold(w, T), self.threshold(w, B)):
+                    for c in (t, t, math.nextafter(t, 0.0), math.nextafter(t, math.inf)):
+                        if 0.0 <= c < B:
+                            head += [c] * rng.randint(1, 4)
+            self.check(head, g, reach_next, levels, B)
+
+    def test_largest_step_peaks_under_32_bytes_per_new_entry(self, monkeypatch):
+        # The largest array head step of this cell adds 266,489 entries to a
+        # head of 192,658.  Its traced peak above its start, the new head's
+        # 8 B per entry included, is about 21 B per new entry (README states
+        # the bound next to the node budget).
+        steps = []
+        real = complexity._extend_head_array
+
+        def traced(head, *args):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            got = real(head, *args)
+            steps.append((got[1], tracemalloc.get_traced_memory()[1] - start))
+            return got
+
+        monkeypatch.setattr(complexity, "_extend_head_array", traced)
+        tracemalloc.start()
+        try:
+            got = info_complexity(EigenSeq(PowerLaw(2.0)), WeightSeq(ExpPower(1.0, 1.0)),
+                                  Query(12.0, 40))
+        finally:
+            tracemalloc.stop()
+        assert got == CountResult(8_956_759, 713_037, 23)
+        new, peak = max(steps)
+        assert new == 266_489 and peak <= 32 * new, peak / new
 
     def test_budget_checked_before_allocation(self):
         head = np.zeros(4)

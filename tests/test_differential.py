@@ -263,6 +263,68 @@ def test_sweep_rows_match_standalone_counts_on_tables(scale, levels, weights, bu
     check_sweep_rows(lam, gam, [scale * b / 2.0 for b in budgets], ds, node_budget)
 
 
+def ascending_heads(mp):
+    """Wrap the counter's head steps in ``mp`` so that every array head the
+    numpy step receives, and every array head a step returns, must be
+    ascending: the step and the merge search the head by bisection.  Returns
+    the list of head lengths the numpy step received."""
+    seen = []
+    real_array, real_list = complexity._extend_head_array, complexity._extend_head
+
+    def ascending(head):
+        assert isinstance(head, np.ndarray) and not (head[1:] < head[:-1]).any()
+
+    def array_step(head, *args):
+        ascending(head)
+        seen.append(len(head))
+        got = real_array(head, *args)
+        ascending(got[2])
+        return got
+
+    def list_step(head, *args):
+        got = real_list(head, *args)
+        if not isinstance(got[2], list):
+            ascending(got[2])
+        return got
+
+    mp.setattr(complexity, "_extend_head_array", array_step)
+    mp.setattr(complexity, "_extend_head", list_step)
+    return seen
+
+
+@pytest.mark.parametrize("lam, gam, E, d", [
+    (EigenSeq(DoubleExpPower(1.0, 1.0)), WeightSeq(DoubleExpPower(1.0, 1.0)), 1e8, 10),
+    (EigenSeq(PowerLaw(2.0)), WeightSeq(ExpPower(1.0, 1.0)), 12.0, 40),
+    (EigenSeq(ExpPower(1.0, 1.0)), WeightSeq(ExpPower(1.0, 1.0)), 30.0, 40),
+    (EigenSeq(PowerLaw(1.0)), WeightSeq(PowerLaw(0.7)), 3.0, 40),
+], ids=["double_exp-1e8", "power_law-exp_power-12", "exp_power-30", "power_law-power_law-3"])
+def test_reach_cells_grow_ascending_heads(monkeypatch, lam, gam, E, d):
+    """The reach cells pinned in test_complexity.py."""
+    seen = ascending_heads(monkeypatch)
+    info_complexity(lam, gam, Query(E, d), node_budget=3 * 10**7)
+    assert seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(scale=st.sampled_from([1.0, 0.5, 0.125]),
+       levels=st.lists(st.integers(1, 8), min_size=1, max_size=9),
+       weights=st.lists(st.integers(0, 4), min_size=1, max_size=14),
+       budgets=repeating_grid(st.integers(1, 24)), ds=D_GRIDS, node_budget=SWEEP_BUDGETS,
+       tail_step_entries=st.sampled_from([0, 16, 256]))
+def test_shared_heads_stay_ascending(scale, levels, weights, budgets, ds, node_budget,
+                                     tail_step_entries):
+    """Integer and dyadic tables through ``check_sweep_rows``: a sweep, each
+    cell alone, and each E's cells in both orders of d on one ``_heads``.
+    A lower ``_TAIL_STEP_ENTRIES`` turns small heads into arrays, which few
+    cells under these budgets grow past 256 entries."""
+    lam = EigenSeq(Tabulated((0.0,) + tuple(scale * v for v in sorted(levels))))
+    gam = WeightSeq(Tabulated(tuple(scale * v for v in sorted(weights))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexity, "_TAIL_STEP_ENTRIES", tail_step_entries)
+        ascending_heads(mp)
+        check_sweep_rows(lam, gam, [scale * b / 2.0 for b in budgets], ds, node_budget)
+
+
 def reference_columns(lam, gam, d, K):
     """Per coordinate, 0.0 for level 1 and every level cost up to T = G(1) + L(K).
 
