@@ -259,12 +259,15 @@ def _columns(names: tuple, rows: list) -> dict:
     return {c: [row[i] for row in rows] for i, c in enumerate(names)}
 
 
-def _count_row(cfg: RunConfig, E: float, d: int, memo: dict, heads: dict | None) -> list:
-    """One report row in COUNT_COLUMNS order; ``memo`` maps E's active prefixes
+def _count_row(cfg: RunConfig, E: float, d: int, j_eps: int | None, memo: dict,
+               heads: dict | None) -> list:
+    """One report row in COUNT_COLUMNS order; ``j_eps`` is E's eigenvalue
+    index, or None where E is non-compact, ``memo`` maps E's active prefixes
     to the count or its error, and ``heads`` holds E's head steps, if shared."""
-    row = [E, d, "", "", "", "", "", ""]
+    if j_eps is None:
+        return [E, d, "", "", "", "", "", "non_compact"]
+    row = [E, d, j_eps, "", "", "", "", ""]
     try:
-        row[2] = j_of_eps(cfg.lam, E, cap=cfg.search_cap)
         # without a search cap, an unresolvable effective dimension reads d,
         # all that matters for the count
         row[3] = d_of_eps(cfg.gam, E, cap=d if cfg.search_cap is None else cfg.search_cap)
@@ -292,32 +295,48 @@ def run_count(cfg: RunConfig) -> tuple:
 
     Every d at or past a cell's active prefix m has the count of d = m, so
     each (E, m) is counted once per call.  The cells are counted one E at a
-    time: the counter's head grows from coordinate 1 the same way at every
-    d, so the cells of one E share its head steps, which are dropped before
-    the next E (``info_complexity``'s ``_heads``).
+    time: E's eigenvalue index is searched once for all its cells, and the
+    counter's head grows from coordinate 1 the same way at every d, so the
+    cells of one E share its head steps, which are dropped before the next E
+    (``info_complexity``'s ``_heads``).
     """
     rows = []
-    for _, cells in groupby(sorted((E, d) for E in cfg.E_list for d in cfg.d_list),
+    for E, cells in groupby(sorted((E, d) for E in cfg.E_list for d in cfg.d_list),
                             key=itemgetter(0)):
         cells = list(cells)
+        try:
+            j_eps = j_of_eps(cfg.lam, E, cap=cfg.search_cap)
+        except NonCompact:
+            j_eps = None
         memo, heads = {}, ({} if len(cells) > 1 else None)  # a lone cell shares nothing
-        rows += [_count_row(cfg, E, d, memo, heads) for E, d in cells]
+        rows += [_count_row(cfg, E, d, j_eps, memo, heads) for _, d in cells]
     rows.sort(key=itemgetter(1, 0))  # report order (d, E); equal cells are equal rows
     cols = _columns(COUNT_COLUMNS, rows)
     return cols, any(cols["error"])
 
 
+#: What joins two rows of a report, by format.
+_ROW_JOINERS = {"csv": "\n", "json": ",\n"}
+
+#: Rows per block string of the top-K report.  Each block is one ``%`` of a
+#: template over its ranks, so its rank tuple and template stay small.
+_TOPK_BLOCK_ROWS = 8192
+
+
 def run_topk(cfg: RunConfig) -> tuple:
-    """The rows of the TOPK_COLUMNS report as ``_write_rows`` renders them: per
+    """The rows of the TOPK_COLUMNS report as ``_write_rows`` joins them: per
     d in increasing order, (d, rank, cost, exp(-cost), "") for each of the K
-    largest eigenvalues, or one budget_exceeded row; returns (rows,
-    any_runtime_error).  Equal costs are adjacent, so each run of one bit
-    pattern (an int64 compare finds the starts) takes one ``math.exp`` and
-    one format of its cost and eigenvalue as a single piece, repeated over
-    its rows; each d has a row template with a ``%d`` rank and a ``%s`` piece.
+    largest eigenvalues, or one budget_exceeded row; returns (blocks,
+    any_runtime_error), each block the rows of up to ``_TOPK_BLOCK_ROWS``
+    ranks of one d, joined as ``_write_rows`` joins rows.  Equal costs are
+    adjacent, so each run of one bit pattern (an int64 compare finds the
+    starts) takes one ``math.exp``; one ``%`` formats the rows of all the
+    runs, each with a ``%d`` left for its rank, and one ``%`` per block fills
+    in the ranks of a template that repeats each run's row over its ranks.
     """
     csv_out = cfg.out_format == "csv"
     cell, cost_fmt = (_cell, "%.17g") if csv_out else (_dump_json, "%s")
+    joiner = _ROW_JOINERS[cfg.out_format]
     row_fmt = _row_format(TOPK_COLUMNS, cfg.out_format)
     rows, had_error = [], False
     for d in sorted(cfg.d_list):
@@ -327,17 +346,29 @@ def run_topk(cfg: RunConfig) -> tuple:
             rows.append(row_fmt % tuple(map(cell, (d, "", "", "", "budget_exceeded"))))
             had_error = True
             continue
-        # TOPK_COLUMNS hold no "%", so the filled template has no escapes.
-        lead, sep, trail = (row_fmt % (cell(d), "%d", "%s", "%s", cell(""))).split("%s")
-        bits = np.array(costs).view(np.int64)
+        n = len(costs)
+        arr = np.fromiter(costs, float, n)
+        bits = arr.view(np.int64)
         starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-        run_costs = [costs[i] for i in starts.tolist()]
-        eigs = map(math.exp, map(float.__neg__, run_costs))
-        # An eigenvalue is finite, so its JSON is its "%.17g" too.
-        pieces = list(map(f"{cost_fmt}{sep}%.17g".__mod__,
-                          zip(run_costs if csv_out else map(_dump_json, run_costs), eigs)))
-        cells = np.repeat(np.array(pieces, object), np.diff(starts, append=len(costs)))
-        rows += map(f"{lead}%s{trail}".__mod__, zip(range(1, len(costs) + 1), cells.tolist()))
+        run_costs = arr[starts].tolist()
+        cells = [None] * (2 * len(run_costs))
+        cells[0::2] = run_costs if csv_out else map(_dump_json, run_costs)
+        cells[1::2] = map(math.exp, map(float.__neg__, run_costs))  # finite: "%.17g" in JSON too
+        # TOPK_COLUMNS hold no "%", so the filled row template is a format
+        # whose one "%d" is the rank.  The cells are "%.17g" numbers or JSON's
+        # '"inf"', which hold no "\0" and no "%": each run's row, ended by
+        # its joiner, is one piece.
+        unit = row_fmt % (cell(d), "%%d", cost_fmt, "%.17g", cell("")) + joiner
+        pieces = ("\0".join([unit] * len(run_costs)) % tuple(cells)).split("\0")
+        # Run r holds the ranks bounds[r] + 1 to bounds[r + 1]; a block
+        # repeats the pieces of the runs it meets over their ranks within it.
+        bounds = np.append(starts, n)
+        for first in range(0, n, _TOPK_BLOCK_ROWS):
+            last = min(first + _TOPK_BLOCK_ROWS, n)
+            a, b = starts.searchsorted((first, last), "right").tolist()
+            ks = np.diff(bounds[a - 1:b + 1].clip(first, last)).tolist()
+            block = "".join(map(str.__mul__, pieces[a - 1:b], ks))[:-len(joiner)]
+            rows.append(block % tuple(range(first + 1, last + 1)))
     return rows, had_error
 
 
@@ -417,17 +448,22 @@ def _write_rows(cols, out_format: str, head: dict, rows: list | None = None, **t
     (``_column_cells``) and each row is one ``%`` of ``_row_format``'s
     template; with two or more columns, a CSV row is the one ``csv.writer(
     lineterminator="\\n")`` writes from ``_cell`` values.  Given ``rows``
-    rendered already (``run_topk``), ``cols`` only names the columns."""
+    rendered already (``run_topk``'s blocks, each of rows joined as below),
+    ``cols`` only names the columns.  The rows are joined by ``_ROW_JOINERS``,
+    in one join that copies each row once."""
     if rows is None:
         cells = [_column_cells(col, out_format) for col in cols.values()]
         rows = list(map(_row_format(cols, out_format).__mod__, zip(*cells)))
     if out_format == "csv":
-        return "\n".join([",".join(_column_cells(list(cols), "csv")), *rows]) + "\n"
+        return _ROW_JOINERS["csv"].join([",".join(_column_cells(list(cols), "csv")), *rows, ""])
     # The rows fill the top-level empty "rows" array of the document without them.
     lead, trail = _dump_json({**head, "rows": [], **tail}).split('\n  "rows": []')
     if not rows:
         return f'{lead}\n  "rows": []{trail}\n'
-    return "".join([lead, '\n  "rows": [\n', ",\n".join(rows), "\n  ]", trail, "\n"])
+    # The document's lead and trail join with the first and last row.
+    rows = [f'{lead}\n  "rows": [\n{rows[0]}', *rows[1:]]
+    rows[-1] += f"\n  ]{trail}\n"
+    return _ROW_JOINERS["json"].join(rows)
 
 
 def _cell(v) -> str:

@@ -218,6 +218,30 @@ class TestSweep:
                 assert got == (str(res.count), str(res.nodes_visited),
                                str(res.truncated_dimension), "")
 
+    def test_eigenvalue_index_is_searched_once_per_E(self, tmp_path, monkeypatch):
+        # j_eps depends on E alone, so each E's one search serves its cells;
+        # at E = 1e308 the index exceeds the float range and every cell of
+        # the row is non_compact.
+        seen = []
+        real = cli.j_of_eps
+        monkeypatch.setattr(cli, "j_of_eps",
+                            lambda lam, E, **kw: seen.append(E) or real(lam, E, **kw))
+        cfg = write_config(tmp_path, "j.json", {
+            "schema": 1, "lambda": {"family": "iter_log"}, "gamma": {"family": "iter_log"},
+            "queries": {"E": [1e308, 2.0, 3.0], "d": [3, 1, 2]}})
+        out = tmp_path / "j.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+        assert seen == [2.0, 3.0, 1e308]
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert len(rows) == 9
+        for row in rows:
+            if row["E"] == "1e+308":
+                assert (row["j_eps"], row["d_eps"], row["error"]) == ("", "", "non_compact")
+            else:
+                assert row["j_eps"] == str(real(EigenSeq(family_from_descriptor(
+                    {"family": "iter_log"})), float(row["E"])))
+                assert row["error"] == ""
+
     def test_lone_cells_share_no_heads(self, tmp_path, monkeypatch):
         # count, and a sweep whose E rows hold one cell each, pass no _heads.
         seen = []
@@ -655,19 +679,10 @@ class TestReportWriter:
     # Few distinct costs, so that eigenvalues tie within and across levels.
     _TIED = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 2.0])
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(_TIED, min_size=2, max_size=12).map(sorted),
-           st.lists(_TIED, min_size=1, max_size=5).map(sorted),
-           st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
-           st.integers(1, 60))
-    # Fewer positive eigenvalues than K: the costs are padded with inf.
-    @example([0.0, 1.0], [0.5], [3, 2], 20)
-    # 12**4 zero costs at d = 4 exceed the candidate cap.
-    @example([0.0] * 12 + [1.0], [0.0] * 4, [4, 1], 5)
-    def test_topk_matches_rows_from_top_eigenvalues(self, lam, gam, ds, k):
-        # The top-K report against rows built one at a time from
-        # top_eigenvalues, through csv.writer over _cell and _dump_json.
-        seqs = EigenSeq(Tabulated(tuple(lam))), WeightSeq(Tabulated(tuple(gam)))
+    @staticmethod
+    def topk_reports(seqs, ds, k):
+        """The top-K report in each format, from rows built one at a time from
+        top_eigenvalues, through csv.writer over _cell and _dump_json."""
         rows = []
         for d in sorted(ds):
             try:
@@ -680,18 +695,92 @@ class TestReportWriter:
             [TOPK_COLUMNS] + [list(map(_cell, row)) for row in rows])
         head = {"schema": 1, "command": "topk", "lambda": seqs[0].descriptor(),
                 "gamma": seqs[1].descriptor()}
-        expected = {"csv": buf.getvalue(), "json": _dump_json(
+        return {"csv": buf.getvalue(), "json": _dump_json(
             {**head, "rows": [dict(zip(TOPK_COLUMNS, row)) for row in rows]}) + "\n"}
-        code = EXIT_RUNTIME if any(row[4] for row in rows) else EXIT_OK
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = write_config(Path(tmp), "t.json", {
-                "schema": 1, "lambda": {"family": "tabulated", "values": lam},
-                "gamma": {"family": "tabulated", "values": gam}, "queries": {"d": ds}, "k": k})
+
+    @staticmethod
+    def check_topk(cfg, expected, block_rows):
+        code = EXIT_RUNTIME if "budget_exceeded" in expected["csv"] else EXIT_OK
+        with pytest.MonkeyPatch.context() as mp:
+            if block_rows is not None:
+                mp.setattr(cli, "_TOPK_BLOCK_ROWS", block_rows)
             for out_format, text in expected.items():
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
                     assert main(["topk", "--config", cfg, "--format", out_format]) == code
                 assert out.getvalue() == text
+
+    #: Rows per block of the top-K report: blocks of 1 and 3 rows end inside
+    #: runs of tied costs and on their ends; None keeps the default.
+    BLOCK_ROWS = (1, 3, None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_TIED, min_size=2, max_size=12).map(sorted),
+           st.lists(_TIED, min_size=1, max_size=5).map(sorted),
+           st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
+           st.integers(1, 60))
+    # Fewer positive eigenvalues than K: the costs are padded with inf.
+    @example([0.0, 1.0], [0.5], [3, 2], 20)
+    # 12**4 zero costs at d = 4 exceed the candidate cap.
+    @example([0.0] * 12 + [1.0], [0.0] * 4, [4, 1], 5)
+    # K = 1: one row per d.
+    @example([0.0, 0.5], [0.0, 1.0], [1, 2], 1)
+    # One run of tied costs over all K ranks: 36 zero costs at d = 2.
+    @example([0.0] * 6, [0.0] * 3, [2], 30)
+    # An infinite first weight: past the zero cost of rank 1, all inf padding.
+    @example([0.0, 1.0], [math.inf], [1, 3], 20)
+    def test_topk_matches_rows_from_top_eigenvalues(self, lam, gam, ds, k):
+        seqs = EigenSeq(Tabulated(tuple(lam))), WeightSeq(Tabulated(tuple(gam)))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), "t.json", {
+                "schema": 1, "lambda": {"family": "tabulated", "values": lam},
+                "gamma": {"family": "tabulated", "values": gam}, "queries": {"d": ds}, "k": k})
+            expected = self.topk_reports(seqs, ds, k)
+            for block_rows in self.BLOCK_ROWS:
+                self.check_topk(cfg, expected, block_rows)
+
+    @pytest.fixture(scope="class")
+    def benchmark_report(self, tmp_path_factory):
+        """The benchmark's CLI top-K report: PowerLaw(2) / ExpPower(1,1), d = 10,
+        K = 10^4 (10,004 rows in 2,497 runs of tied costs)."""
+        seqs = EigenSeq(family_from_descriptor(POWER_LAW)), WeightSeq(
+            family_from_descriptor(EXP_POWER))
+        cfg = write_config(tmp_path_factory.mktemp("topk"), "b.json", {
+            "schema": 1, "lambda": POWER_LAW, "gamma": EXP_POWER,
+            "queries": {"E": [1.0], "d": [10]}, "k": 10000})
+        return cfg, self.topk_reports(seqs, [10], 10000)
+
+    @pytest.mark.parametrize("block_rows", BLOCK_ROWS, ids=["1", "3", "default"])
+    def test_benchmark_topk_report(self, benchmark_report, block_rows):
+        cfg, expected = benchmark_report
+        assert expected["csv"].count("\n") == 10005
+        self.check_topk(cfg, expected, block_rows)
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_topk_render_peaks_near_twice_the_text(self, monkeypatch, out_format):
+        """Rendering the top-K report at K = 10^5 (costs computed beforehand)
+        peaks at 2.5x the text or less: the rows are formatted in blocks, and
+        the writer's one join copies them once.  Before, each row was a string
+        of its own, and the CSV writer copied the joined text once more: 4.1x
+        in CSV and 3.4x in JSON."""
+        pair = EigenSeq(family_from_descriptor(POWER_LAW)), WeightSeq(
+            family_from_descriptor(EXP_POWER))
+        costs = top_eigenvalues(*pair, 10, 10**5)
+        monkeypatch.setattr(cli, "top_eigenvalues", lambda *args: costs)
+        cfg = cli.RunConfig(*pair, E_list=[], d_list=[10], notion=None, node_budget=10**8,
+                            search_cap=None, k=10**5, policy=DEFAULT_POLICY, audit={},
+                            out_format=out_format, out_path=None)
+        head = cli._report_head(cfg, "topk")
+        tracemalloc.start()
+        try:
+            rows, _ = cli.run_topk(cfg)
+            text = _write_rows(TOPK_COLUMNS, out_format, head, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows_end = "\n    }" if out_format == "json" else "\n"
+        assert text.count(rows_end) == len(costs) + (out_format == "csv")
+        assert peak <= 2.5 * len(text)
 
     def test_topk_csv_and_json_carry_the_same_cells(self, tmp_path, capsys):
         # 50 zero costs, then distinct ones: d = 1 has 2000 rows, d = 2 a full

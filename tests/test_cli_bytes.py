@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from tensortract import cli
 from tensortract.cli import EXIT_OK, EXIT_RUNTIME, main
 
 PINS = Path(__file__).parent / "cli_bytes"
@@ -87,3 +88,17 @@ def test_output_bytes_are_pinned(tmp_path, capsys, command, stem, extra, pinned,
     capsys.readouterr()
     assert main(argv) == code
     assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+TOPK_CASES = [case for case in CASES if case[0] == "topk"]
+
+
+@pytest.mark.parametrize("block_rows", [1, 3])
+@pytest.mark.parametrize("command,stem,extra,pinned,code", TOPK_CASES,
+                         ids=[case[3] for case in TOPK_CASES])
+def test_topk_bytes_in_small_blocks(tmp_path, capsys, monkeypatch, block_rows, command, stem,
+                                    extra, pinned, code):
+    # The top-K report is rendered in blocks of ranks; blocks of 1 and 3 rows
+    # end inside runs of tied costs, and the bytes stay the pinned ones.
+    monkeypatch.setattr(cli, "_TOPK_BLOCK_ROWS", block_rows)
+    test_output_bytes_are_pinned(tmp_path, capsys, command, stem, extra, pinned, code)
