@@ -255,10 +255,6 @@ TOPK_COLUMNS = ("d", "rank", "cost", "eigenvalue", "error")
 AUDIT_COLUMNS = ("suite", "check", "instance", "passed", "lhs", "rhs", "note")
 
 
-def _columns(names: tuple, rows: list) -> dict:
-    return {c: [row[i] for row in rows] for i, c in enumerate(names)}
-
-
 def _count_row(cfg: RunConfig, E: float, d: int, j_eps: int | None, memo: dict,
                heads: dict | None) -> list:
     """One report row in COUNT_COLUMNS order; ``j_eps`` is E's eigenvalue
@@ -290,8 +286,8 @@ def _count_row(cfg: RunConfig, E: float, d: int, j_eps: int | None, memo: dict,
 
 
 def run_count(cfg: RunConfig) -> tuple:
-    """The COUNT_COLUMNS of the report, rows ordered by (d, E); returns (columns,
-    any_runtime_error).
+    """The rows of the COUNT_COLUMNS report, each its cells in column order,
+    ordered by (d, E); returns (rows, any_runtime_error).
 
     Every d at or past a cell's active prefix m has the count of d = m, so
     each (E, m) is counted once per call.  The cells are counted one E at a
@@ -311,8 +307,7 @@ def run_count(cfg: RunConfig) -> tuple:
         memo, heads = {}, ({} if len(cells) > 1 else None)  # a lone cell shares nothing
         rows += [_count_row(cfg, E, d, j_eps, memo, heads) for _, d in cells]
     rows.sort(key=itemgetter(1, 0))  # report order (d, E); equal cells are equal rows
-    cols = _columns(COUNT_COLUMNS, rows)
-    return cols, any(cols["error"])
+    return rows, any(row[7] for row in rows)
 
 
 #: What joins two rows of a report, by format.
@@ -343,7 +338,7 @@ def run_topk(cfg: RunConfig) -> tuple:
         try:
             costs = top_eigenvalues(cfg.lam, cfg.gam, d, cfg.k)
         except BudgetExceeded:
-            rows.append(row_fmt % tuple(map(cell, (d, "", "", "", "budget_exceeded"))))
+            rows += _render(TOPK_COLUMNS, cfg.out_format, [(d, "", "", "", "budget_exceeded")])
             had_error = True
             continue
         n = len(costs)
@@ -388,8 +383,8 @@ def run_classify(cfg: RunConfig) -> dict:
 
 
 def run_audit(cfg: RunConfig) -> tuple:
-    """The AUDIT_COLUMNS of the report over the requested suites; returns (columns,
-    all_passed)."""
+    """The rows of the AUDIT_COLUMNS report over the requested suites, each its
+    cells in column order; returns (rows, all_passed)."""
     audit = cfg.audit
     suites = audit["suites"]
     rows = []
@@ -423,8 +418,7 @@ def run_audit(cfg: RunConfig) -> tuple:
         emit("summability", check_summability_equivalence(pair.lam, (2.0, 1.0)))
     if "power_sum" in suites:
         emit("power_sum", power_sum_suite(draws=audit["power_sum_draws"], seed=audit["seed"]))
-    cols = _columns(AUDIT_COLUMNS, rows)
-    return cols, all(cols["passed"])
+    return rows, all(row[3] for row in rows)
 
 
 def _report_head(cfg: RunConfig, command: str) -> dict:
@@ -442,20 +436,25 @@ def _row_format(names, out_format: str) -> str:
     return "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
 
 
-def _write_rows(cols, out_format: str, head: dict, rows: list | None = None, **tail) -> str:
-    """``cols`` (column name: list of cells) as CSV, or as one JSON document:
-    ``head``, the rows, then ``tail``.  Each column is rendered to strings
-    (``_column_cells``) and each row is one ``%`` of ``_row_format``'s
-    template; with two or more columns, a CSV row is the one ``csv.writer(
-    lineterminator="\\n")`` writes from ``_cell`` values.  Given ``rows``
-    rendered already (``run_topk``'s blocks, each of rows joined as below),
-    ``cols`` only names the columns.  The rows are joined by ``_ROW_JOINERS``,
-    in one join that copies each row once."""
-    if rows is None:
-        cells = [_column_cells(col, out_format) for col in cols.values()]
-        rows = list(map(_row_format(cols, out_format).__mod__, zip(*cells)))
+def _render(names, out_format: str, rows) -> list:
+    """``rows`` (each its cells in the order of the columns ``names``) as
+    strings, each one ``%`` of ``_row_format``'s template.  A cell is
+    ``_dump_json`` in JSON and ``_csv_cell`` in CSV, so with two or more
+    columns a CSV row is the one ``csv.writer(lineterminator="\\n")`` writes
+    from ``_cell`` values."""
+    cell = _csv_cell if out_format == "csv" else _dump_json
+    row_fmt = _row_format(names, out_format)
+    return [row_fmt % tuple(map(cell, row)) for row in rows]
+
+
+def _write_rows(names, out_format: str, head: dict, rows: list, **tail) -> str:
+    """The report with columns ``names`` and rows ``rows``, rendered already
+    (``_render``, or ``run_topk``'s blocks, each of rows joined as below), as
+    CSV under a header row, or as one JSON document: ``head``, the rows, then
+    ``tail``.  The rows are joined by ``_ROW_JOINERS``, in one join that
+    copies each row once."""
     if out_format == "csv":
-        return _ROW_JOINERS["csv"].join([",".join(_column_cells(list(cols), "csv")), *rows, ""])
+        return _ROW_JOINERS["csv"].join([*_render(names, "csv", [names]), *rows, ""])
     # The rows fill the top-level empty "rows" array of the document without them.
     lead, trail = _dump_json({**head, "rows": [], **tail}).split('\n  "rows": []')
     if not rows:
@@ -475,34 +474,14 @@ def _cell(v) -> str:
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
-def _csv_quoted(cell: str) -> str:
-    """``cell`` as csv.writer writes it in a row."""
+def _csv_cell(v) -> str:
+    """``_cell(v)`` as csv.writer writes it in a row."""
+    cell = _cell(v)
+    if not _CSV_SPECIAL.search(cell):
+        return cell
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow((cell, ""))
     return buf.getvalue()[:-2]
-
-
-def _column_cells(col: list, out_format: str) -> list:
-    """The cells of one report column, as strings.
-
-    Ints that are not bools print as "%d" and floats as "%.17g", which spells
-    inf and nan and keeps the sign of -0.0; in JSON a non-finite float is a
-    string (``_dump_json``).  Other cells take ``_cell`` in CSV, quoted by csv
-    where a cell needs it, and in JSON ``json.dumps`` of strs and
-    ``_dump_json`` of anything else.  A mixed column, where the equal cells 1,
-    1.0 and True print differently, goes cell by cell.
-    """
-    kinds = set(map(type, col))
-    if kinds == {int}:
-        return list(map(str, col))
-    if all(issubclass(k, float) for k in kinds):
-        return list(map("%.17g".__mod__ if out_format == "csv" else _dump_json, col))
-    if out_format == "json":
-        return list(map(json.dumps if kinds == {str} else _dump_json, col))
-    cells = col if kinds == {str} else list(map(_cell, col))
-    if _CSV_SPECIAL.search("".join(cells)):
-        cells = list(map(_csv_quoted, cells))
-    return cells
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -546,20 +525,22 @@ def main(argv=None) -> int:
             _emit(_dump_json(run_classify(cfg)) + "\n", cfg.out_path)
             return EXIT_OK
         if command == "audit":
-            cols, ok = run_audit(cfg)
+            rows, ok = run_audit(cfg)
             head = {"schema": SCHEMA_VERSION, "command": "audit"}
-            _emit(_write_rows(cols, cfg.out_format, head, passed=ok), cfg.out_path)
+            rows = _render(AUDIT_COLUMNS, cfg.out_format, rows)
+            _emit(_write_rows(AUDIT_COLUMNS, cfg.out_format, head, rows, passed=ok), cfg.out_path)
             return EXIT_OK if ok else EXIT_AUDIT
-        rows = None
         if command == "topk":
-            cols = TOPK_COLUMNS
+            names = TOPK_COLUMNS
             rows, had_error = run_topk(cfg)
         else:
             _require(bool(cfg.E_list), "count/sweep require an E grid")
             _require(command == "sweep" or (len(cfg.E_list) == 1 and len(cfg.d_list) == 1),
                      "count expects exactly one E value and one dimension; use sweep for grids")
-            cols, had_error = run_count(cfg)
-        _emit(_write_rows(cols, cfg.out_format, _report_head(cfg, command), rows), cfg.out_path)
+            names = COUNT_COLUMNS
+            rows, had_error = run_count(cfg)
+            rows = _render(names, cfg.out_format, rows)
+        _emit(_write_rows(names, cfg.out_format, _report_head(cfg, command), rows), cfg.out_path)
         return EXIT_RUNTIME if had_error else EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

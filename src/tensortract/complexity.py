@@ -392,9 +392,10 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
     as (finished, new entries, open costs) under (B, k, reach[k + 1]).  A
     head step reads only these, the weights, the level table and the head
     it extends, and that head grows the same way from coordinate 1 in every
-    cell of the E.  A step is taken from it while every earlier step of the
-    call was, and only when its new entries fit the call's room; any other
-    step runs as above and is stored when it fits.  So the count,
+    cell of the E.  A step is taken from it when its new entries fit the
+    call's room; any other step runs as above and is stored when it fits.
+    A call past a step has it stored, as a step that does not fit raises, so
+    after one miss the later lookups of the call miss too.  So the count,
     ``nodes_visited`` and any budget error are those of a call without it.
     """
     _check_positive_int("node_budget", node_budget)
@@ -445,15 +446,13 @@ def info_complexity(lam: EigenSeq, gam: WeightSeq, q: Query,
         head = [0.0] + [g1 + lv for lv in (table[:n].tolist() if Ltab is None else Ltab[:n])]
     taus = ()  # thresholds of the nonempty tails; none until the tail starts
     k, t = 1, m  # the head covers coordinates [0, k), the tail [t, m)
-    chain = _heads is not None  # every head step so far came from _heads
     while k < t:
         room = node_budget - entries
         if table is None and not isinstance(head, list):
             table = np.array(Ltab)
         if m < _SPLIT_MIN_COORDS or len(head) <= _TAIL_STEP_ENTRIES + len(taus):
-            step = chain and _heads.get((B, k, reach[k + 1]))
+            step = _heads and _heads.get((B, k, reach[k + 1]))
             if not step or step[1] > room:
-                chain = False
                 if isinstance(head, list):
                     Ltab = Ltab or table.tolist()
                     step = _extend_head(head, Gs[k], reach[k + 1], Ltab, B, room)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from tensortract import (BudgetExceeded, EigenSeq, Query, Tabulated, WeightSeq, cli, complexity,
                          family_from_descriptor, top_eigenvalues)
 from tensortract.cli import (EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, TOPK_COLUMNS,
-                             _cell, _dump_json, _write_rows, main)
+                             _cell, _dump_json, _render, _write_rows, main)
 from tensortract.tractability import DEFAULT_POLICY
 from tensortract.verify import AuditReport
 
@@ -106,6 +106,30 @@ def test_public_names_are_not_submodules():
     assert sorted(star) == sorted(tensortract.__all__)
     assert not [n for n, v in star.items() if isinstance(v, ModuleType)]
     assert {"cli", "complexity", "errors", "seqcore", "tractability", "verify"}.isdisjoint(star)
+
+
+#: The public API, all 58 names: a change to it shows up as a diff here.
+PUBLIC_NAMES = [
+    "AuditCheck", "AuditReport", "BoxTooSmall", "BudgetExceeded", "ConfigError", "ConstantOne",
+    "CountResult", "DEFAULT_E_GRID", "DEFAULT_J_GRID", "DEFAULT_NODE_BUDGET", "Diagnostic",
+    "DivergenceResult", "DivergentTail", "DoubleExpPower", "EigenSeq", "EventuallyZero",
+    "ExpPower", "Growth", "GuardExceeded", "InvalidIndex", "IterLog", "LimitEstimate",
+    "LogPower", "NonCompact", "Notion", "NotionKind", "PowerLaw", "ProbePolicy", "Query",
+    "SequenceError", "SummabilityResult", "Tabulated", "TensorTractError", "TripleExp",
+    "UnsupportedNotion", "Verdict", "VerdictStatus", "WeightSeq", "b_qpt_estimate",
+    "b_spt_estimate", "brute_force_count", "check_count_sandwich",
+    "check_summability_equivalence", "classify", "d_of_eps", "divergence_check",
+    "eta_exponent", "family_from_descriptor", "info_complexity", "j_of_eps", "load_log_table",
+    "nth_minimal_error", "oracle_equivalence_suite", "power_sum_split", "power_sum_suite",
+    "summability", "top_eigenvalues", "wt_s_below_one_check",
+]
+
+
+def test_public_names_are_pinned():
+    import tensortract
+
+    assert len(PUBLIC_NAMES) == 58
+    assert sorted(tensortract.__all__) == PUBLIC_NAMES
 
 
 class TestCount:
@@ -620,6 +644,13 @@ def repeating_reports(draw):
                                 min_size=n, max_size=n)) for name in names}
 
 
+def write_columns(cols, out_format, head, **tail):
+    """The report of ``cols`` (column name: list of cells), rendered row by row."""
+    names = list(cols)
+    rows = _render(names, out_format, zip(*cols.values()))
+    return _write_rows(names, out_format, head, rows, **tail)
+
+
 class TestCsvColumns:
     """One column, twice over, through the report writer against csv.writer
     over ``_cell`` values."""
@@ -628,7 +659,7 @@ class TestCsvColumns:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
             [("a", "b")] + [(_cell(v), _cell(v)) for v in column])
-        assert _write_rows({"a": column, "b": column}, "csv", {}) == buf.getvalue()
+        assert write_columns({"a": column, "b": column}, "csv", {}) == buf.getvalue()
 
     @given(st.lists(st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e300, math.inf, -math.inf]),
                     min_size=1))
@@ -647,7 +678,7 @@ class TestCsvColumns:
         cells = [0.0, -0.0, math.nan, 0.1, -math.inf]
         column = [cells[i % len(cells)] for i in range(rows)]
         self.check(column)
-        for got, v in zip(_write_rows({"a": column}, "json", {}).split('"a": ')[1:], column):
+        for got, v in zip(write_columns({"a": column}, "json", {}).split('"a": ')[1:], column):
             assert got.split("\n")[0] == _dump_json(v)
 
     @pytest.mark.parametrize("column", [
@@ -659,7 +690,7 @@ class TestCsvColumns:
 
 
 class TestReportWriter:
-    """The column-wise writer against a row-at-a-time rendering of the same cells."""
+    """The report writer against csv.writer and ``_dump_json`` of the same cells."""
 
     @given(reports() | repeating_reports())
     def test_csv_matches_csv_writer(self, cols):
@@ -667,14 +698,14 @@ class TestReportWriter:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(cols)
         writer.writerows(zip(*([_cell(v) for v in col] for col in cols.values())))
-        assert _write_rows(cols, "csv", {}) == buf.getvalue()
+        assert write_columns(cols, "csv", {}) == buf.getvalue()
 
     @given(reports() | repeating_reports())
     def test_json_matches_dump_json(self, cols):
         rows = [dict(zip(cols, row)) for row in zip(*cols.values())]
         head = {"schema": 1, "command": "x"}
         expected = _dump_json({**head, "rows": rows, "passed": True}) + "\n"
-        assert _write_rows(cols, "json", head, passed=True) == expected
+        assert write_columns(cols, "json", head, passed=True) == expected
 
     # Few distinct costs, so that eigenvalues tie within and across levels.
     _TIED = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 2.0])

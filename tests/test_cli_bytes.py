@@ -34,9 +34,11 @@ CASES = [
     # The eigenvalue index at E = 1e308 exceeds the float range: a
     # non_compact row, not a traceback.
     ("count", "count_non_compact", [], "count_non_compact.csv", EXIT_RUNTIME),
+    ("count", "count_non_compact", ["--format", "json"], "count_non_compact.json", EXIT_RUNTIME),
     # A search cap of 1 does not bound a resolvable index: j_eps is 3 at
     # E = 0.1, where a zero prefix puts L(3) below 2E.
     ("sweep", "sweep_search_cap", [], "sweep_search_cap.csv", EXIT_OK),
+    ("sweep", "sweep_search_cap", ["--format", "json"], "sweep_search_cap.json", EXIT_OK),
     ("topk", "topk", [], "topk.csv", EXIT_OK),
     ("topk", "topk", ["--format", "json"], "topk.json", EXIT_OK),
     # A budget_exceeded row after a full tie class: columns mixing int or

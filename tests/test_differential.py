@@ -208,11 +208,9 @@ def check_sweep_rows(lam, gam, Es, ds, node_budget):
     cfg = RunConfig(lam=lam, gam=gam, E_list=Es, d_list=ds, notion=None,
                     node_budget=node_budget, search_cap=None, k=1, policy=DEFAULT_POLICY,
                     audit={}, out_format="csv", out_path=None)
-    cols, _ = run_count(cfg)
-    rows = list(zip(cols["E"], cols["d"], cols["count"], cols["nodes"],
-                    cols["truncated_dimension"], cols["error"]))
+    rows, _ = run_count(cfg)  # cells in COUNT_COLUMNS order
     assert [(d, E) for E, d, *_ in rows] == sorted((d, E) for d in ds for E in Es)
-    for E, d, *got in rows:
+    for E, d, _, _, *got in rows:
         try:
             res = info_complexity(lam, gam, Query(E, d), node_budget=node_budget)
         except BudgetExceeded:
